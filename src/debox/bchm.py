@@ -15,7 +15,7 @@ Method ids used in configs and CSV output:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,10 +85,14 @@ class CorrectionContext:
 
 @dataclass(eq=False)
 class CorrectionOutcome:
-    """Result of applying a BCHM: either a feasible vector or a dismissal."""
+    """Result of applying a BCHM: either a feasible vector or a dismissal.
+
+    For a batch, ``dismiss`` reports a per-row mask in ``dismissed`` and keeps
+    the input rows in ``vector``.
+    """
 
     vector: np.ndarray | None
-    dismissed: bool = False
+    dismissed: bool | np.ndarray = False
     components_corrected: int = 0
     vector_alpha: float | np.ndarray | None = None
 
@@ -312,11 +316,16 @@ def vector_correct(y, reference: str, ctx: CorrectionContext) -> CorrectionOutco
 
 
 def dismiss(y, bounds: Bounds) -> CorrectionOutcome:
-    """Discard infeasible vectors (death penalty); feasible input passes through."""
+    """Discard infeasible vectors (death penalty); feasible input passes through.
+
+    A single dismissed vector yields ``vector=None``; a batch yields its rows
+    unchanged and the mask of dismissed rows.
+    """
     y = _as_float_array(y)
-    if y.ndim != 1:
-        raise ValueError("dismiss operates on single vectors")
-    if bool(bounds.contains(y)):
+    inside = bounds.contains(y)
+    if y.ndim == 2:
+        return CorrectionOutcome(y.copy(), dismissed=~inside)
+    if inside:
         return CorrectionOutcome(y.copy())
     return CorrectionOutcome(None, dismissed=True)
 
@@ -355,13 +364,16 @@ class AdaptiveState:
             self.successes = np.zeros(k, dtype=int)
 
 
-def adaptive_select(state: AdaptiveState, rng: RngStream) -> str:
-    """Draw a method id from the categorical selection distribution."""
-    u = float(rng.random())
-    k = int(np.searchsorted(np.cumsum(state.probabilities), u, side="right"))
-    k = min(k, len(state.pool) - 1)
-    state.uses[k] += 1
-    return state.pool[k]
+def adaptive_select(state: AdaptiveState, rng: RngStream, size: int | None = None):
+    """Draw from the categorical selection distribution and count the uses.
+
+    Returns one method id, or with ``size`` an array of ``size`` pool indices
+    (one unit draw each).
+    """
+    u = rng.random(size)
+    k = np.minimum(np.searchsorted(np.cumsum(state.probabilities), u, side="right"), len(state.pool) - 1)
+    state.uses += np.bincount(np.ravel(k), minlength=len(state.pool))
+    return state.pool[int(k)] if size is None else k
 
 
 def _floor_and_normalize(p: np.ndarray, floor: float) -> np.ndarray:
@@ -401,10 +413,32 @@ def adaptive_update(state: AdaptiveState) -> AdaptiveState:
 
 def adaptive_correct(
     y, ctx: CorrectionContext, rng: RngStream, state: AdaptiveState
-) -> tuple[CorrectionOutcome, int]:
-    """Select a pool method, apply it, and return (outcome, pool index)."""
-    method = adaptive_select(state, rng)
-    return correct(method, y, ctx, rng), state.pool.index(method)
+) -> tuple[CorrectionOutcome, int | np.ndarray]:
+    """Select a pool method per vector and apply each method to its group.
+
+    Returns the outcome and the pool index of each vector (an int for a
+    single vector).  Draw order: the selection draws of all vectors, then
+    each method's draws on its group, in pool order.  Reference vectors of
+    shape (m, n) in ``ctx`` are split with the groups.
+    """
+    y = _as_float_array(y)
+    batch = np.atleast_2d(y)
+    picks = adaptive_select(state, rng, size=len(batch))
+    corrected = np.empty_like(batch)
+    for k, method in enumerate(state.pool):
+        rows = picks == k
+        if rows.any():
+            group = replace(ctx, target=_group(ctx.target, rows), pbest=_group(ctx.pbest, rows))
+            corrected[rows] = correct(method, batch[rows], group, rng).vector
+    changed = int(np.sum(corrected != batch))
+    if y.ndim == 1:
+        return CorrectionOutcome(corrected[0], components_corrected=changed), int(picks[0])
+    return CorrectionOutcome(corrected, components_corrected=changed), picks
+
+
+def _group(reference, rows: np.ndarray):
+    reference = np.asarray(reference, dtype=float)
+    return reference[rows] if reference.ndim == 2 else reference
 
 
 # ---------------------------------------------------------------------------

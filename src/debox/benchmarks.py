@@ -51,39 +51,41 @@ OFFSET_RANGE = 100.0  # f* ~ U[-100, 100]
 # minimum value 0 at z = 0
 # ---------------------------------------------------------------------------
 
-def _raw_sphere(z: np.ndarray) -> float:
-    return float(np.sum(z * z))
+def _raw_sphere(z: np.ndarray) -> np.ndarray:
+    return np.sum(z * z, axis=-1)
 
 
-def _raw_separable_ellipsoid(z: np.ndarray) -> float:
-    n = z.size
+def _raw_separable_ellipsoid(z: np.ndarray) -> np.ndarray:
+    n = z.shape[-1]
     exponents = 6.0 * np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
-    return float(np.sum(10.0**exponents * z * z))
+    return np.sum(10.0**exponents * z * z, axis=-1)
 
 
-def _raw_rastrigin(z: np.ndarray) -> float:
-    n = z.size
-    return float(10.0 * (n - np.sum(np.cos(2.0 * np.pi * z))) + np.sum(z * z))
+def _raw_rastrigin(z: np.ndarray) -> np.ndarray:
+    n = z.shape[-1]
+    return 10.0 * (n - np.sum(np.cos(2.0 * np.pi * z), axis=-1)) + np.sum(z * z, axis=-1)
 
 
-def _raw_rosenbrock(z: np.ndarray) -> float:
+def _raw_rosenbrock(z: np.ndarray) -> np.ndarray:
     # classic Rosenbrock has its optimum at the all-ones vector; evaluating
     # on w = z + 1 moves that optimum to z = 0 so the stored x* stays exact
     w = z + 1.0
-    return float(np.sum(100.0 * (w[:-1] ** 2 - w[1:]) ** 2 + (w[:-1] - 1.0) ** 2))
+    head, tail = w[..., :-1], w[..., 1:]
+    return np.sum(100.0 * (head**2 - tail) ** 2 + (head - 1.0) ** 2, axis=-1)
 
 
-def _raw_different_powers(z: np.ndarray) -> float:
-    n = z.size
+def _raw_different_powers(z: np.ndarray) -> np.ndarray:
+    n = z.shape[-1]
     exponents = 2.0 + (4.0 * np.arange(n) / (n - 1) if n > 1 else np.zeros(1))
-    return float(np.sum(np.abs(z) ** exponents))
+    return np.sum(np.abs(z) ** exponents, axis=-1)
 
 
-def raw_linear_slope(x: np.ndarray, x_star: np.ndarray, bounds: Bounds | None = None) -> float:
+def raw_linear_slope(x: np.ndarray, x_star: np.ndarray, bounds: Bounds | None = None) -> np.ndarray:
     """Linear landscape with its optimum pinned on a corner of the box.
 
     f(x) = sum_i w_i * (x*_i - x_i) * sign(x*_i) with w_i = 10^(i/(n-1)),
     which is 0 at the corner x* and strictly positive elsewhere in the box.
+    ``x`` is one point (n,) or a batch (m, n).
     """
     x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
@@ -94,12 +96,12 @@ def raw_linear_slope(x: np.ndarray, x_star: np.ndarray, bounds: Bounds | None = 
         raise ValueError("linear slope requires corner optimum")
     n = x_star.size
     weights = 10.0 ** (np.arange(n) / (n - 1)) if n > 1 else np.ones(1)
-    return float(np.sum(weights * (x_star - x) * np.sign(x_star)))
+    return np.sum(weights * (x_star - x) * np.sign(x_star), axis=-1)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    raw: Callable[[np.ndarray], float]
+    raw: Callable[[np.ndarray], np.ndarray]  # a batch (m, n) to m values
     exempt_from_boundary_shift: bool = False
     corner_optimum: bool = False
 
@@ -119,8 +121,40 @@ def catalog_ids() -> list[str]:
 
 
 def register_function(function_id: str, raw: Callable[[np.ndarray], float], exempt: bool = False) -> None:
-    """Add a raw landscape (minimum 0 at z = 0) to the instance catalogue."""
-    _CATALOG[function_id] = CatalogEntry(raw, exempt_from_boundary_shift=exempt)
+    """Add a raw landscape (minimum 0 at z = 0) to the instance catalogue.
+
+    ``raw`` maps one shifted point (n,) to a float; batches call it row by row.
+    """
+    _CATALOG[function_id] = CatalogEntry(lambda z: _rows(raw, z), exempt_from_boundary_shift=exempt)
+
+
+def _rows(objective: Callable[[np.ndarray], float], xs: np.ndarray) -> np.ndarray:
+    return np.array([objective(x) for x in xs], dtype=float)
+
+
+def _strict_batch(problem, xs, landscape: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Strict-box evaluation of a batch (m, n), shared by every problem class.
+
+    Rows outside the closed box score +inf without reaching ``landscape`` and
+    count as infeasible evaluations; the others count as feasible.  A NaN
+    objective value scores +inf, so minimum searches and greedy selection
+    never pick it.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != problem.dimension:
+        raise ValueError("dimension mismatch")
+    inside = problem.bounds.contains(xs)
+    feasible = int(np.count_nonzero(inside))
+    problem.feasible_evaluations += feasible
+    problem.infeasible_evaluations += len(xs) - feasible
+    if feasible == len(xs):
+        values = np.asarray(landscape(xs), dtype=float)
+    else:
+        values = np.full(len(xs), np.inf)
+        if feasible:
+            values[inside] = landscape(xs[inside])
+    values[np.isnan(values)] = np.inf
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +199,21 @@ class BenchmarkProblem:
         self.infeasible_evaluations = 0
 
     def evaluate(self, x: np.ndarray) -> float:
-        """Strict-box evaluation: +inf outside the closed box.
+        """Strict-box evaluation of one point: +inf outside the closed box.
 
         Infeasible calls never touch the raw landscape; they count against
         the budget only when ``count_infeasible_evals`` is set.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise ValueError("dimension mismatch")
-        if not self.bounds.contains(x):
-            self.infeasible_evaluations += 1
-            return np.inf
-        self.feasible_evaluations += 1
+        return float(self.evaluate_batch(np.asarray(x, dtype=float)[None])[0])
+
+    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Strict-box evaluation of a batch (m, n); one value per row."""
         entry = _CATALOG[self.function_id]
         if entry.corner_optimum:
-            return entry.raw(x, self.optimum_location, self.bounds) + self.optimum_value
-        return entry.raw(x - self.optimum_location) + self.optimum_value
+            values = _strict_batch(self, xs, lambda x: entry.raw(x, self.optimum_location, self.bounds))
+        else:
+            values = _strict_batch(self, xs, lambda x: entry.raw(x - self.optimum_location))
+        return values + self.optimum_value
 
     def describe(self) -> dict:
         return {
@@ -273,14 +306,11 @@ class ExternalProblem:
         self.infeasible_evaluations = 0
 
     def evaluate(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise ValueError("dimension mismatch")
-        if not self.bounds.contains(x):
-            self.infeasible_evaluations += 1
-            return np.inf
-        self.feasible_evaluations += 1
-        return float(self.objective(x))
+        return float(self.evaluate_batch(np.asarray(x, dtype=float)[None])[0])
+
+    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Strict-box evaluation of a batch (m, n); the objective sees one row at a time."""
+        return _strict_batch(self, xs, lambda x: _rows(self.objective, x))
 
     def describe(self) -> dict:
         return {

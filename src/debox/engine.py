@@ -1,22 +1,40 @@
-"""DE/rand/1/bin and L-SHADE generational loops with BCHM repair.
+"""DE/rand/1/bin and L-SHADE generations on one batched kernel, with BCHM repair.
 
-Both engines share the same trial lifecycle: mutate, binomially cross over,
-measure bound violations (before any repair), repair infeasible trials with
-the configured BCHM, evaluate under strict-box semantics and select greedily
-(the trial replaces its target on ties).  Dismissed trials are never
-evaluated; the target survives implicitly because the trial's fitness is
-treated as +inf.
+Each engine draws the mutants of a whole generation (L-SHADE also draws
+per-trial F and CR); one shared kernel then crosses over, measures bound
+violations before any repair, repairs all infeasible trials in one BCHM
+call, evaluates the batch under strict-box semantics and selects greedily
+(a trial replaces its target on ties).  Dismissed trials never reach the
+raw landscape: they score +inf, count as infeasible evaluations and leave
+their target in place.
+
+Draw order of a generation of m trials:
+
+* L-SHADE: m memory slots, m Cauchy F (the nonpositive ones redrawn in
+  rounds), m normal CR, m p values, m pbest ranks, m r1 and m r2 (r2 over
+  population and archive);
+* classic: m r1, m r2, m r3;
+* then m i_rand and the m x n crossover units (row-major), then the repair
+  draws of the infeasible trials (see :func:`debox.bchm.adaptive_correct`);
+* L-SHADE: one unit per archive entry when the archive is trimmed.
+
+Indices that must differ from the target and from each other are redrawn,
+in rounds, for the rows that collide.  When the budget runs out
+mid-generation only the prefix of trials whose cumulative cost fits the
+remaining budget is repaired, evaluated and recorded; a trial costs one
+evaluation unless it is dismissed while infeasible evaluations are free.
 
 L-SHADE adds success-history parameter adaptation (memory of size H storing
 weighted Lehmer means of successful F and weighted arithmetic means of
 successful CR), current-to-pbest/1 mutation with an external archive of
 defeated parents, and linear population size reduction from 18*n down to 4
-over the evaluation budget.
+over the evaluation budget.  As in Tanabe & Fukunaga's L-SHADE, a
+generation's trials are all built before selection; defeated parents join
+the archive afterwards, with the memory update and the size reduction.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -101,7 +119,7 @@ class ShadeState:
     memory_f: np.ndarray
     memory_cr: np.ndarray  # NaN entries mark the terminal CR value
     memory_index: int
-    archive: list[np.ndarray]
+    archive: np.ndarray  # defeated parents, shape (A, n)
     archive_capacity: int | None
     n_init: int
     n_min: int
@@ -116,7 +134,7 @@ class ShadeState:
             memory_f=np.full(params.memory_size, 0.5),
             memory_cr=np.full(params.memory_size, 0.5),
             memory_index=0,
-            archive=[],
+            archive=np.empty((0, dimension)),
             archive_capacity=params.archive_capacity,
             n_init=n_init,
             n_min=params.n_min,
@@ -133,34 +151,42 @@ class ShadeState:
 # building blocks
 # ---------------------------------------------------------------------------
 
-def rand1_mutant(x_r1: np.ndarray, x_r2: np.ndarray, x_r3: np.ndarray, f: float) -> np.ndarray:
+def rand1_mutant(x_r1: np.ndarray, x_r2: np.ndarray, x_r3: np.ndarray, f) -> np.ndarray:
     """rand/1 mutation: base vector plus one scaled difference."""
     return x_r1 + f * (x_r2 - x_r3)
 
 
-def binomial_crossover(rng: RngStream, target: np.ndarray, mutant: np.ndarray, cr: float) -> np.ndarray:
-    """Per-component exchange with probability cr; one component (i_rand)
-    always comes from the mutant.  Draw order: i_rand, then the n unit draws."""
-    n = target.size
-    i_rand = int(rng.integers(n))
-    mask = np.asarray(rng.random(n)) < cr
-    mask[i_rand] = True
-    return np.where(mask, mutant, target)
+def binomial_crossover(rng: RngStream, targets: np.ndarray, mutants: np.ndarray, cr) -> np.ndarray:
+    """Row-wise exchange of components with probability cr (scalar or one per
+    row); component i_rand of each row always comes from the mutant.
+    Draw order: the m i_rand indices, then the m x n unit draws."""
+    m, n = targets.shape
+    i_rand = rng.integers(n, size=m)
+    mask = rng.random((m, n)) < np.asarray(cr, dtype=float).reshape(-1, 1)
+    mask[np.arange(m), i_rand] = True
+    return np.where(mask, mutants, targets)
 
 
-def sample_scale_factor(rng: RngStream, loc: float, scale: float = 0.1) -> float:
-    """Cauchy(loc, scale) draw, redrawn while <= 0 and truncated at 1."""
-    while True:
-        f = float(rng.cauchy(loc, scale))
-        if f > 0.0:
-            return min(f, 1.0)
+def sample_scale_factor(rng: RngStream, loc, scale: float = 0.1) -> np.ndarray:
+    """Cauchy(loc_i, scale) draws, one per entry of ``loc``; nonpositive
+    entries are redrawn until positive, then all are truncated at 1."""
+    loc = np.asarray(loc, dtype=float)
+    f = np.asarray(rng.cauchy(loc, scale, size=loc.shape), dtype=float)
+    redraw = f <= 0.0
+    while redraw.any():
+        f[redraw] = rng.cauchy(loc[redraw], scale, size=int(redraw.sum()))
+        redraw = f <= 0.0
+    return np.minimum(f, 1.0)
 
 
-def sample_crossover_rate(rng: RngStream, memory_cr: float, scale: float = 0.1) -> float:
-    """Normal(M_CR, scale) clipped to [0, 1]; the terminal marker (NaN) pins CR to 0."""
-    if np.isnan(memory_cr):
-        return 0.0
-    return float(np.clip(rng.normal(memory_cr, scale), 0.0, 1.0))
+def sample_crossover_rate(rng: RngStream, memory_cr, scale: float = 0.1) -> np.ndarray:
+    """Normal(M_CR_i, scale) draws clipped to [0, 1], one per entry of
+    ``memory_cr``; the terminal marker (NaN) pins CR to 0 (its draw is
+    still consumed)."""
+    memory_cr = np.asarray(memory_cr, dtype=float)
+    cr = np.clip(rng.normal(memory_cr, scale, size=memory_cr.shape), 0.0, 1.0)
+    cr[np.isnan(memory_cr)] = 0.0
+    return cr
 
 
 def lehmer_mean(values, weights) -> float:
@@ -177,61 +203,94 @@ def lpsr_target_size(state: ShadeState, evaluations_used: int) -> int:
     return int(min(max(target, state.n_min), state.n_init))
 
 
-def _pick_distinct(rng: RngStream, limit: int, forbidden: set[int]) -> int:
+def _distinct_indices(rng: RngStream, limit: int, *forbidden: np.ndarray) -> np.ndarray:
+    """One index in [0, limit) per row, differing from that row's ``forbidden`` indices."""
+    picks = rng.integers(limit, size=forbidden[0].size)
     while True:
-        k = int(rng.integers(limit))
-        if k not in forbidden:
-            return k
+        collide = np.logical_or.reduce([picks == f for f in forbidden])
+        if not collide.any():
+            return picks
+        picks[collide] = rng.integers(limit, size=int(collide.sum()))
 
 
-class _TrialRepair:
-    """Shared repair/evaluation path for one generation."""
+def _evaluate(problem, xs: np.ndarray) -> np.ndarray:
+    batch = getattr(problem, "evaluate_batch", None)
+    if batch is None:  # plugin objects that only offer evaluate(x)
+        return np.array([problem.evaluate(x) for x in xs], dtype=float)
+    return batch(xs)
 
-    def __init__(self, bchm: str, problem, rng: RngStream, adaptive_state: AdaptiveState | None,
-                 beta_epsilon: float, stats, population_mean):
-        self.bchm = bchm
-        self.problem = problem
-        self.rng = rng
-        self.adaptive_state = adaptive_state
-        self.beta_epsilon = beta_epsilon
-        self.stats = stats
-        self.population_mean = population_mean
-        self.infeasible_components = 0
-        self.infeasible_trials = 0
-        self.corrections = 0
 
-    def resolve(self, trial: np.ndarray, target: np.ndarray, pbest: np.ndarray):
-        """Repair and evaluate one trial.
+# ---------------------------------------------------------------------------
+# the generation kernel
+# ---------------------------------------------------------------------------
 
-        Returns (evaluated vector or None when dismissed, fitness,
-        adaptive pool index or None).
-        """
-        bounds = self.problem.bounds
-        outside = np.logical_or(trial < bounds.lower, trial > bounds.upper)
-        n_out = int(outside.sum())
-        if n_out == 0:
-            return trial, self.problem.evaluate(trial), None
-        self.infeasible_trials += 1
-        self.infeasible_components += n_out
-        self.corrections += 1
+def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, bchm: str, problem,
+                rng: RngStream, records: list, adaptive_state: AdaptiveState | None,
+                budget: int | None, beta_epsilon: float, adapt=None) -> Population:
+    """Crossover, budget prefix, batch repair, batch evaluation, greedy
+    selection and the telemetry record of one generation.
+
+    ``adapt(trial_fitness, positions, fitness)`` sees the fitness of the
+    evaluated prefix and the selected population, and returns the population
+    that carries over (L-SHADE's memory, archive and size reduction).
+    """
+    x, fitness = pop.positions, pop.fitness
+    trials = binomial_crossover(rng, x, mutants, cr)
+    bounds = problem.bounds
+    feasible = bounds.contains(trials)
+    if budget is not None:
+        # a trial costs one evaluation unless it is dismissed while infeasible ones are free
+        cost = feasible | (bchm != "dismiss") | bool(problem.count_infeasible_evals)
+        kept = int(np.count_nonzero(np.cumsum(cost) - cost < budget - problem.budget_consumed))
+        trials, feasible = trials[:kept], feasible[:kept]
+
+    repaired = trials.copy()
+    dismissed = np.zeros(len(trials), dtype=bool)
+    rows = np.flatnonzero(~feasible)
+    picks = None
+    if rows.size:
+        stats = pop.stats if pop.stats is not None else population_stats(pop)
         ctx = CorrectionContext(
             bounds=bounds,
-            target=target,
-            pbest=pbest,
-            population_mean=self.population_mean,
-            stats=self.stats,
-            beta_epsilon=self.beta_epsilon,
+            target=x[rows],
+            pbest=np.broadcast_to(pbest, x.shape)[rows],
+            population_mean=stats.mean,
+            stats=stats,
+            beta_epsilon=beta_epsilon,
         )
-        pool_index = None
-        if self.adaptive_state is not None:
-            outcome, pool_index = adaptive_correct(trial, ctx, self.rng, self.adaptive_state)
+        if adaptive_state is None:
+            outcome = correct(bchm, trials[rows], ctx, rng)
         else:
-            outcome = correct(self.bchm, trial, ctx, self.rng)
-        if outcome.dismissed:
-            # never evaluated; +inf fitness (counts against budget only when
-            # infeasible evaluations are configured to be charged)
-            return None, self.problem.evaluate(trial), None
-        return outcome.vector, self.problem.evaluate(outcome.vector), pool_index
+            outcome, picks = adaptive_correct(trials[rows], ctx, rng, adaptive_state)
+        repaired[rows] = outcome.vector
+        dismissed[rows] = outcome.dismissed
+
+    trial_fitness = _evaluate(problem, repaired)
+    kept = len(trials)
+    wins = (trial_fitness <= fitness[:kept]) & ~dismissed
+    positions, new_fitness = x.copy(), fitness.copy()
+    positions[:kept][wins] = repaired[wins]
+    new_fitness[:kept][wins] = trial_fitness[wins]
+    if picks is not None:
+        adaptive_state.successes += np.bincount(picks[wins[rows]], minlength=len(adaptive_state.pool))
+    if adapt is not None:
+        positions, new_fitness = adapt(trial_fitness, positions, new_fitness)
+
+    next_pop = Population(positions, new_fitness, generation=pop.generation + 1,
+                          evaluations_used=problem.budget_consumed)
+    next_pop.stats = population_stats(next_pop)
+    records.append(
+        telemetry.record_generation(
+            next_pop.generation,
+            trials,
+            next_pop,
+            problem,
+            corrections_applied=rows.size,
+            adaptive_probabilities=None if adaptive_state is None else adaptive_state.probabilities,
+            stats=next_pop.stats,
+        )
+    )
+    return next_pop
 
 
 # ---------------------------------------------------------------------------
@@ -257,49 +316,14 @@ def classic_generation(
     n_pop = pop.size
     if n_pop < 4:
         raise ValueError("classic DE needs a population of at least 4")
-    positions, fitness = pop.positions, pop.fitness
-    stats = population_stats(pop)
-    best = positions[pop.best_index]
-    repair = _TrialRepair(bchm, problem, rng, adaptive_state, beta_epsilon, stats, stats.mean)
-
-    new_positions = positions.copy()
-    new_fitness = fitness.copy()
-    raw_trials = []
-    for j in range(n_pop):
-        if budget is not None and problem.budget_consumed >= budget:
-            break
-        r1 = _pick_distinct(rng, n_pop, {j})
-        r2 = _pick_distinct(rng, n_pop, {j, r1})
-        r3 = _pick_distinct(rng, n_pop, {j, r1, r2})
-        mutant = rand1_mutant(positions[r1], positions[r2], positions[r3], params.scale_factor)
-        trial = binomial_crossover(rng, positions[j], mutant, params.crossover_rate)
-        raw_trials.append(trial)
-        evaluated, f_trial, pool_index = repair.resolve(trial, positions[j], best)
-        if f_trial <= fitness[j]:
-            if evaluated is not None:
-                new_positions[j] = evaluated
-                new_fitness[j] = f_trial
-            if pool_index is not None:
-                adaptive_state.successes[pool_index] += 1
-
-    next_pop = Population(
-        new_positions,
-        new_fitness,
-        generation=pop.generation + 1,
-        evaluations_used=problem.budget_consumed,
-    )
-    trials = np.asarray(raw_trials) if raw_trials else np.empty((0, pop.dimension))
-    records.append(
-        telemetry.record_generation(
-            next_pop.generation,
-            trials,
-            next_pop,
-            problem,
-            corrections_applied=repair.corrections,
-            adaptive_probabilities=None if adaptive_state is None else adaptive_state.probabilities,
-        )
-    )
-    return next_pop
+    x = pop.positions
+    j = np.arange(n_pop)
+    r1 = _distinct_indices(rng, n_pop, j)
+    r2 = _distinct_indices(rng, n_pop, j, r1)
+    r3 = _distinct_indices(rng, n_pop, j, r1, r2)
+    mutants = rand1_mutant(x[r1], x[r2], x[r3], params.scale_factor)
+    return _generation(pop, mutants, params.crossover_rate, x[pop.best_index], bchm, problem, rng,
+                       records, adaptive_state, budget, beta_epsilon)
 
 
 def lshade_generation(
@@ -316,102 +340,66 @@ def lshade_generation(
     """One L-SHADE generation: current-to-pbest/1/bin with memories, archive
     and (optionally) linear population size reduction."""
     n_pop = pop.size
-    positions, fitness = pop.positions, pop.fitness
-    order = np.argsort(fitness, kind="stable")
-    stats = population_stats(pop)
-    repair = _TrialRepair(bchm, problem, rng, adaptive_state, beta_epsilon, stats, stats.mean)
-    h = state.memory_f.size
+    x, fitness = pop.positions, pop.fitness
+    slots = rng.integers(state.memory_f.size, size=n_pop)
+    f = sample_scale_factor(rng, state.memory_f[slots])
+    cr = sample_crossover_rate(rng, state.memory_cr[slots])
+    p_lo = 2.0 / n_pop
+    p = rng.uniform(p_lo, max(p_lo, state.p_max), size=n_pop)
+    k_best = np.maximum(2, np.ceil(p * n_pop).astype(int))
+    pbest = x[np.argsort(fitness, kind="stable")[rng.integers(0, k_best)]]
+    donors = np.concatenate([x, state.archive])
+    j = np.arange(n_pop)
+    r1 = _distinct_indices(rng, n_pop, j)
+    r2 = _distinct_indices(rng, len(donors), j, r1)
+    f_col = f[:, None]
+    mutants = x + f_col * (pbest - x) + f_col * (x[r1] - donors[r2])
 
-    new_positions = positions.copy()
-    new_fitness = fitness.copy()
-    raw_trials = []
-    successful_f: list[float] = []
-    successful_cr: list[float] = []
-    improvements: list[float] = []
-    for j in range(n_pop):
-        if budget is not None and problem.budget_consumed >= budget:
-            break
-        slot = int(rng.integers(h))
-        f_j = sample_scale_factor(rng, float(state.memory_f[slot]))
-        cr_j = sample_crossover_rate(rng, float(state.memory_cr[slot]))
-        p_lo = 2.0 / n_pop
-        p_j = float(rng.uniform(p_lo, max(p_lo, state.p_max)))
-        k_best = max(2, math.ceil(p_j * n_pop))
-        pbest = positions[order[int(rng.integers(k_best))]]
-        r1 = _pick_distinct(rng, n_pop, {j})
-        r2 = _pick_distinct(rng, n_pop + len(state.archive), {j, r1})
-        donor = positions[r2] if r2 < n_pop else state.archive[r2 - n_pop]
-        mutant = positions[j] + f_j * (pbest - positions[j]) + f_j * (positions[r1] - donor)
-        trial = binomial_crossover(rng, positions[j], mutant, cr_j)
-        raw_trials.append(trial)
-        evaluated, f_trial, pool_index = repair.resolve(trial, positions[j], pbest)
-        if f_trial <= fitness[j]:
-            if f_trial < fitness[j]:
-                _archive_append(state, positions[j].copy(), n_pop, rng)
-                successful_f.append(f_j)
-                successful_cr.append(cr_j)
-                improvements.append(float(fitness[j] - f_trial))
-            if evaluated is not None:
-                new_positions[j] = evaluated
-                new_fitness[j] = f_trial
-            if pool_index is not None:
-                adaptive_state.successes[pool_index] += 1
+    def adapt(trial_fitness, positions, new_fitness):
+        kept = len(trial_fitness)
+        better = trial_fitness < fitness[:kept]
+        state.archive = np.concatenate([state.archive, x[:kept][better]])
+        improvements = fitness[:kept][better] - trial_fitness[better]
+        _update_memories(state, f[:kept][better], cr[:kept][better], improvements)
+        if state.reduction_enabled:
+            target_size = lpsr_target_size(state, problem.budget_consumed)
+            if target_size < n_pop:
+                keep = np.sort(np.argsort(new_fitness, kind="stable")[:target_size])
+                positions, new_fitness = positions[keep], new_fitness[keep]
+        _trim_archive(state, len(positions), rng)
+        return positions, new_fitness
 
-    _update_memories(state, successful_f, successful_cr, improvements)
-
-    if state.reduction_enabled:
-        target_size = lpsr_target_size(state, problem.budget_consumed)
-        if target_size < new_positions.shape[0]:
-            keep = np.argsort(new_fitness, kind="stable")[:target_size]
-            keep.sort()  # preserve the positional order of survivors
-            new_positions = new_positions[keep]
-            new_fitness = new_fitness[keep]
-            capacity = state.current_archive_capacity(target_size)
-            while len(state.archive) > capacity:
-                del state.archive[int(rng.integers(len(state.archive)))]
-
-    next_pop = Population(
-        new_positions,
-        new_fitness,
-        generation=pop.generation + 1,
-        evaluations_used=problem.budget_consumed,
-    )
-    trials = np.asarray(raw_trials) if raw_trials else np.empty((0, pop.dimension))
-    records.append(
-        telemetry.record_generation(
-            next_pop.generation,
-            trials,
-            next_pop,
-            problem,
-            corrections_applied=repair.corrections,
-            adaptive_probabilities=None if adaptive_state is None else adaptive_state.probabilities,
-        )
-    )
+    next_pop = _generation(pop, mutants, cr, pbest, bchm, problem, rng, records, adaptive_state, budget,
+                           beta_epsilon, adapt)
     return next_pop, state
 
 
-def _archive_append(state: ShadeState, defeated: np.ndarray, population_size: int, rng: RngStream) -> None:
-    state.archive.append(defeated)
-    capacity = state.current_archive_capacity(population_size)
-    while len(state.archive) > capacity:
-        del state.archive[int(rng.integers(len(state.archive)))]
+def _trim_archive(state: ShadeState, population_size: int, rng: RngStream) -> None:
+    """Drop uniformly chosen archive entries down to the capacity."""
+    excess = len(state.archive) - state.current_archive_capacity(population_size)
+    if excess > 0:
+        survivors = np.sort(np.argsort(rng.random(len(state.archive)))[excess:])
+        state.archive = state.archive[survivors]
 
 
-def _update_memories(state, successful_f, successful_cr, improvements) -> None:
+def _update_memories(state: ShadeState, successful_f, successful_cr, improvements) -> None:
     """Write one memory slot from this generation's successful parameters."""
-    if not successful_f:
+    if not successful_f.size:
         return
-    weights = np.asarray(improvements, dtype=float)
+    weights = improvements
+    if np.isinf(weights).any():
+        # improvements over +inf targets (NaN objective values) share the weight
+        weights = np.isinf(weights).astype(float)
     total = weights.sum()
     if total <= 0.0:
         return
     weights = weights / total
     k = state.memory_index
     state.memory_f[k] = lehmer_mean(successful_f, weights)
-    if np.isnan(state.memory_cr[k]) or max(successful_cr) == 0.0:
+    if np.isnan(state.memory_cr[k]) or successful_cr.max() == 0.0:
         state.memory_cr[k] = np.nan  # terminal: CR stays pinned at 0 for this slot
     else:
-        state.memory_cr[k] = float(np.sum(weights * np.asarray(successful_cr)))
+        state.memory_cr[k] = float(np.sum(weights * successful_cr))
     state.memory_index = (k + 1) % state.memory_f.size
 
 
@@ -505,7 +493,7 @@ def run(config: RunConfig) -> RunResult:
     else:
         n_init = config.shade.n_init if config.shade.n_init is not None else 18 * n
     positions = init_rng.uniform(bounds.lower, bounds.upper, (n_init, n))
-    fitness = np.array([problem.evaluate(x) for x in positions])
+    fitness = _evaluate(problem, positions)
     pop = Population(positions, fitness, generation=0, evaluations_used=problem.budget_consumed)
 
     shade_state = ShadeState.create(n, budget, config.shade) if config.engine == "lshade" else None
@@ -546,7 +534,7 @@ def run(config: RunConfig) -> RunResult:
 
     best_idx = pop.best_index
     best_fitness = float(pop.fitness[best_idx])
-    final_stats = population_stats(pop)
+    final_stats = pop.stats if pop.stats is not None else population_stats(pop)
     final_variance = float(final_stats.variance.max())
     if f_star is not None:
         best_error = max(best_fitness - f_star, 0.0)

@@ -95,12 +95,14 @@ def record_generation(
     problem,
     corrections_applied: int = 0,
     adaptive_probabilities=None,
+    stats=None,
 ) -> GenerationRecord:
     """Build the telemetry record for one completed generation.
 
     ``trials`` holds the raw (pre-correction) trial vectors of the
     generation, shape (M, n); the violation ratios are computed on them.
-    The population is the post-selection state.
+    The population is the post-selection state; ``stats`` are its
+    population statistics when the caller has them already.
     """
     trials = np.atleast_2d(np.asarray(trials, dtype=float))
     m = trials.shape[0] if trials.size else 0
@@ -112,7 +114,8 @@ def record_generation(
     else:
         component_ratio = 0.0
         individual_ratio = 0.0
-    stats = population_stats(population)
+    if stats is None:
+        stats = population_stats(population)
     best_fitness = float(population.fitness.min())
     f_star = getattr(problem, "optimum_value", None)
     best_error = max(best_fitness - f_star, 0.0) if f_star is not None else np.nan

@@ -6,8 +6,11 @@ class ScriptedStream:
     """Test double for RngStream driven by queues of predetermined draws.
 
     ``units`` feeds random()/uniform() (values in [0, 1] mapped linearly for
-    uniform); ``ints`` feeds integers(); ``cauchy_values`` are returned
-    verbatim by cauchy().
+    uniform); ``ints`` feeds integers(); ``cauchy_values`` and
+    ``normal_values`` are returned verbatim by cauchy() and normal().  Every
+    draw takes ``size`` values (an int or a shape) from its queue, or the
+    broadcast shape of the parameters when ``size`` is None; a shape () draw
+    returns a plain number.
     """
 
     def __init__(self, units=(), ints=(), cauchy_values=(), normal_values=()):
@@ -17,47 +20,40 @@ class ScriptedStream:
         self.normal_values = [float(v) for v in normal_values]
         self.consumed = 0
 
-    def _pop_units(self, k):
-        if k > len(self.units):
-            raise AssertionError(f"scripted stream exhausted: wanted {k} more unit draws")
-        out = np.array([self.units.pop(0) for _ in range(k)])
-        self.consumed += k
-        return out
+    @staticmethod
+    def _shape(size, *params):
+        if size is None:
+            return np.broadcast(*(np.asarray(p) for p in params)).shape if params else ()
+        return tuple(np.atleast_1d(size).astype(int))
+
+    def _pop(self, queue, what, shape):
+        k = int(np.prod(shape)) if shape else 1
+        if k > len(queue):
+            raise AssertionError(f"scripted stream exhausted: wanted {k} more {what} draws")
+        out = np.array([queue.pop(0) for _ in range(k)]).reshape(shape)
+        return out.item() if shape == () else out
 
     def random(self, size=None):
-        if size is None:
-            return float(self._pop_units(1)[0])
-        return self._pop_units(int(size))
+        out = self._pop(self.units, "unit", self._shape(size))
+        self.consumed += np.size(out)
+        return out
 
     def uniform(self, low, high, size=None):
         low = np.asarray(low, dtype=float)
         high = np.asarray(high, dtype=float)
-        if size is None:
-            shape = np.broadcast(low, high).shape
-        else:
-            shape = (int(size),)
-        k = int(np.prod(shape)) if shape else 1
-        u = self._pop_units(k).reshape(shape)
-        out = low + (high - low) * u
-        return float(out) if shape == () else out
+        u = self.random(self._shape(size, low, high))
+        out = low + (high - low) * np.asarray(u)
+        return float(out) if np.ndim(out) == 0 else out
 
     def integers(self, low, high=None, size=None):
-        assert size is None, "scripted integers are scalar"
-        if not self.ints:
-            raise AssertionError("scripted stream exhausted: no integer draws left")
-        return self.ints.pop(0)
+        params = (low,) if high is None else (low, high)
+        return self._pop(self.ints, "integer", self._shape(size, *params))
 
     def cauchy(self, loc=0.0, scale=1.0, size=None):
-        assert size is None
-        if not self.cauchy_values:
-            raise AssertionError("scripted stream exhausted: no cauchy draws left")
-        return self.cauchy_values.pop(0)
+        return self._pop(self.cauchy_values, "cauchy", self._shape(size, loc, scale))
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        assert size is None
-        if not self.normal_values:
-            raise AssertionError("scripted stream exhausted: no normal draws left")
-        return self.normal_values.pop(0)
+        return self._pop(self.normal_values, "normal", self._shape(size, loc, scale))
 
     def beta(self, a, b, size=None):
         raise AssertionError("scripted stream has no beta draws")

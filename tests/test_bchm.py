@@ -255,6 +255,12 @@ class TestDismiss:
         assert not outcome.dismissed
         assert_allclose(outcome.vector, [1.0, 0.0])
 
+    def test_batch_masks_dismissed_rows(self):
+        batch = np.array([[9.0, 0.0], [1.0, 0.0], [0.0, -7.0]])
+        outcome = dismiss(batch, BOX2)
+        assert outcome.dismissed.tolist() == [True, False, True]
+        assert_allclose(outcome.vector, batch)
+
 
 class TestAdaptiveSelection:
     def test_fresh_state_uniform(self):
@@ -266,6 +272,32 @@ class TestAdaptiveSelection:
         state = AdaptiveState()
         assert adaptive_select(state, scripted([0.0])) == ADAPTIVE_POOL[0]
         assert state.uses[0] == 1
+
+    def test_batch_selection_counts_every_use(self, scripted):
+        state = AdaptiveState()
+        picks = adaptive_select(state, scripted([0.0, 0.5, 0.99, 0.1]), size=4)
+        assert picks.tolist() == [0, 2, 4, 0]
+        assert state.uses.tolist() == [2, 0, 1, 0, 1]
+
+    def test_batch_correction_applies_each_method_to_its_group(self):
+        rng = RngStream(78)
+        state = AdaptiveState()
+        bounds = Bounds.symmetric(5.0, 3)
+        targets = rng.uniform(-4, 4, (200, 3))
+        batch = rng.uniform(-15, 15, (200, 3))
+        batch[:, 0] = 9.0  # every row infeasible
+        stats = population_stats(Population(targets, np.zeros(200)))
+        ctx = CorrectionContext(bounds=bounds, target=targets, pbest=targets[::-1],
+                                population_mean=stats.mean, stats=stats)
+        outcome, picks = adaptive_correct(batch, ctx, rng, state)
+        assert picks.shape == (200,) and state.uses.sum() == 200
+        assert np.all(bounds.contains(outcome.vector))
+        # vectorTarget keeps each row on the segment from its own target
+        rows = picks == ADAPTIVE_POOL.index("vectorTarget")
+        assert rows.any()
+        u, v = batch[rows] - targets[rows], outcome.vector[rows] - targets[rows]
+        cos = np.sum(u * v, axis=1) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        assert np.all(cos >= 1.0 - 1e-9)
 
     def test_update_with_no_uses_stays_uniform(self):
         state = adaptive_update(AdaptiveState())

@@ -111,6 +111,16 @@ class TestEvaluateStrict:
         with pytest.raises(ValueError, match="dimension mismatch"):
             evaluate_strict(problem, np.zeros(5))
 
+    def test_batch_matches_single_point_evaluation(self):
+        rng = RngStream(5)
+        register_function("rowwise_probe", lambda z: float(np.sum(np.abs(z))))
+        for function in ALL_FUNCTIONS + ["rowwise_probe"]:
+            problem = make_instance(function, 1, 6, "SBOX")
+            batch = rng.uniform(-6, 6, (50, 6))
+            single = np.array([problem.evaluate(x) for x in batch])
+            assert_allclose(problem.evaluate_batch(batch), single, rtol=1e-12)
+            assert problem.feasible_evaluations + problem.infeasible_evaluations == 100
+
     def test_global_minimum_sanity(self):
         rng = RngStream(17)
         for function in ALL_FUNCTIONS:
@@ -193,6 +203,18 @@ class TestPluginProblems:
     def test_create_problem_prefers_catalogue(self):
         problem = create_problem("sphere", 1, 4)
         assert isinstance(problem, BenchmarkProblem)
+
+    def test_nan_objective_scores_inf(self):
+        problem = ExternalProblem(
+            name="half_nan",
+            dimension=3,
+            bounds=Bounds.symmetric(5.0, 3),
+            objective=lambda x: np.nan if x[0] > 0 else float(np.sum(x * x)),
+        )
+        assert problem.evaluate(np.ones(3)) == np.inf
+        batch = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [9.0, 0.0, 0.0]])
+        assert_allclose(problem.evaluate_batch(batch), [np.inf, 1.0, np.inf])
+        assert problem.feasible_evaluations == 3 and problem.infeasible_evaluations == 1
 
     def test_create_problem_unknown(self):
         with pytest.raises(ValueError, match="unknown function"):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from debox.benchmarks import BenchmarkProblem, make_instance
+import hashlib
+
+from debox.benchmarks import BenchmarkProblem, ExternalProblem, make_instance
 from debox.core import Bounds, Population, RngStream
 from debox.engine import (
     ClassicDEParams,
@@ -33,6 +35,29 @@ def centered_problem(function="sphere", dimension=4, count_infeasible=False):
     )
 
 
+def half_nan_problem(dimension=3):
+    """Sphere on x[0] <= 0; NaN on the other half of the box."""
+    return ExternalProblem(
+        name="half_nan",
+        dimension=dimension,
+        bounds=Bounds.symmetric(5.0, dimension),
+        objective=lambda x: np.nan if x[0] > 0 else float(np.sum(x * x)),
+        optimum_value=0.0,
+    )
+
+
+def noise_problem(dimension=5):
+    """A landscape without structure: a stable hash of x mapped to U[0, 1)."""
+
+    def noise(x):
+        digest = hashlib.blake2b(x.tobytes(), digest_size=8).digest()
+        return int.from_bytes(digest, "big") / 2.0**64
+
+    return ExternalProblem(
+        name="noise", dimension=dimension, bounds=Bounds.symmetric(5.0, dimension), objective=noise
+    )
+
+
 class TestBuildingBlocks:
     def test_rand1_mutant_hand_value(self):
         mutant = rand1_mutant(np.array([1.0]), np.array([2.0]), np.array([0.5]), 0.5)
@@ -40,26 +65,39 @@ class TestBuildingBlocks:
 
     def test_crossover_high_cr_takes_whole_mutant(self, scripted):
         stream = scripted(units=[0.5, 0.5, 0.5], ints=[1])
-        trial = binomial_crossover(stream, np.zeros(3), np.ones(3), cr=0.999999)
-        assert_allclose(trial, [1.0, 1.0, 1.0])
+        trial = binomial_crossover(stream, np.zeros((1, 3)), np.ones((1, 3)), cr=0.999999)
+        assert_allclose(trial, [[1.0, 1.0, 1.0]])
 
     def test_crossover_zero_cr_forces_single_mutant_component(self, scripted):
-        stream = scripted(units=[0.5, 0.5, 0.5], ints=[2])
-        trial = binomial_crossover(stream, np.zeros(3), np.ones(3), cr=0.0)
-        assert_allclose(trial, [0.0, 0.0, 1.0])
+        stream = scripted(units=[0.5] * 6, ints=[2, 0])
+        trial = binomial_crossover(stream, np.zeros((2, 3)), np.ones((2, 3)), cr=0.0)
+        assert_allclose(trial, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+    def test_crossover_rate_per_row(self, scripted):
+        # i_rand draws come first (one per row), then the units row by row
+        stream = scripted(units=[0.1, 0.6, 0.9, 0.1, 0.6, 0.9], ints=[0, 0])
+        trial = binomial_crossover(stream, np.zeros((2, 3)), np.ones((2, 3)), cr=np.array([0.5, 0.95]))
+        assert_allclose(trial, [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert stream.units == [] and stream.ints == []
 
     def test_scale_factor_truncated_at_one(self, scripted):
-        assert sample_scale_factor(scripted(cauchy_values=[1.7]), 0.5) == 1.0
+        f = sample_scale_factor(scripted(cauchy_values=[1.7, 0.3]), np.array([0.5, 0.5]))
+        assert_allclose(f, [1.0, 0.3])
 
     def test_scale_factor_resampled_while_nonpositive(self, scripted):
-        assert sample_scale_factor(scripted(cauchy_values=[-0.4, 0.0, 0.6]), 0.5) == 0.6
+        # rows still nonpositive are redrawn together, in rounds
+        stream = scripted(cauchy_values=[-0.4, 0.2, 0.0, 0.6, 0.7])
+        assert_allclose(sample_scale_factor(stream, np.array([0.5, 0.5, 0.5])), [0.6, 0.2, 0.7])
+        assert stream.cauchy_values == []
 
     def test_crossover_rate_terminal_marker(self, scripted):
-        assert sample_crossover_rate(scripted(), np.nan) == 0.0
+        stream = scripted(normal_values=[0.4, 0.7])
+        assert_allclose(sample_crossover_rate(stream, np.array([np.nan, 0.5])), [0.0, 0.7])
+        assert stream.normal_values == []
 
     def test_crossover_rate_clipped(self, scripted):
-        assert sample_crossover_rate(scripted(normal_values=[1.4]), 0.9) == 1.0
-        assert sample_crossover_rate(scripted(normal_values=[-0.2]), 0.1) == 0.0
+        cr = sample_crossover_rate(scripted(normal_values=[1.4, -0.2]), np.array([0.9, 0.1]))
+        assert_allclose(cr, [1.0, 0.0])
 
     def test_lehmer_mean_hand_value(self):
         assert lehmer_mean([0.5, 1.0], [0.5, 0.5]) == pytest.approx(0.625 / 0.75, abs=1e-12)
@@ -133,10 +171,11 @@ class TestClassicGeneration:
         pop = Population(positions, fitness)
         # every scripted donor triple pushes component 0 of the mutant far
         # outside the box and i_rand = 0 transfers it into the trial, so all
-        # four trials are dismissed and the population must survive unchanged
+        # four trials are dismissed and the population must survive unchanged;
+        # draw order: r1, r2, r3 and i_rand for all four rows, then the units
         script = scripted(
             units=[0.9, 0.9] * 4,
-            ints=[1, 2, 3, 0] + [0, 2, 3, 0] + [0, 1, 3, 0] + [0, 1, 2, 0],
+            ints=[1, 0, 0, 0] + [2, 2, 1, 1] + [3, 3, 3, 2] + [0, 0, 0, 0],
         )
         params = ClassicDEParams(population_size=4, scale_factor=2.0, crossover_rate=0.5)
         records = []
@@ -145,6 +184,38 @@ class TestClassicGeneration:
         assert records[0].corrections_applied == 4
         assert records[0].infeasible_individual_ratio == 1.0
         assert problem.feasible_evaluations == 4  # only the initial evaluations
+        assert problem.infeasible_evaluations == 4  # dismissed trials count as infeasible calls
+
+    def test_draw_order_of_one_generation(self, scripted):
+        problem = centered_problem(dimension=2)
+        positions = np.array([[1.0, 2.0], [-1.0, 0.5], [3.0, -2.0], [0.5, -0.5]])
+        fitness = np.array([problem.evaluate(x) for x in positions])
+        pop = Population(positions, fitness)
+        r1 = [1, 2, 3, 0]
+        r2 = [2, 3, 0, 1]
+        r3 = [3, 0, 1, 2]
+        i_rand = [0, 1, 1, 0]
+        units = [0.9, 0.1, 0.2, 0.9, 0.9, 0.9, 0.1, 0.1]
+        script = scripted(
+            units=units,
+            # row 0's first r1 collides with its target and is redrawn alone;
+            # row 3's first r3 collides with its r1 (0) and is redrawn alone
+            ints=[0, 2, 3, 0] + [1] + r2 + [3, 0, 1, 0] + [2] + i_rand,
+        )
+        params = ClassicDEParams(population_size=4, scale_factor=0.5, crossover_rate=0.5)
+        records = []
+        new_pop = classic_generation(pop, params, "sat", problem, script, records)
+        assert script.ints == [] and script.units == []
+
+        mutants = positions[r1] + 0.5 * (positions[r2] - positions[r3])
+        cross = np.array(units).reshape(4, 2) < 0.5
+        cross[np.arange(4), i_rand] = True
+        trials = np.clip(np.where(cross, mutants, positions), -5.0, 5.0)
+        trial_fitness = np.sum(trials**2, axis=1)
+        wins = trial_fitness <= fitness
+        assert wins.any() and not wins.all()
+        assert_allclose(new_pop.positions, np.where(wins[:, None], trials, positions))
+        assert_allclose(new_pop.fitness, np.where(wins, trial_fitness, fitness))
 
     def test_requires_at_least_four_members(self):
         problem = centered_problem(dimension=2)
@@ -250,6 +321,14 @@ class TestRun:
         assert result.records[0].adaptive_probabilities is not None
         assert_allclose(sum(result.records[-1].adaptive_probabilities), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("engine", ["classic", "lshade"])
+    def test_nan_objective_values_never_win(self, engine):
+        problem = half_nan_problem()
+        result = run(RunConfig(problem=problem, engine=engine, bchm="sat", budget=3000, seed=3))
+        assert np.isfinite(result.best_fitness)
+        assert result.best_position[0] <= 0.0
+        assert problem.infeasible_evaluations == 0  # no NaN leaked into F, CR or the trials
+
     def test_bchm_is_noop_when_never_activated(self):
         # with a tiny scale factor and centered optimum no trial ever leaves
         # the box, so the correcting method cannot matter
@@ -263,3 +342,39 @@ class TestRun:
             return [r.best_error for r in result.records]
 
         assert trajectory("dismiss") == trajectory("sat")
+
+
+class TestStructuralBias:
+    """Structural bias oracle (Kononova et al., Inf. Sci. 2015).
+
+    On a noise landscape selection carries no information about where the
+    optimum is, so where the final population sits is the operators' doing.
+    A component lands exactly on a bound only through a method that maps
+    violations onto the bound; for every other method that event has
+    probability 0, whatever the random stream.
+    """
+
+    def final_positions(self, engine, bchm):
+        problem = noise_problem()
+        rng = RngStream(21)
+        positions = rng.uniform(-5, 5, (20, 5))
+        pop = Population(positions, problem.evaluate_batch(positions))
+        state = ShadeState.create(5, 10**6, ShadeParams(n_init=20, reduction_enabled=False))
+        params = ClassicDEParams(population_size=20)
+        for _ in range(40):
+            if engine == "classic":
+                pop = classic_generation(pop, params, bchm, problem, rng, [])
+            else:
+                pop, state = lshade_generation(pop, state, bchm, problem, rng, [])
+        return pop.positions
+
+    @pytest.mark.parametrize("engine", ["classic", "lshade"])
+    @pytest.mark.parametrize("bchm", ["sat", "vectorBest"])
+    def test_bound_mapping_methods_leave_components_on_bounds(self, engine, bchm):
+        on_bound = np.abs(self.final_positions(engine, bchm)) == 5.0
+        assert on_bound.mean() > 0.0
+
+    @pytest.mark.parametrize("engine", ["classic", "lshade"])
+    @pytest.mark.parametrize("bchm", ["mirror", "uniform", "expBest"])
+    def test_other_methods_never_land_on_bounds(self, engine, bchm):
+        assert not np.any(np.abs(self.final_positions(engine, bchm)) == 5.0)
