@@ -108,6 +108,11 @@ def _masks(y: np.ndarray, bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
     return y < bounds.lower, y > bounds.upper
 
 
+def _clip(y, lower, upper) -> np.ndarray:
+    """np.clip(y, lower, upper), bit for bit, without its Python-level overhead."""
+    return np.minimum(np.maximum(y, lower), upper)
+
+
 def resolve_reference(reference: str, ctx: CorrectionContext) -> np.ndarray:
     if reference == "target":
         return np.asarray(ctx.target, dtype=float)
@@ -126,8 +131,8 @@ def saturate(y, bounds: Bounds) -> CorrectionOutcome:
     """Set each violated component on the violated bound."""
     y = _as_float_array(y)
     below, above = _masks(y, bounds)
-    corrected = np.clip(y, bounds.lower, bounds.upper)
-    return CorrectionOutcome(corrected, components_corrected=int(below.sum() + above.sum()))
+    corrected = _clip(y, bounds.lower, bounds.upper)
+    return CorrectionOutcome(corrected, components_corrected=np.count_nonzero(below | above))
 
 
 def mirror(y, bounds: Bounds) -> CorrectionOutcome:
@@ -145,7 +150,7 @@ def mirror(y, bounds: Bounds) -> CorrectionOutcome:
     z = np.mod(y - bounds.lower, width2)
     folded = bounds.lower + np.minimum(z, width2 - z)
     corrected = np.where(mask, folded, y)
-    return CorrectionOutcome(corrected, components_corrected=int(mask.sum()))
+    return CorrectionOutcome(corrected, components_corrected=np.count_nonzero(mask))
 
 
 def uniform_resample(y, bounds: Bounds, rng: RngStream) -> CorrectionOutcome:
@@ -158,11 +163,10 @@ def uniform_resample(y, bounds: Bounds, rng: RngStream) -> CorrectionOutcome:
     below, above = _masks(y, bounds)
     mask = np.logical_or(below, above)
     corrected = y.copy()
-    k = int(mask.sum())
+    k = np.count_nonzero(mask)
     if k:
-        lo = np.broadcast_to(bounds.lower, y.shape)[mask]
-        hi = np.broadcast_to(bounds.upper, y.shape)[mask]
-        corrected[mask] = rng.uniform(lo, hi)
+        cols = np.nonzero(mask)[-1]
+        corrected[mask] = rng.uniform(bounds.lower[cols], bounds.upper[cols])
     return CorrectionOutcome(corrected, components_corrected=k)
 
 
@@ -216,21 +220,20 @@ def beta_correct(
     below, above = _masks(y, bounds)
     mask = np.logical_or(below, above)
     corrected = y.copy()
-    k = int(mask.sum())
+    k = np.count_nonzero(mask)
     if k == 0:
         return CorrectionOutcome(corrected, components_corrected=0)
 
     cols = np.nonzero(mask)[-1]  # component index of each violated position
     use_beta = ~params.fallback_mask[cols]
-    lo = np.broadcast_to(bounds.lower, y.shape)[mask]
-    hi = np.broadcast_to(bounds.upper, y.shape)[mask]
+    lo, hi = bounds.lower[cols], bounds.upper[cols]
     values = np.empty(k)
     if use_beta.any():
         draws = rng.beta(params.alpha[cols[use_beta]], params.beta[cols[use_beta]])
         values[use_beta] = lo[use_beta] + draws * (hi[use_beta] - lo[use_beta])
     if (~use_beta).any():
         values[~use_beta] = rng.uniform(lo[~use_beta], hi[~use_beta])
-    corrected[mask] = np.clip(values, lo, hi)
+    corrected[mask] = _clip(values, lo, hi)
     return CorrectionOutcome(corrected, components_corrected=k)
 
 
@@ -248,18 +251,18 @@ def exp_confined(
     (row-major order).  The output lies in [a_i, R_i] resp. [R_i, b_i].
     """
     y = _as_float_array(y)
-    R = np.broadcast_to(resolve_reference(reference, ctx), y.shape)
+    R = resolve_reference(reference, ctx)
     below, above = _masks(y, bounds)
     mask = np.logical_or(below, above)
     corrected = y.copy()
-    k = int(mask.sum())
+    k = np.count_nonzero(mask)
     if k == 0:
         return CorrectionOutcome(corrected, components_corrected=0)
 
     r = np.asarray(rng.random(k), dtype=float)
-    lo = np.broadcast_to(bounds.lower, y.shape)[mask]
-    hi = np.broadcast_to(bounds.upper, y.shape)[mask]
-    ref = R[mask]
+    cols = np.nonzero(mask)[-1]
+    lo, hi = bounds.lower[cols], bounds.upper[cols]
+    ref = R[mask] if R.ndim == y.ndim else R[cols]  # one reference per row, or one for all
     is_below = below[mask]
     values = np.empty(k)
     # log1p/expm1 keep the correction strictly inside the interval for small r
@@ -267,7 +270,7 @@ def exp_confined(
     values[~is_below] = hi[~is_below] + np.log1p(
         (1.0 - r[~is_below]) * np.expm1(ref[~is_below] - hi[~is_below])
     )
-    corrected[mask] = np.clip(values, lo, hi)
+    corrected[mask] = _clip(values, lo, hi)
     return CorrectionOutcome(corrected, components_corrected=k)
 
 
@@ -283,18 +286,16 @@ def vector_alpha(y, R, bounds: Bounds) -> float | np.ndarray:
     feasible components.  alpha is in [0, 1]; alpha = 1 means y is feasible.
     """
     y = _as_float_array(y)
-    R = np.broadcast_to(np.asarray(R, dtype=float), y.shape)
+    R = np.asarray(R, dtype=float)
     below, above = _masks(y, bounds)
     violated = np.logical_or(below, above)
-    if np.any(violated & (R == y)):
+    if (violated & (R == y)).any():
         raise ValueError("degenerate reference")
-    alpha_i = np.ones_like(y)
     with np.errstate(divide="ignore", invalid="ignore"):
         lo_ratio = (R - bounds.lower) / (R - y)
         hi_ratio = (bounds.upper - R) / (y - R)
-    alpha_i = np.where(below, lo_ratio, alpha_i)
-    alpha_i = np.where(above, hi_ratio, alpha_i)
-    alpha = np.clip(alpha_i.min(axis=-1), 0.0, 1.0)
+    alpha_i = np.where(above, hi_ratio, np.where(below, lo_ratio, 1.0))
+    alpha = _clip(alpha_i.min(axis=-1), 0.0, 1.0)
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
@@ -305,13 +306,13 @@ def vector_correct(y, reference: str, ctx: CorrectionContext) -> CorrectionOutco
     reference = target the search direction y - x is preserved exactly.
     """
     y = _as_float_array(y)
-    R = np.broadcast_to(resolve_reference(reference, ctx), y.shape)
+    R = resolve_reference(reference, ctx)
     alpha = vector_alpha(y, R, ctx.bounds)
     a = np.asarray(alpha)[..., np.newaxis]
     corrected = a * y + (1.0 - a) * R
     # a*y + (1-a)*R can overshoot the binding bound by one ulp
-    corrected = np.clip(corrected, ctx.bounds.lower, ctx.bounds.upper)
-    changed = int(np.sum(corrected != y))
+    corrected = _clip(corrected, ctx.bounds.lower, ctx.bounds.upper)
+    changed = np.count_nonzero(corrected != y)
     return CorrectionOutcome(corrected, components_corrected=changed, vector_alpha=alpha)
 
 
@@ -430,7 +431,7 @@ def adaptive_correct(
         if rows.any():
             group = replace(ctx, target=_group(ctx.target, rows), pbest=_group(ctx.pbest, rows))
             corrected[rows] = correct(method, batch[rows], group, rng).vector
-    changed = int(np.sum(corrected != batch))
+    changed = np.count_nonzero(corrected != batch)
     if y.ndim == 1:
         return CorrectionOutcome(corrected[0], components_corrected=changed), int(picks[0])
     return CorrectionOutcome(corrected, components_corrected=changed), picks

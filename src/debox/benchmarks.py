@@ -19,6 +19,7 @@ the linear slope always places its optimum on a corner of the box.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -91,12 +92,17 @@ def raw_linear_slope(x: np.ndarray, x_star: np.ndarray, bounds: Bounds | None = 
     x_star = np.asarray(x_star, dtype=float)
     if bounds is None:
         bounds = Bounds.symmetric(BOX_HALF_WIDTH, x_star.size)
-    on_corner = np.logical_or(x_star == bounds.lower, x_star == bounds.upper)
-    if not np.all(on_corner):
+    if not ((x_star == bounds.lower) | (x_star == bounds.upper)).all():
         raise ValueError("linear slope requires corner optimum")
-    n = x_star.size
+    return np.sum(_slope_weights(x_star.size) * (x_star - x) * np.sign(x_star), axis=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _slope_weights(n: int) -> np.ndarray:
+    """w_i = 10^(i/(n-1)) of the linear slope, computed once per dimension."""
     weights = 10.0 ** (np.arange(n) / (n - 1)) if n > 1 else np.ones(1)
-    return np.sum(weights * (x_star - x) * np.sign(x_star), axis=-1)
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass(frozen=True)
@@ -208,12 +214,14 @@ class BenchmarkProblem:
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Strict-box evaluation of a batch (m, n); one value per row."""
+        return _strict_batch(self, xs, self._landscape) + self.optimum_value
+
+    def _landscape(self, xs: np.ndarray) -> np.ndarray:
+        """The raw landscape of in-box rows, before the offset f*."""
         entry = _CATALOG[self.function_id]
         if entry.corner_optimum:
-            values = _strict_batch(self, xs, lambda x: entry.raw(x, self.optimum_location, self.bounds))
-        else:
-            values = _strict_batch(self, xs, lambda x: entry.raw(x - self.optimum_location))
-        return values + self.optimum_value
+            return entry.raw(xs, self.optimum_location, self.bounds)
+        return entry.raw(xs - self.optimum_location)
 
     def describe(self) -> dict:
         return {
@@ -310,7 +318,10 @@ class ExternalProblem:
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         """Strict-box evaluation of a batch (m, n); the objective sees one row at a time."""
-        return _strict_batch(self, xs, lambda x: _rows(self.objective, x))
+        return _strict_batch(self, xs, self._objective_rows)
+
+    def _objective_rows(self, xs: np.ndarray) -> np.ndarray:
+        return _rows(self.objective, xs)
 
     def describe(self) -> dict:
         return {

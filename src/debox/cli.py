@@ -222,6 +222,8 @@ def _execute_run(resolved: dict, out_dir: str, stem: str) -> dict:
         "evaluations_used": result.evaluations_used,
         "generations": result.generations,
         "wall_time_seconds": result.wall_time_seconds,
+        "stop_reason": result.stop_reason,
+        "phase_seconds": result.phase_seconds,
     }
     telemetry.write_run_summary(json_path, summary)
     return summary

@@ -13,6 +13,7 @@ on the small value types defined here.  Conventions fixed once and for all:
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +68,8 @@ class Bounds:
     def contains(self, x: np.ndarray) -> np.ndarray | bool:
         """Closed-box membership; reduces over the last (component) axis."""
         x = np.asarray(x, dtype=float)
-        inside = np.logical_and(x >= self.lower, x <= self.upper).all(axis=-1)
-        return bool(inside) if np.ndim(inside) == 0 else inside
+        inside = ((x >= self.lower) & (x <= self.upper)).all(axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
@@ -212,23 +213,26 @@ class RngStream:
     def uniform(self, low, high, size=None):
         """U[low, high]; array arguments broadcast.  low == high is allowed
         (degenerate draw), low > high is not."""
-        if np.any(np.asarray(high) < np.asarray(low)):
+        if _anywhere(operator.lt, high, low):
             raise ValueError("invalid distribution parameters: uniform needs high >= low")
         return self._gen.uniform(low, high, size)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        if np.any(np.asarray(scale) <= 0):
+        if _anywhere(operator.le, scale, 0.0):
             raise ValueError("invalid distribution parameters: normal scale must be > 0")
-        return self._gen.normal(loc, scale, size)
+        if size is None:
+            return self._gen.normal(loc, scale)
+        # bit-identical to Generator.normal, without its slow array-parameter path
+        return loc + scale * self._gen.standard_normal(size)
 
     def cauchy(self, loc=0.0, scale=1.0, size=None):
-        if np.any(np.asarray(scale) <= 0):
+        if _anywhere(operator.le, scale, 0.0):
             raise ValueError("invalid distribution parameters: cauchy scale must be > 0")
         return loc + scale * self._gen.standard_cauchy(size)
 
     def beta(self, a, b, size=None):
         """Beta draws; numpy samples these exactly via gamma variates."""
-        if np.any(np.asarray(a) <= 0) or np.any(np.asarray(b) <= 0):
+        if _anywhere(operator.le, a, 0.0) or _anywhere(operator.le, b, 0.0):
             raise ValueError("invalid distribution parameters: beta shapes must be > 0")
         return self._gen.beta(a, b, size)
 
@@ -240,6 +244,14 @@ class RngStream:
 
     def permutation(self, x):
         return self._gen.permutation(x)
+
+
+def _anywhere(compare, a, b) -> bool:
+    """Whether ``compare(a, b)`` holds for any element: a plain comparison
+    when both are Python numbers, ``np.any`` over the broadcast otherwise."""
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return compare(a, b)
+    return bool(np.any(compare(np.asarray(a), b)))
 
 
 def draw(stream: RngStream, dist: tuple) -> float | np.ndarray:

@@ -4,25 +4,28 @@ Each engine draws the mutants of a whole generation (L-SHADE also draws
 per-trial F and CR); one shared kernel then crosses over, measures bound
 violations before any repair, repairs all infeasible trials in one BCHM
 call, evaluates the batch under strict-box semantics and selects greedily
-(a trial replaces its target on ties).  Dismissed trials never reach the
-raw landscape: they score +inf, count as infeasible evaluations and leave
-their target in place.
+(a trial replaces its target on ties).  A trial component violates unless it
+lies in the closed box, so a NaN component counts as violated.  Dismissed
+trials never reach the raw landscape: they score +inf, count as infeasible
+evaluations and leave their target in place.
 
 Draw order of a generation of m trials:
 
 * L-SHADE: m memory slots, m Cauchy F (the nonpositive ones redrawn in
-  rounds), m normal CR, m p values, m pbest ranks, m r1 and m r2 (r2 over
-  population and archive);
-* classic: m r1, m r2, m r3;
+  rounds), m normal CR, m p values, then one integers call for m pbest
+  ranks, m r1 and m r2 (r2 over population and archive);
+* classic: one integers call for m r1, m r2 and m r3;
 * then m i_rand and the m x n crossover units (row-major), then the repair
   draws of the infeasible trials (see :func:`debox.bchm.adaptive_correct`);
 * L-SHADE: one unit per archive entry when the archive is trimmed.
 
-Indices that must differ from the target and from each other are redrawn,
-in rounds, for the rows that collide.  When the budget runs out
-mid-generation only the prefix of trials whose cumulative cost fits the
-remaining budget is repaired, evaluated and recorded; a trial costs one
-evaluation unless it is dismissed while infeasible evaluations are free.
+An index that must differ from the target and from the indices drawn before
+it in its row (k of them) is drawn from the limit - k free slots, then
+shifted past the row's sorted forbidden indices, which makes it exactly
+uniform over the free slots.  When the budget runs out mid-generation only
+the prefix of trials whose cumulative cost fits the remaining budget is
+repaired, evaluated and recorded; a trial costs one evaluation unless it is
+dismissed while infeasible evaluations are free.
 
 L-SHADE adds success-history parameter adaptation (memory of size H storing
 weighted Lehmer means of successful F and weighted arithmetic means of
@@ -41,31 +44,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import telemetry
-from .bchm import (
-    AdaptiveState,
-    CorrectionContext,
-    adaptive_correct,
-    adaptive_update,
-    correct,
-    METHOD_IDS,
-)
+from .bchm import METHOD_IDS, AdaptiveState, CorrectionContext, adaptive_correct, adaptive_update, correct
 from .core import Population, PopulationStats, RngStream, population_stats
 
 __all__ = [
-    "ClassicDEParams",
-    "RunConfig",
-    "RunResult",
-    "ShadeParams",
-    "ShadeState",
-    "binomial_crossover",
-    "classic_generation",
-    "lehmer_mean",
-    "lpsr_target_size",
-    "lshade_generation",
-    "rand1_mutant",
-    "run",
-    "sample_crossover_rate",
-    "sample_scale_factor",
+    "ClassicDEParams", "PHASES", "RunConfig", "RunResult", "ShadeParams", "ShadeState",
+    "binomial_crossover", "classic_generation", "lehmer_mean", "lpsr_target_size", "lshade_generation",
+    "rand1_mutant", "run", "sample_crossover_rate", "sample_scale_factor",
 ]
 
 
@@ -131,15 +116,9 @@ class ShadeState:
     def create(cls, dimension: int, budget: int, params: ShadeParams) -> "ShadeState":
         n_init = params.n_init if params.n_init is not None else 18 * dimension
         return cls(
-            memory_f=np.full(params.memory_size, 0.5),
-            memory_cr=np.full(params.memory_size, 0.5),
-            memory_index=0,
-            archive=np.empty((0, dimension)),
-            archive_capacity=params.archive_capacity,
-            n_init=n_init,
-            n_min=params.n_min,
-            p_max=params.p_max,
-            n_fe_max=budget,
+            memory_f=np.full(params.memory_size, 0.5), memory_cr=np.full(params.memory_size, 0.5),
+            memory_index=0, archive=np.empty((0, dimension)), archive_capacity=params.archive_capacity,
+            n_init=n_init, n_min=params.n_min, p_max=params.p_max, n_fe_max=budget,
             reduction_enabled=params.reduction_enabled,
         )
 
@@ -171,11 +150,11 @@ def sample_scale_factor(rng: RngStream, loc, scale: float = 0.1) -> np.ndarray:
     """Cauchy(loc_i, scale) draws, one per entry of ``loc``; nonpositive
     entries are redrawn until positive, then all are truncated at 1."""
     loc = np.asarray(loc, dtype=float)
-    f = np.asarray(rng.cauchy(loc, scale, size=loc.shape), dtype=float)
-    redraw = f <= 0.0
-    while redraw.any():
-        f[redraw] = rng.cauchy(loc[redraw], scale, size=int(redraw.sum()))
-        redraw = f <= 0.0
+    f = rng.cauchy(loc, scale, size=loc.shape)
+    redraw = np.flatnonzero(f <= 0.0)
+    while redraw.size:
+        f[redraw] = rng.cauchy(loc[redraw], scale, size=redraw.size)
+        redraw = redraw[f[redraw] <= 0.0]
     return np.minimum(f, 1.0)
 
 
@@ -184,9 +163,8 @@ def sample_crossover_rate(rng: RngStream, memory_cr, scale: float = 0.1) -> np.n
     ``memory_cr``; the terminal marker (NaN) pins CR to 0 (its draw is
     still consumed)."""
     memory_cr = np.asarray(memory_cr, dtype=float)
-    cr = np.clip(rng.normal(memory_cr, scale, size=memory_cr.shape), 0.0, 1.0)
-    cr[np.isnan(memory_cr)] = 0.0
-    return cr
+    cr = np.minimum(np.maximum(rng.normal(memory_cr, scale, size=memory_cr.shape), 0.0), 1.0)
+    return np.where(np.isnan(memory_cr), 0.0, cr)
 
 
 def lehmer_mean(values, weights) -> float:
@@ -203,14 +181,27 @@ def lpsr_target_size(state: ShadeState, evaluations_used: int) -> int:
     return int(min(max(target, state.n_min), state.n_init))
 
 
-def _distinct_indices(rng: RngStream, limit: int, *forbidden: np.ndarray) -> np.ndarray:
-    """One index in [0, limit) per row, differing from that row's ``forbidden`` indices."""
-    picks = rng.integers(limit, size=forbidden[0].size)
-    while True:
-        collide = np.logical_or.reduce([picks == f for f in forbidden])
-        if not collide.any():
-            return picks
-        picks[collide] = rng.integers(limit, size=int(collide.sum()))
+def _distinct_indices(rng: RngStream, j: np.ndarray, *limits: int, lead=None) -> list[np.ndarray]:
+    """Index arrays r_1, r_2, ... drawn in one integers call: r_i lies in
+    [0, limits[i-1]) and differs, row by row, from ``j`` and from the arrays
+    before it.  Each r_i is drawn from its limit - i free slots and shifted
+    past the row's forbidden indices in increasing order.  ``lead`` holds the
+    per-row bounds of a plain draw [0, lead) that shares the call and comes first.
+    """
+    highs = np.repeat([limit - i for i, limit in enumerate(limits, start=1)], j.size)
+    draws = list(rng.integers(highs if lead is None else np.concatenate([lead, highs])).reshape(-1, j.size))
+    picked = [draws.pop(0)] if lead is not None else []
+    ascending = [j]  # each row's forbidden indices, in increasing order
+    for picks in draws:
+        for forbidden in ascending:
+            picks += picks >= forbidden
+        picked.append(picks)
+        merged = []
+        for forbidden in ascending:  # insert picks, one compare-exchange per entry
+            merged.append(np.minimum(forbidden, picks))
+            picks = np.maximum(forbidden, picks)
+        ascending = merged + [picks]
+    return picked
 
 
 def _evaluate(problem, xs: np.ndarray) -> np.ndarray:
@@ -224,53 +215,74 @@ def _evaluate(problem, xs: np.ndarray) -> np.ndarray:
 # the generation kernel
 # ---------------------------------------------------------------------------
 
+#: phases of a generation, in the order a generation passes through them
+PHASES = ("variation", "repair", "evaluation", "selection_and_adaptation", "telemetry")
+VARIATION, REPAIR, EVALUATION, SELECTION, TELEMETRY = range(len(PHASES))
+
+
+class _PhaseClock:
+    """One perf_counter accumulator per phase: ``lap(phase)`` charges the
+    time since the previous lap to ``phase``."""
+
+    def __init__(self) -> None:
+        self.seconds = [0.0] * len(PHASES)
+        self.last = time.perf_counter()
+
+    def lap(self, phase: int) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self.last
+        self.last = now
+
+
 def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, bchm: str, problem,
                 rng: RngStream, records: list, adaptive_state: AdaptiveState | None,
-                budget: int | None, beta_epsilon: float, adapt=None) -> Population:
+                budget: int | None, beta_epsilon: float, clock: _PhaseClock, adapt=None) -> Population:
     """Crossover, budget prefix, batch repair, batch evaluation, greedy
     selection and the telemetry record of one generation.
 
+    ``pbest`` is one vector (classic) or one row per trial (L-SHADE).
     ``adapt(trial_fitness, positions, fitness)`` sees the fitness of the
     evaluated prefix and the selected population, and returns the population
     that carries over (L-SHADE's memory, archive and size reduction).
     """
     x, fitness = pop.positions, pop.fitness
     trials = binomial_crossover(rng, x, mutants, cr)
+    clock.lap(VARIATION)
     bounds = problem.bounds
-    feasible = bounds.contains(trials)
-    if budget is not None:
+    # the one violation mask of the generation, with Bounds.contains semantics
+    outside = ~((trials >= bounds.lower) & (trials <= bounds.upper))
+    infeasible = outside.any(axis=1)
+    if budget is not None and budget - problem.budget_consumed < len(trials):
         # a trial costs one evaluation unless it is dismissed while infeasible ones are free
-        cost = feasible | (bchm != "dismiss") | bool(problem.count_infeasible_evals)
+        cost = ~infeasible | (bchm != "dismiss") | bool(problem.count_infeasible_evals)
         kept = int(np.count_nonzero(np.cumsum(cost) - cost < budget - problem.budget_consumed))
-        trials, feasible = trials[:kept], feasible[:kept]
+        trials, outside, infeasible = trials[:kept], outside[:kept], infeasible[:kept]
 
-    repaired = trials.copy()
-    dismissed = np.zeros(len(trials), dtype=bool)
-    rows = np.flatnonzero(~feasible)
-    picks = None
+    repaired, dismissed, picks = trials, None, None
+    rows = np.flatnonzero(infeasible)
     if rows.size:
         stats = pop.stats if pop.stats is not None else population_stats(pop)
-        ctx = CorrectionContext(
-            bounds=bounds,
-            target=x[rows],
-            pbest=np.broadcast_to(pbest, x.shape)[rows],
-            population_mean=stats.mean,
-            stats=stats,
-            beta_epsilon=beta_epsilon,
-        )
+        ctx = CorrectionContext(bounds=bounds, target=x[rows], population_mean=stats.mean, stats=stats,
+                                pbest=pbest[rows] if pbest.ndim == 2 else pbest, beta_epsilon=beta_epsilon)
         if adaptive_state is None:
             outcome = correct(bchm, trials[rows], ctx, rng)
         else:
             outcome, picks = adaptive_correct(trials[rows], ctx, rng, adaptive_state)
+        repaired = trials.copy()
         repaired[rows] = outcome.vector
-        dismissed[rows] = outcome.dismissed
+        if outcome.dismissed is not False:  # a batch dismissal's row mask
+            dismissed = rows[outcome.dismissed]
+    clock.lap(REPAIR)
 
     trial_fitness = _evaluate(problem, repaired)
+    clock.lap(EVALUATION)
     kept = len(trials)
-    wins = (trial_fitness <= fitness[:kept]) & ~dismissed
+    wins = trial_fitness <= fitness[:kept]
+    if dismissed is not None:
+        wins[dismissed] = False
     positions, new_fitness = x.copy(), fitness.copy()
-    positions[:kept][wins] = repaired[wins]
-    new_fitness[:kept][wins] = trial_fitness[wins]
+    np.copyto(positions[:kept], repaired, where=wins[:, None])
+    np.copyto(new_fitness[:kept], trial_fitness, where=wins)
     if picks is not None:
         adaptive_state.successes += np.bincount(picks[wins[rows]], minlength=len(adaptive_state.pool))
     if adapt is not None:
@@ -279,17 +291,13 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, bch
     next_pop = Population(positions, new_fitness, generation=pop.generation + 1,
                           evaluations_used=problem.budget_consumed)
     next_pop.stats = population_stats(next_pop)
-    records.append(
-        telemetry.record_generation(
-            next_pop.generation,
-            trials,
-            next_pop,
-            problem,
-            corrections_applied=rows.size,
-            adaptive_probabilities=None if adaptive_state is None else adaptive_state.probabilities,
-            stats=next_pop.stats,
-        )
-    )
+    clock.lap(SELECTION)
+    records.append(telemetry.record_generation(
+        next_pop.generation, trials, next_pop, problem, corrections_applied=rows.size,
+        adaptive_probabilities=None if adaptive_state is None else adaptive_state.probabilities,
+        stats=next_pop.stats, outside=outside,
+    ))
+    clock.lap(TELEMETRY)
     return next_pop
 
 
@@ -297,48 +305,33 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, bch
 # generations
 # ---------------------------------------------------------------------------
 
-def classic_generation(
-    pop: Population,
-    params: ClassicDEParams,
-    bchm: str,
-    problem,
-    rng: RngStream,
-    records: list,
-    adaptive_state: AdaptiveState | None = None,
-    budget: int | None = None,
-    beta_epsilon: float = 0.1,
-) -> Population:
+def classic_generation(pop: Population, params: ClassicDEParams, bchm: str, problem, rng: RngStream,
+                       records: list, adaptive_state: AdaptiveState | None = None, budget: int | None = None,
+                       beta_epsilon: float = 0.1, clock: _PhaseClock | None = None) -> Population:
     """One synchronous DE/rand/1/bin generation.
 
     If the budget runs out mid-generation the remaining targets carry over
-    unchanged.  Appends the generation's telemetry record to ``records``.
+    unchanged.  Appends the generation's telemetry record to ``records``;
+    ``clock`` accumulates the seconds of each phase.
     """
+    clock = clock if clock is not None else _PhaseClock()
     n_pop = pop.size
     if n_pop < 4:
         raise ValueError("classic DE needs a population of at least 4")
     x = pop.positions
-    j = np.arange(n_pop)
-    r1 = _distinct_indices(rng, n_pop, j)
-    r2 = _distinct_indices(rng, n_pop, j, r1)
-    r3 = _distinct_indices(rng, n_pop, j, r1, r2)
+    r1, r2, r3 = _distinct_indices(rng, np.arange(n_pop), n_pop, n_pop, n_pop)
     mutants = rand1_mutant(x[r1], x[r2], x[r3], params.scale_factor)
     return _generation(pop, mutants, params.crossover_rate, x[pop.best_index], bchm, problem, rng,
-                       records, adaptive_state, budget, beta_epsilon)
+                       records, adaptive_state, budget, beta_epsilon, clock)
 
 
-def lshade_generation(
-    pop: Population,
-    state: ShadeState,
-    bchm: str,
-    problem,
-    rng: RngStream,
-    records: list,
-    adaptive_state: AdaptiveState | None = None,
-    budget: int | None = None,
-    beta_epsilon: float = 0.1,
-) -> tuple[Population, ShadeState]:
+def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rng: RngStream, records: list,
+                      adaptive_state: AdaptiveState | None = None, budget: int | None = None,
+                      beta_epsilon: float = 0.1,
+                      clock: _PhaseClock | None = None) -> tuple[Population, ShadeState]:
     """One L-SHADE generation: current-to-pbest/1/bin with memories, archive
     and (optionally) linear population size reduction."""
+    clock = clock if clock is not None else _PhaseClock()
     n_pop = pop.size
     x, fitness = pop.positions, pop.fitness
     slots = rng.integers(state.memory_f.size, size=n_pop)
@@ -347,20 +340,19 @@ def lshade_generation(
     p_lo = 2.0 / n_pop
     p = rng.uniform(p_lo, max(p_lo, state.p_max), size=n_pop)
     k_best = np.maximum(2, np.ceil(p * n_pop).astype(int))
-    pbest = x[np.argsort(fitness, kind="stable")[rng.integers(0, k_best)]]
-    donors = np.concatenate([x, state.archive])
-    j = np.arange(n_pop)
-    r1 = _distinct_indices(rng, n_pop, j)
-    r2 = _distinct_indices(rng, len(donors), j, r1)
+    donors = np.concatenate([x, state.archive]) if len(state.archive) else x
+    rank, r1, r2 = _distinct_indices(rng, np.arange(n_pop), n_pop, len(donors), lead=k_best)
+    pbest = x[np.argsort(fitness, kind="stable")[rank]]
     f_col = f[:, None]
     mutants = x + f_col * (pbest - x) + f_col * (x[r1] - donors[r2])
 
     def adapt(trial_fitness, positions, new_fitness):
         kept = len(trial_fitness)
         better = trial_fitness < fitness[:kept]
-        state.archive = np.concatenate([state.archive, x[:kept][better]])
-        improvements = fitness[:kept][better] - trial_fitness[better]
-        _update_memories(state, f[:kept][better], cr[:kept][better], improvements)
+        if better.any():
+            state.archive = np.concatenate([state.archive, x[:kept][better]])
+            improvements = fitness[:kept][better] - trial_fitness[better]
+            _update_memories(state, f[:kept][better], cr[:kept][better], improvements)
         if state.reduction_enabled:
             target_size = lpsr_target_size(state, problem.budget_consumed)
             if target_size < n_pop:
@@ -370,7 +362,7 @@ def lshade_generation(
         return positions, new_fitness
 
     next_pop = _generation(pop, mutants, cr, pbest, bchm, problem, rng, records, adaptive_state, budget,
-                           beta_epsilon, adapt)
+                           beta_epsilon, clock, adapt)
     return next_pop, state
 
 
@@ -387,10 +379,11 @@ def _update_memories(state: ShadeState, successful_f, successful_cr, improvement
     if not successful_f.size:
         return
     weights = improvements
-    if np.isinf(weights).any():
+    total = weights.sum()
+    if total == np.inf:
         # improvements over +inf targets (NaN objective values) share the weight
         weights = np.isinf(weights).astype(float)
-    total = weights.sum()
+        total = weights.sum()
     if total <= 0.0:
         return
     weights = weights / total
@@ -406,6 +399,10 @@ def _update_memories(state: ShadeState, successful_f, successful_cr, improvement
 # ---------------------------------------------------------------------------
 # whole runs
 # ---------------------------------------------------------------------------
+
+#: consecutive generations without budget consumption after which a run stops
+STALL_GENERATIONS = 10000
+
 
 @dataclass
 class RunConfig:
@@ -469,6 +466,8 @@ class RunResult:
     final_stats: PopulationStats
     final_max_component_variance: float
     wall_time_seconds: float
+    stop_reason: str  # "budget", "target", "max_generations" or "stalled"
+    phase_seconds: dict[str, float]  # seconds of the generations per phase, keyed by PHASES
 
 
 def run(config: RunConfig) -> RunResult:
@@ -497,38 +496,37 @@ def run(config: RunConfig) -> RunResult:
     pop = Population(positions, fitness, generation=0, evaluations_used=problem.budget_consumed)
 
     shade_state = ShadeState.create(n, budget, config.shade) if config.engine == "lshade" else None
-    adaptive_state = (
-        AdaptiveState(update_period=config.adaptive_update_period, floor_probability=config.adaptive_floor)
-        if config.bchm == "adaptive"
-        else None
-    )
+    adaptive_state = None if config.bchm != "adaptive" else AdaptiveState(
+        update_period=config.adaptive_update_period, floor_probability=config.adaptive_floor)
 
     f_star = getattr(problem, "optimum_value", None)
     records: list[telemetry.GenerationRecord] = []
     started = time.perf_counter()
+    clock = _PhaseClock()
     stalled = 0
+    stop_reason = "budget"
     while problem.budget_consumed < budget:
         if config.max_generations is not None and pop.generation >= config.max_generations:
+            stop_reason = "max_generations"
             break
         consumed_before = problem.budget_consumed
         if config.engine == "classic":
-            pop = classic_generation(
-                pop, config.classic, config.bchm, problem, loop_rng, records,
-                adaptive_state=adaptive_state, budget=budget, beta_epsilon=config.beta_epsilon,
-            )
+            pop = classic_generation(pop, config.classic, config.bchm, problem, loop_rng, records,
+                                     adaptive_state, budget, config.beta_epsilon, clock)
         else:
-            pop, shade_state = lshade_generation(
-                pop, shade_state, config.bchm, problem, loop_rng, records,
-                adaptive_state=adaptive_state, budget=budget, beta_epsilon=config.beta_epsilon,
-            )
+            pop, shade_state = lshade_generation(pop, shade_state, config.bchm, problem, loop_rng, records,
+                                                 adaptive_state, budget, config.beta_epsilon, clock)
         if adaptive_state is not None and pop.generation % adaptive_state.update_period == 0:
             adaptive_state = adaptive_update(adaptive_state)
+            clock.lap(SELECTION)
         if config.target_error is not None and records[-1].best_error <= config.target_error:
+            stop_reason = "target"
             break
         # with dismiss and free infeasible evaluations a generation may consume
         # no budget; bail out if that persists instead of spinning forever
         stalled = stalled + 1 if problem.budget_consumed == consumed_before else 0
-        if stalled >= 10000:
+        if stalled >= STALL_GENERATIONS:
+            stop_reason = "stalled"
             break
     wall_time = time.perf_counter() - started
 
@@ -543,22 +541,13 @@ def run(config: RunConfig) -> RunResult:
     else:
         best_error = np.nan
         # without a known optimum only premature convergence is decidable
-        behaviour = (
-            telemetry.BehaviourClass.PC
-            if final_variance < telemetry.ClassifierConfig().variance_threshold
-            else None
-        )
+        converged = final_variance < telemetry.ClassifierConfig().variance_threshold
+        behaviour = telemetry.BehaviourClass.PC if converged else None
         classification_mode = "variance_only"
     return RunResult(
-        best_error=best_error,
-        best_fitness=best_fitness,
-        best_position=pop.positions[best_idx].copy(),
-        behaviour=behaviour,
-        classification_mode=classification_mode,
-        records=records,
-        evaluations_used=problem.budget_consumed,
-        generations=pop.generation,
-        final_stats=final_stats,
-        final_max_component_variance=final_variance,
-        wall_time_seconds=wall_time,
+        best_error=best_error, best_fitness=best_fitness, best_position=pop.positions[best_idx].copy(),
+        behaviour=behaviour, classification_mode=classification_mode, records=records,
+        evaluations_used=problem.budget_consumed, generations=pop.generation, final_stats=final_stats,
+        final_max_component_variance=final_variance, wall_time_seconds=wall_time,
+        stop_reason=stop_reason, phase_seconds=dict(zip(PHASES, clock.seconds)),
     )

@@ -96,30 +96,31 @@ def record_generation(
     corrections_applied: int = 0,
     adaptive_probabilities=None,
     stats=None,
+    outside=None,
 ) -> GenerationRecord:
     """Build the telemetry record for one completed generation.
 
     ``trials`` holds the raw (pre-correction) trial vectors of the
-    generation, shape (M, n); the violation ratios are computed on them.
-    The population is the post-selection state; ``stats`` are its
-    population statistics when the caller has them already.
+    generation, shape (M, n); the violation ratios are computed on them.  A
+    component violates unless it lies in the closed box, so a NaN component
+    counts as violated.  ``outside`` is that (M, n) violation mask and
+    ``stats`` the population statistics, when the caller has them already.
+    The population is the post-selection state.
     """
-    trials = np.atleast_2d(np.asarray(trials, dtype=float))
-    m = trials.shape[0] if trials.size else 0
-    n = population.dimension
+    if outside is None:
+        trials = np.atleast_2d(np.asarray(trials, dtype=float))
+        outside = ~((trials >= problem.bounds.lower) & (trials <= problem.bounds.upper))
+    m = len(outside) if outside.size else 0
     if m:
-        outside = np.logical_or(trials < problem.bounds.lower, trials > problem.bounds.upper)
-        component_ratio = float(outside.sum()) / (m * n)
-        individual_ratio = float(outside.any(axis=1).sum()) / m
+        component_ratio = np.count_nonzero(outside) / outside.size
+        individual_ratio = np.count_nonzero(outside.any(axis=1)) / m
     else:
         component_ratio = 0.0
         individual_ratio = 0.0
     if stats is None:
         stats = population_stats(population)
-    best_fitness = float(population.fitness.min())
     f_star = getattr(problem, "optimum_value", None)
-    best_error = max(best_fitness - f_star, 0.0) if f_star is not None else np.nan
-    probs = None if adaptive_probabilities is None else [float(p) for p in adaptive_probabilities]
+    best_error = max(float(population.fitness.min()) - f_star, 0.0) if f_star is not None else np.nan
     return GenerationRecord(
         generation=generation,
         feasible_evaluations=int(problem.feasible_evaluations),
@@ -128,9 +129,10 @@ def record_generation(
         infeasible_component_ratio=component_ratio,
         infeasible_individual_ratio=individual_ratio,
         max_component_variance=float(stats.variance.max()),
-        mean_component_variance=float(stats.variance.mean()),
+        mean_component_variance=float(stats.variance.sum() / stats.variance.size),  # bit-identical to mean()
         corrections_applied=int(corrections_applied),
-        adaptive_probabilities=probs,
+        adaptive_probabilities=None if adaptive_probabilities is None else np.asarray(
+            adaptive_probabilities, dtype=float).tolist(),
     )
 
 

@@ -88,6 +88,16 @@ class TestRunCommand:
         assert summary["config"]["classic"]["population_size"] == 10
         assert summary["behaviour_class"] in ("GB", "SF", "PC", "BB")
 
+    def test_summary_reports_stop_reason_and_phase_seconds(self, tmp_path):
+        config = write_json(tmp_path / "run.json", run_config())
+        out = tmp_path / "out"
+        main(["run", "--config", config, "--out", str(out)])
+        summary = json.loads(next(p for p in out.iterdir() if p.suffix == ".json").read_text())
+        assert summary["stop_reason"] == "budget"
+        assert set(summary["phase_seconds"]) == {
+            "variation", "repair", "evaluation", "selection_and_adaptation", "telemetry"}
+        assert sum(summary["phase_seconds"].values()) <= summary["wall_time_seconds"]
+
     def test_plugin_problem(self, tmp_path, monkeypatch):
         module = tmp_path / "my_problems.py"
         module.write_text(

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import chi2
 
 import hashlib
+from collections import Counter
 
+from debox import engine
 from debox.benchmarks import BenchmarkProblem, ExternalProblem, make_instance
 from debox.core import Bounds, Population, RngStream
 from debox.engine import (
+    PHASES,
     ClassicDEParams,
     RunConfig,
     ShadeParams,
@@ -20,6 +24,7 @@ from debox.engine import (
     run,
     sample_crossover_rate,
     sample_scale_factor,
+    _distinct_indices,
 )
 
 
@@ -163,20 +168,95 @@ class TestShadeMemory:
             assert len(state.archive) <= state.current_archive_capacity(pop.size)
 
 
+class CountingStream(RngStream):
+    """An RngStream that counts its integers calls and the integers they draw."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.integer_calls = 0
+        self.integers_drawn = 0
+
+    def integers(self, low, high=None, size=None):
+        out = super().integers(low, high, size)
+        self.integer_calls += 1
+        self.integers_drawn += np.size(out)
+        return out
+
+
+class TestIndexDraws:
+    """Index draws without rejection: one integers call, shifted past the
+    forbidden indices, exactly uniform over the free slots."""
+
+    N, ARCHIVE, CALLS = 5, 3, 4000
+    P_THRESHOLD = 1e-3  # fixed before the test was first run
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        """(name, forbidden arrays, picks, limit) for each forbidden-set shape the engines use."""
+        rng = CountingStream(17)
+        j = np.tile(np.arange(self.N), self.CALLS)
+        classic, lshade = [], []
+        for _ in range(self.CALLS):
+            classic.append(_distinct_indices(rng, np.arange(self.N), self.N, self.N, self.N))
+            lead = np.full(self.N, 2)
+            lshade.append(_distinct_indices(rng, np.arange(self.N), self.N, self.N + self.ARCHIVE, lead=lead))
+        assert rng.integer_calls == 2 * self.CALLS  # one call per engine's index arrays, no rounds
+        assert rng.integers_drawn == (3 + 3) * self.N * self.CALLS
+        r1, r2, r3 = (np.concatenate(a) for a in zip(*classic))
+        _, s1, s2 = (np.concatenate(a) for a in zip(*lshade))
+        return [
+            ("{j}", [j], r1, self.N),
+            ("{j, r1}", [j, r1], r2, self.N),
+            ("{j, r1, r2}", [j, r1, r2], r3, self.N),
+            ("{j, r1} over population and archive", [j, s1], s2, self.N + self.ARCHIVE),
+        ]
+
+    def test_rows_avoid_their_forbidden_indices(self, sample):
+        for name, forbidden, picks, limit in sample:
+            assert picks.min() >= 0 and picks.max() < limit, name
+            for f in forbidden:
+                assert not np.any(picks == f), name
+
+    def test_free_slots_equally_likely(self, sample):
+        for name, forbidden, picks, limit in sample:
+            # one chi-square cell per (forbidden tuple, free slot)
+            groups = Counter(zip(*forbidden))
+            cells = Counter(zip(zip(*forbidden), picks))
+            free = limit - len(forbidden)
+            statistic = sum((cells[(key, slot)] - total / free) ** 2 / (total / free)
+                            for key, total in groups.items()
+                            for slot in range(limit) if slot not in key)
+            p = chi2.sf(statistic, len(groups) * (free - 1))
+            assert p >= self.P_THRESHOLD, f"{name}: chi-square p = {p:.2e}"
+
+    def test_one_integers_call_per_generation_for_the_indices(self):
+        problem = centered_problem(dimension=3)
+        rng = CountingStream(5)
+        positions = rng.uniform(-5, 5, (12, 3))
+        pop = Population(positions, problem.evaluate_batch(positions))
+        classic_generation(pop, ClassicDEParams(population_size=12), "sat", problem, rng, [])
+        assert (rng.integer_calls, rng.integers_drawn) == (2, 3 * 12 + 12)  # r1/r2/r3, then i_rand
+        rng = CountingStream(6)
+        state = ShadeState.create(3, 1000, ShadeParams(n_init=12))
+        state.archive = rng.uniform(-5, 5, (4, 3))
+        lshade_generation(pop, state, "sat", problem, rng, [])
+        # memory slots, then pbest rank/r1/r2, then i_rand
+        assert (rng.integer_calls, rng.integers_drawn) == (3, 12 + 3 * 12 + 12)
+
+
 class TestClassicGeneration:
     def test_dismissed_trial_keeps_target(self, scripted):
         problem = centered_problem(dimension=2)
         positions = np.array([[4.0, 0.0], [4.5, 0.0], [0.0, 0.0], [-4.0, 0.0]])
         fitness = np.array([problem.evaluate(x) for x in positions])
         pop = Population(positions, fitness)
-        # every scripted donor triple pushes component 0 of the mutant far
-        # outside the box and i_rand = 0 transfers it into the trial, so all
-        # four trials are dismissed and the population must survive unchanged;
+        # every raw index draw is 0, the lowest free slot, so the donor triples
+        # are r1, r2, r3 = (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2); each
+        # pushes component 0 of the mutant far outside the box and i_rand = 0
+        # transfers it into the trial, so all four trials are dismissed and
+        # the population must survive unchanged;
         # draw order: r1, r2, r3 and i_rand for all four rows, then the units
-        script = scripted(
-            units=[0.9, 0.9] * 4,
-            ints=[1, 0, 0, 0] + [2, 2, 1, 1] + [3, 3, 3, 2] + [0, 0, 0, 0],
-        )
+        script = scripted(units=[0.9, 0.9] * 4, ints=[0] * 12 + [0, 0, 0, 0])
         params = ClassicDEParams(population_size=4, scale_factor=2.0, crossover_rate=0.5)
         records = []
         new_pop = classic_generation(pop, params, "dismiss", problem, script, records)
@@ -198,9 +278,10 @@ class TestClassicGeneration:
         units = [0.9, 0.1, 0.2, 0.9, 0.9, 0.9, 0.1, 0.1]
         script = scripted(
             units=units,
-            # row 0's first r1 collides with its target and is redrawn alone;
-            # row 3's first r3 collides with its r1 (0) and is redrawn alone
-            ints=[0, 2, 3, 0] + [1] + r2 + [3, 0, 1, 0] + [2] + i_rand,
+            # index draws are ranks among the row's free slots: r1 over the
+            # 3 slots other than the target, r2 over the 2 slots left, r3 over
+            # the last one; each rank steps past the sorted forbidden indices
+            ints=[0, 1, 2, 0] + [0, 1, 0, 0] + [0, 0, 0, 0] + i_rand,
         )
         params = ClassicDEParams(population_size=4, scale_factor=0.5, crossover_rate=0.5)
         records = []
@@ -305,6 +386,46 @@ class TestRun:
                       max_generations=10)
         )
         assert result.generations == 10
+
+    def test_stop_reason_max_generations(self):
+        problem = centered_problem(dimension=3)
+        result = run(RunConfig(problem=problem, engine="lshade", bchm="sat", budget=100_000, seed=6,
+                               max_generations=10))
+        assert result.stop_reason == "max_generations"
+
+    def test_stop_reason_budget(self):
+        problem = centered_problem(dimension=3)
+        result = run(RunConfig(problem=problem, engine="lshade", bchm="sat", budget=2000, seed=6))
+        assert result.stop_reason == "budget"
+        assert result.evaluations_used == 2000
+
+    def test_stop_reason_target(self):
+        problem = centered_problem(dimension=3)
+        result = run(RunConfig(problem=problem, engine="classic", bchm="sat", budget=30_000, seed=5,
+                               target_error=1e-3))
+        assert result.stop_reason == "target"
+
+    def test_stop_reason_stalled(self, monkeypatch):
+        # F = 2 over 50 dimensions: every trial leaves the box somewhere, dismiss
+        # throws it away for free, and the four targets never change, so no
+        # generation consumes budget until the stall guard ends the run; a
+        # shorter guard than the default 10,000 generations keeps the test fast
+        monkeypatch.setattr(engine, "STALL_GENERATIONS", 500)
+        problem = centered_problem(dimension=50)
+        params = ClassicDEParams(population_size=4, scale_factor=2.0, crossover_rate=0.9)
+        result = run(RunConfig(problem=problem, engine="classic", bchm="dismiss", budget=100, seed=1,
+                               classic=params))
+        assert result.stop_reason == "stalled"
+        assert result.evaluations_used == 4  # the initial population only
+        assert result.generations == 500
+
+    @pytest.mark.parametrize("engine", ["classic", "lshade"])
+    def test_phase_seconds(self, engine):
+        problem = centered_problem(dimension=3)
+        result = run(RunConfig(problem=problem, engine=engine, bchm="adaptive", budget=2000, seed=4))
+        assert list(result.phase_seconds) == list(PHASES) and len(PHASES) == 5
+        assert all(seconds >= 0.0 for seconds in result.phase_seconds.values())
+        assert sum(result.phase_seconds.values()) <= result.wall_time_seconds
 
     def test_lshade_population_schedule(self):
         problem = centered_problem(dimension=2)

@@ -83,6 +83,21 @@ class TestRecordGeneration:
         assert record.infeasible_component_ratio == 1.0
         assert record.infeasible_individual_ratio == 1.0
 
+    def test_nan_component_counts_as_violated(self):
+        problem = make_problem(3)
+        pop = Population(np.zeros((2, 3)), np.zeros(2))
+        record = record_generation(1, np.array([[np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]]), pop, problem)
+        assert record.infeasible_component_ratio == pytest.approx(1 / 6)
+        assert record.infeasible_individual_ratio == pytest.approx(1 / 2)
+
+    def test_given_violation_mask_is_used(self):
+        problem = make_problem(3)
+        pop = Population(np.zeros((2, 3)), np.zeros(2))
+        outside = np.array([[True, True, False], [False, False, False]])
+        record = record_generation(1, np.zeros((2, 3)), pop, problem, outside=outside)
+        assert record.infeasible_component_ratio == pytest.approx(2 / 6)
+        assert record.infeasible_individual_ratio == pytest.approx(1 / 2)
+
     def test_component_ratio_never_exceeds_individual_ratio(self):
         problem = make_problem(4)
         rng = np.random.default_rng(5)
