@@ -8,7 +8,7 @@ infeasible calls free by default.
 
 import numpy as np
 
-from debox import catalog_ids, evaluate_strict, make_instance
+from debox import catalog_ids, make_instance
 
 print("catalogue:", ", ".join(catalog_ids()))
 print()
@@ -38,9 +38,9 @@ problem = make_instance("separable_ellipsoid", 1, 6, "SBOX")
 inside = problem.bounds.clip(problem.optimum_location + 0.5)
 outside = inside.copy()
 outside[0] = 5.0000001
-print(f"f(x*)            = {evaluate_strict(problem, problem.optimum_location):.6f}  (= f*)")
-print(f"f(near x*)       = {evaluate_strict(problem, inside):.6f}")
-print(f"f(outside box)   = {evaluate_strict(problem, outside)}")
+print(f"f(x*)            = {problem.evaluate(problem.optimum_location):.6f}  (= f*)")
+print(f"f(near x*)       = {problem.evaluate(inside):.6f}")
+print(f"f(outside box)   = {problem.evaluate(outside)}")
 print(
     f"counters: feasible={problem.feasible_evaluations}, "
     f"infeasible={problem.infeasible_evaluations}, "

@@ -43,21 +43,17 @@ from .benchmarks import (
     ExternalProblem,
     catalog_ids,
     create_problem,
-    evaluate_strict,
     make_instance,
     register_function,
     register_problem,
 )
 from .core import (
     Bounds,
-    Individual,
     Population,
     PopulationStats,
     RngStream,
-    draw,
     population_stats,
     stable_key,
-    violation_profile,
 )
 from .engine import (
     ClassicDEParams,

@@ -187,7 +187,8 @@ class BetaFitParams:
     fallback_mask: np.ndarray
 
 
-def fit_beta_params(stats: PopulationStats, bounds: Bounds, epsilon: float = 0.1) -> BetaFitParams:
+def fit_beta_params(stats: PopulationStats, bounds: Bounds,
+                    epsilon: float = CorrectionContext.beta_epsilon) -> BetaFitParams:
     """Moment-match Beta shapes to the population mean and variance.
 
     With the box rescaled to [0, 1]:  m_i = (Mean_i - a_i)/(b_i - a_i)
@@ -206,7 +207,7 @@ def fit_beta_params(stats: PopulationStats, bounds: Bounds, epsilon: float = 0.1
 
 
 def beta_correct(
-    y, bounds: Bounds, stats: PopulationStats, rng: RngStream, epsilon: float = 0.1
+    y, bounds: Bounds, stats: PopulationStats, rng: RngStream, epsilon: float = CorrectionContext.beta_epsilon
 ) -> CorrectionOutcome:
     """Replace violated components with draws from a_i + Beta(alpha_i, beta_i)*(b_i - a_i).
 

@@ -33,7 +33,6 @@ __all__ = [
     "ExternalProblem",
     "catalog_ids",
     "create_problem",
-    "evaluate_strict",
     "make_instance",
     "raw_linear_slope",
     "register_function",
@@ -138,55 +137,35 @@ def _rows(objective: Callable[[np.ndarray], float], xs: np.ndarray) -> np.ndarra
     return np.array([objective(x) for x in xs], dtype=float)
 
 
-def _strict_batch(problem, xs, landscape: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Strict-box evaluation of a batch (m, n), shared by every problem class.
-
-    Rows outside the closed box score +inf without reaching ``landscape`` and
-    count as infeasible evaluations; the others count as feasible.  A NaN
-    objective value scores +inf, so minimum searches and greedy selection
-    never pick it.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != problem.dimension:
-        raise ValueError("dimension mismatch")
-    inside = problem.bounds.contains(xs)
-    feasible = int(np.count_nonzero(inside))
-    problem.feasible_evaluations += feasible
-    problem.infeasible_evaluations += len(xs) - feasible
-    if feasible == len(xs):
-        values = np.asarray(landscape(xs), dtype=float)
-    else:
-        values = np.full(len(xs), np.inf)
-        if feasible:
-            values[inside] = landscape(xs[inside])
-    values[np.isnan(values)] = np.inf
-    return values
-
-
 # ---------------------------------------------------------------------------
 # problems
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
 class BenchmarkProblem:
-    """A seeded instance of a catalogue function under strict-box semantics.
+    """A problem under strict-box semantics: a seeded catalogue instance, or a
+    user-supplied ``objective`` (see :func:`ExternalProblem`).
 
     The evaluation counters are the only mutable state; a problem instance
-    is owned by a single run.
+    is owned by a single run.  Without ``optimum_value`` a run cannot report
+    an error, and behaviour classification degrades to the variance-only form.
     """
 
     function_id: str
     instance_id: int
     dimension: int
     bounds: Bounds
-    optimum_location: np.ndarray
-    optimum_value: float
+    optimum_location: np.ndarray | None
+    optimum_value: float | None
     mode: str = "SBOX"
     count_infeasible_evals: bool = False
+    objective: Callable[[np.ndarray], float] | None = None  # one point to a float; None: the catalogue
     feasible_evaluations: int = field(default=0, compare=False)
     infeasible_evaluations: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
+        if self.objective is not None:
+            return
         self.optimum_location = np.asarray(self.optimum_location, dtype=float)
         if self.optimum_location.size != self.dimension:
             raise ValueError("optimum_location length must equal dimension")
@@ -213,24 +192,49 @@ class BenchmarkProblem:
         return float(self.evaluate_batch(np.asarray(x, dtype=float)[None])[0])
 
     def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Strict-box evaluation of a batch (m, n); one value per row."""
-        return _strict_batch(self, xs, self._landscape) + self.optimum_value
+        """Strict-box evaluation of a batch (m, n); one value per row.
+
+        Rows outside the closed box score +inf without reaching the landscape
+        and count as infeasible evaluations; the others count as feasible.  A
+        NaN objective value scores +inf, so minimum searches and greedy
+        selection never pick it.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dimension:
+            raise ValueError("dimension mismatch")
+        inside = self.bounds.contains(xs)
+        feasible = int(np.count_nonzero(inside))
+        self.feasible_evaluations += feasible
+        self.infeasible_evaluations += len(xs) - feasible
+        if feasible == len(xs):
+            values = np.asarray(self._landscape(xs), dtype=float)
+        else:
+            values = np.full(len(xs), np.inf)
+            if feasible:
+                values[inside] = self._landscape(xs[inside])
+        values[np.isnan(values)] = np.inf
+        return values
 
     def _landscape(self, xs: np.ndarray) -> np.ndarray:
-        """The raw landscape of in-box rows, before the offset f*."""
+        """Objective values of in-box rows."""
+        if self.objective is not None:
+            return _rows(self.objective, xs)
         entry = _CATALOG[self.function_id]
         if entry.corner_optimum:
-            return entry.raw(xs, self.optimum_location, self.bounds)
-        return entry.raw(xs - self.optimum_location)
+            return entry.raw(xs, self.optimum_location, self.bounds) + self.optimum_value
+        return entry.raw(xs - self.optimum_location) + self.optimum_value
 
-    def describe(self) -> dict:
-        return {
-            "function": self.function_id,
-            "instance": self.instance_id,
-            "dimension": self.dimension,
-            "mode": self.mode,
-            "optimum_value": self.optimum_value,
-        }
+
+def ExternalProblem(name: str, dimension: int, bounds: Bounds, objective: Callable[[np.ndarray], float],
+                    optimum_value: float | None = None, count_infeasible_evals: bool = False) -> BenchmarkProblem:
+    """Strict-box semantics for a user-supplied ``objective`` of one point.
+
+    Only (name, dimension, bounds, objective) are required; the objective
+    sees one in-box point at a time and its values are used as they are.
+    """
+    return BenchmarkProblem(function_id=name, instance_id=0, dimension=dimension, bounds=bounds,
+                            optimum_location=None, optimum_value=optimum_value, mode="external",
+                            count_infeasible_evals=count_infeasible_evals, objective=objective)
 
 
 def make_instance(
@@ -269,69 +273,9 @@ def make_instance(
     )
 
 
-def evaluate_strict(problem, x: np.ndarray) -> float:
-    """Strict-box evaluation of any problem object (catalogue or plugin)."""
-    return problem.evaluate(x)
-
-
 # ---------------------------------------------------------------------------
 # plugin problems
 # ---------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class ExternalProblem:
-    """Adapter giving strict-box semantics to a user-supplied objective.
-
-    Only (dimension, bounds, objective) are required; the optimum value is
-    optional -- without it a run cannot report an error, and behaviour
-    classification degrades to the variance-only form.
-    """
-
-    name: str
-    dimension: int
-    bounds: Bounds
-    objective: Callable[[np.ndarray], float]
-    optimum_value: float | None = None
-    count_infeasible_evals: bool = False
-    feasible_evaluations: int = 0
-    infeasible_evaluations: int = 0
-
-    function_id: str = field(init=False)
-    instance_id: int = 0
-    mode: str = "external"
-
-    def __post_init__(self) -> None:
-        self.function_id = self.name
-
-    @property
-    def budget_consumed(self) -> int:
-        if self.count_infeasible_evals:
-            return self.feasible_evaluations + self.infeasible_evaluations
-        return self.feasible_evaluations
-
-    def reset_counters(self) -> None:
-        self.feasible_evaluations = 0
-        self.infeasible_evaluations = 0
-
-    def evaluate(self, x: np.ndarray) -> float:
-        return float(self.evaluate_batch(np.asarray(x, dtype=float)[None])[0])
-
-    def evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Strict-box evaluation of a batch (m, n); the objective sees one row at a time."""
-        return _strict_batch(self, xs, self._objective_rows)
-
-    def _objective_rows(self, xs: np.ndarray) -> np.ndarray:
-        return _rows(self.objective, xs)
-
-    def describe(self) -> dict:
-        return {
-            "function": self.name,
-            "instance": self.instance_id,
-            "dimension": self.dimension,
-            "mode": self.mode,
-            "optimum_value": self.optimum_value,
-        }
-
 
 _PROBLEM_REGISTRY: dict[str, Callable[..., object]] = {}
 

@@ -17,11 +17,13 @@ failure, 2 config/schema violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import itertools
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -29,7 +31,7 @@ import numpy as np
 from . import analysis, benchmarks, telemetry
 from .bchm import METHOD_IDS
 from .core import stable_key
-from .engine import ClassicDEParams, RunConfig, ShadeParams, run
+from .engine import BUDGET_PER_DIMENSION, ClassicDEParams, RunConfig, ShadeParams, run
 
 __all__ = ["main"]
 
@@ -43,171 +45,159 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config schemas
+# config schemas: {key: (type, default)}; a dict default is a nested schema
 # ---------------------------------------------------------------------------
 
-_RUN_KEYS = {
-    "function": (str, True),
-    "instance": (int, False),
-    "dimension": (int, True),
-    "mode": (str, False),
-    "engine": (str, True),
-    "bchm": (str, True),
-    "seed": (int, True),
-    "budget": (int, False),
-    "budget_multiplier": (int, False),
-    "target_error": ((int, float), False),
-    "max_generations": (int, False),
+_REQUIRED = dataclasses.MISSING
+
+
+def _dataclass_schema(cls) -> dict:
+    """The keys, types and defaults of a dataclass's fields, except ``problem``."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            schema[f.name] = (hints[f.name], _dataclass_schema(hints[f.name]))
+        elif f.name != "problem":
+            schema[f.name] = (hints[f.name], f.default)
+    return schema
+
+
+#: a run config: the problem keys, the RunConfig fields and the run's extra keys
+_RUN_SCHEMA = {
+    "function": (str, _REQUIRED),
+    "instance": (int, 1),
+    "dimension": (int, _REQUIRED),
+    "mode": (str, "SBOX"),
     "count_infeasible_evals": (bool, False),
-    "classic": (dict, False),
-    "shade": (dict, False),
-    "beta_epsilon": ((int, float), False),
-    "adaptive_update_period": (int, False),
-    "adaptive_floor": ((int, float), False),
-    "plugin_modules": (list, False),
-    "out": (str, False),
-    "name": (str, False),
+    **_dataclass_schema(RunConfig),
+    "budget_multiplier": (int, BUDGET_PER_DIMENSION),
+    "plugin_modules": (list[str], []),
+}
+# a run names its engine, BCHM and seed itself
+_RUN_SCHEMA.update({key: (_RUN_SCHEMA[key][0], _REQUIRED) for key in ("engine", "bchm", "seed")})
+
+#: keys of ``debox run`` that place its output and are not part of the run
+_OUTPUT_SCHEMA = {"out": (str, "."), "name": (str | None, None)}
+
+#: sweep list key -> the run key each of its values sets
+_GRID = {"functions": "function", "instances": "instance", "dimensions": "dimension",
+         "modes": "mode", "engines": "engine", "bchms": "bchm"}
+
+#: run keys a sweep sets once for all its cells
+_SHARED = ("budget_multiplier", "count_infeasible_evals", "classic", "shade", "plugin_modules")
+
+_SWEEP_SCHEMA = {
+    **{key: (list[_RUN_SCHEMA[cell_key][0]], _REQUIRED) for key, cell_key in _GRID.items()},
+    "modes": (list[str], [_RUN_SCHEMA["mode"][1]]),
+    "runs_per_cell": (int, _REQUIRED),
+    "base_seed": (int, _REQUIRED),
+    "output_directory": (str, "."),
+    "parallelism": (int, 1),
+    **{key: _RUN_SCHEMA[key] for key in _SHARED},
 }
 
-_SWEEP_KEYS = {
-    "functions": (list, True),
-    "instances": (list, True),
-    "dimensions": (list, True),
-    "modes": (list, False),
-    "engines": (list, True),
-    "bchms": (list, True),
-    "runs_per_cell": (int, True),
-    "budget_multiplier": (int, False),
-    "base_seed": (int, True),
-    "output_directory": (str, False),
-    "parallelism": (int, False),
-    "count_infeasible_evals": (bool, False),
-    "classic": (dict, False),
-    "shade": (dict, False),
-    "plugin_modules": (list, False),
-}
 
-_CLASSIC_KEYS = {"population_size", "scale_factor", "crossover_rate"}
-_SHADE_KEYS = {"memory_size", "n_init", "n_min", "p_max", "reduction_enabled", "archive_capacity"}
+def _is_a(value, hint) -> bool:
+    """Whether a JSON value has the type ``hint`` (a bool is not a number)."""
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_is_a(v, item) for v in value)
+    kinds = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in kinds
+    return isinstance(value, kinds) or (isinstance(value, int) and float in kinds)
 
 
-def _check_schema(config: dict, schema: dict) -> list[str]:
-    errors = []
-    for key in sorted(config):
-        if key not in schema:
-            errors.append(f"{key}: unknown key")
-    for key, (types, required) in schema.items():
-        if key not in config:
-            if required:
-                errors.append(f"{key}: missing required field")
-            continue
-        value = config[key]
-        bool_where_int = isinstance(value, bool) and types is not bool
-        if bool_where_int or not isinstance(value, types):
-            errors.append(f"{key}: expected {getattr(types, '__name__', types)}")
-    return errors
+def _fill(data, schema: dict, prefix: str = "") -> tuple[dict, list[str]]:
+    """``data`` checked key by key against ``schema``, with its defaults filled in."""
+    if not isinstance(data, dict):
+        return {}, [f"{prefix.rstrip('.') or 'config'} (expected a JSON object)"]
+    errors = [f"{prefix}{key} (unknown key)" for key in sorted(set(data) - set(schema))]
+    resolved = {}
+    for key, (hint, default) in schema.items():
+        name = prefix + key
+        if isinstance(default, dict):
+            resolved[key], nested = _fill(data.get(key, {}), default, name + ".")
+            errors += nested
+        elif key not in data and default is _REQUIRED:
+            errors.append(f"{name} (missing required field)")
+        elif key not in data:
+            resolved[key] = default
+        elif _is_a(data[key], hint):
+            resolved[key] = data[key]
+        else:
+            errors.append(f"{name} (expected {hint.__name__ if isinstance(hint, type) else hint})")
+    return resolved, errors
 
 
-def _load_config(path: str, schema: dict) -> dict:
+def _load_config(args):
+    """The JSON value in ``args.config``, with ``--count-infeasible-evals`` applied."""
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError([f"config: {exc}"])
-    if not isinstance(config, dict):
-        raise ConfigError(["config: top level must be a JSON object"])
-    errors = _check_schema(config, schema)
-    if "bchm" in config and isinstance(config.get("bchm"), str) and config["bchm"] not in METHOD_IDS:
-        errors.append(f"bchm: unknown method id {config['bchm']!r}")
-    if "bchms" in config and isinstance(config.get("bchms"), list):
-        for method in config["bchms"]:
-            if method not in METHOD_IDS:
-                errors.append(f"bchms: unknown method id {method!r}")
-    for key in ("functions", "instances", "dimensions", "modes", "engines", "bchms"):
-        if key in schema and isinstance(config.get(key), list) and not config[key]:
-            errors.append(f"{key}: must be non-empty")
-    if isinstance(config.get("runs_per_cell"), int) and config.get("runs_per_cell", 1) < 1:
-        errors.append("runs_per_cell: must be >= 1")
-    if "classic" in config and isinstance(config["classic"], dict):
-        for key in sorted(set(config["classic"]) - _CLASSIC_KEYS):
-            errors.append(f"classic.{key}: unknown key")
-    if "shade" in config and isinstance(config["shade"], dict):
-        for key in sorted(set(config["shade"]) - _SHADE_KEYS):
-            errors.append(f"shade.{key}: unknown key")
-    if errors:
-        raise ConfigError(errors)
+    if args.count_infeasible_evals and isinstance(config, dict):
+        config["count_infeasible_evals"] = True
     return config
 
 
-def _import_plugins(config: dict) -> None:
-    for module in config.get("plugin_modules", []):
+def _import_plugins(modules: list[str]) -> None:
+    for module in modules:
         importlib.import_module(module)
 
 
-def _engine_params(config: dict) -> tuple[ClassicDEParams, ShadeParams]:
-    classic = ClassicDEParams(**config.get("classic", {}))
-    shade = ShadeParams(**config.get("shade", {}))
-    return classic, shade
+_RUN_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.name not in ("problem", "classic", "shade")]
+
+
+def _run_config(resolved: dict, problem) -> RunConfig:
+    """The RunConfig a resolved run config describes, around ``problem``."""
+    fields = {key: resolved[key] for key in _RUN_FIELDS}
+    return RunConfig(problem=problem, **fields, classic=ClassicDEParams(**resolved["classic"]),
+                     shade=ShadeParams(**resolved["shade"]))
+
+
+def _resolve_run(data, schema: dict = _RUN_SCHEMA) -> dict:
+    """A run config with every default filled in and every field checked.
+
+    This dict is the one form of a run config: the summary echoes it, and
+    :func:`_run_config` turns it into the :class:`RunConfig` that runs.
+    Raises :class:`ConfigError` with one message per offending field.
+    """
+    resolved, errors = _fill(data, schema)
+    if errors:
+        raise ConfigError(errors)
+    try:
+        _import_plugins(resolved["plugin_modules"])
+    except ImportError as exc:
+        raise ConfigError([f"plugin_modules ({exc})"])
+    function = resolved["function"]
+    if function not in benchmarks.catalog_ids() and function not in benchmarks.registered_problem_ids():
+        errors.append(f"function (unknown function id {function!r})")
+    if resolved["mode"] not in benchmarks.MODES:
+        errors.append(f"mode (must be one of {', '.join(benchmarks.MODES)})")
+    if resolved["dimension"] < 2:
+        errors.append("dimension (must be >= 2)")
+    if resolved["budget_multiplier"] < 1:
+        errors.append("budget_multiplier (must be >= 1)")
+    elif resolved["budget"] is None:
+        resolved["budget"] = resolved["budget_multiplier"] * resolved["dimension"]
+    errors += _run_config(resolved, None).validation_errors()
+    if errors:
+        raise ConfigError(errors)
+    return resolved
 
 
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
 
-def _resolved_run_config(config: dict) -> dict:
-    """Fill defaults so the summary echo is sufficient to reproduce the run."""
-    classic, shade = _engine_params(config)
-    resolved = {
-        "function": config["function"],
-        "instance": config.get("instance", 1),
-        "dimension": config["dimension"],
-        "mode": config.get("mode", "SBOX"),
-        "engine": config["engine"],
-        "bchm": config["bchm"],
-        "seed": config["seed"],
-        "budget": config.get("budget"),
-        "budget_multiplier": config.get("budget_multiplier", 10000),
-        "target_error": config.get("target_error"),
-        "max_generations": config.get("max_generations"),
-        "count_infeasible_evals": config.get("count_infeasible_evals", False),
-        "classic": vars(classic),
-        "shade": vars(shade),
-        "beta_epsilon": config.get("beta_epsilon", 0.1),
-        "adaptive_update_period": config.get("adaptive_update_period", 25),
-        "adaptive_floor": config.get("adaptive_floor", 0.05),
-        "plugin_modules": config.get("plugin_modules", []),
-    }
-    if resolved["budget"] is None:
-        resolved["budget"] = resolved["budget_multiplier"] * resolved["dimension"]
-    return resolved
-
-
 def _execute_run(resolved: dict, out_dir: str, stem: str) -> dict:
-    """Run one configuration and write <stem>.csv / <stem>.json into out_dir."""
-    classic = ClassicDEParams(**resolved["classic"])
-    shade = ShadeParams(**resolved["shade"])
-    problem = benchmarks.create_problem(
-        resolved["function"],
-        resolved["instance"],
-        resolved["dimension"],
-        resolved["mode"],
-        resolved["count_infeasible_evals"],
-    )
-    config = RunConfig(
-        problem=problem,
-        engine=resolved["engine"],
-        bchm=resolved["bchm"],
-        budget=resolved["budget"],
-        target_error=resolved["target_error"],
-        seed=resolved["seed"],
-        max_generations=resolved["max_generations"],
-        classic=classic,
-        shade=shade,
-        beta_epsilon=resolved["beta_epsilon"],
-        adaptive_update_period=resolved["adaptive_update_period"],
-        adaptive_floor=resolved["adaptive_floor"],
-    )
-    result = run(config)
+    """Run one resolved configuration and write <stem>.csv / <stem>.json into out_dir."""
+    problem = benchmarks.create_problem(resolved["function"], resolved["instance"], resolved["dimension"],
+                                        resolved["mode"], resolved["count_infeasible_evals"])
+    result = run(_run_config(resolved, problem))
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, stem + ".csv")
     json_path = os.path.join(out_dir, stem + ".json")
@@ -237,13 +227,10 @@ def _run_stem(resolved: dict) -> str:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.config, _RUN_KEYS)
-    _import_plugins(config)
-    if args.count_infeasible_evals:
-        config["count_infeasible_evals"] = True
-    resolved = _resolved_run_config(config)
-    out_dir = args.out or config.get("out", ".")
-    stem = config.get("name", _run_stem(resolved))
+    resolved = _resolve_run(_load_config(args), {**_RUN_SCHEMA, **_OUTPUT_SCHEMA})
+    out, name = resolved.pop("out"), resolved.pop("name")
+    out_dir = args.out or out
+    stem = name or _run_stem(resolved)
     _execute_run(resolved, out_dir, stem)
     print(os.path.join(out_dir, stem + ".csv"))
     print(os.path.join(out_dir, stem + ".json"))
@@ -255,37 +242,28 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_cells(config: dict) -> list[dict]:
-    cells = []
-    grid = itertools.product(
-        config["functions"],
-        config["instances"],
-        config["dimensions"],
-        config.get("modes", ["SBOX"]),
-        config["engines"],
-        config["bchms"],
-        range(config["runs_per_cell"]),
-    )
-    for function, instance, dimension, mode, engine, bchm, run_index in grid:
-        seed = stable_key(
-            config["base_seed"], function, instance, dimension, engine, bchm, run_index
-        )
-        resolved = _resolved_run_config(
-            {
-                "function": function,
-                "instance": instance,
-                "dimension": dimension,
-                "mode": mode,
-                "engine": engine,
-                "bchm": bchm,
-                "seed": seed,
-                "budget_multiplier": config.get("budget_multiplier", 10000),
-                "count_infeasible_evals": config.get("count_infeasible_evals", False),
-                "classic": config.get("classic", {}),
-                "shade": config.get("shade", {}),
-            }
-        )
-        resolved["run_index"] = run_index
-        cells.append(resolved)
+    """Every cell of the grid as a resolved run config, plus its ``run_index``.
+
+    Every combination of grid values is checked before any cell runs; its
+    runs differ only in their seeds.  Raises :class:`ConfigError` with one
+    message per offending field.
+    """
+    shared = {key: config[key] for key in _SHARED}
+    cells, errors = [], {}
+    for values in itertools.product(*(config[key] for key in _GRID)):
+        try:  # seed 0 stands in for the runs' stable_key seeds, which are never negative
+            resolved = _resolve_run(dict(zip(_GRID.values(), values), seed=0, **shared))
+        except ConfigError as exc:
+            for message in exc.messages:  # name the sweep's own key, once per field
+                key, reason = message.split(" ", 1)
+                errors.setdefault({v: k for k, v in _GRID.items()}.get(key, key) + " " + reason)
+            continue
+        function, instance, dimension, _, engine, bchm = values
+        for run_index in range(config["runs_per_cell"]):
+            seed = stable_key(config["base_seed"], function, instance, dimension, engine, bchm, run_index)
+            cells.append(dict(resolved, seed=seed, run_index=run_index))
+    if errors:
+        raise ConfigError(errors)
     return cells
 
 
@@ -293,16 +271,24 @@ def _cell_stem(cell: dict) -> str:
     return _run_stem(cell) + f"_r{cell['run_index']}"
 
 
-def _run_cell(job: tuple[dict, str, list]) -> dict:
-    """Worker: execute one sweep cell unless its artifacts already exist."""
-    cell, out_dir, plugin_modules = job
-    for module in plugin_modules:
-        importlib.import_module(module)
+def _reusable(json_path: str, cell: dict) -> bool:
+    """Whether the summary at ``json_path`` is complete and records this very cell."""
+    try:
+        summary = telemetry.read_run_summary(json_path)
+    except (OSError, ValueError):
+        return False
+    return isinstance(summary, dict) and summary.get("config") == json.loads(json.dumps(cell))
+
+
+def _run_cell(job: tuple[dict, str]) -> dict:
+    """Worker: execute one sweep cell unless its artifacts already record it."""
+    cell, out_dir = job
+    _import_plugins(cell["plugin_modules"])
     stem = _cell_stem(cell)
     run_dir = os.path.join(out_dir, "runs")
     csv_path = os.path.join(run_dir, stem + ".csv")
     json_path = os.path.join(run_dir, stem + ".json")
-    if not (os.path.exists(csv_path) and os.path.exists(json_path)):
+    if not (os.path.exists(csv_path) and _reusable(json_path, cell)):
         _execute_run(cell, run_dir, stem)
     entry = {key: cell[key] for key in (
         "function", "instance", "dimension", "mode", "engine", "bchm", "run_index", "seed",
@@ -313,15 +299,16 @@ def _run_cell(job: tuple[dict, str, list]) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config, _SWEEP_KEYS)
-    _import_plugins(config)
-    if args.count_infeasible_evals:
-        config["count_infeasible_evals"] = True
-    out_dir = args.out or config.get("output_directory", ".")
-    parallelism = args.parallelism or config.get("parallelism", 1)
-    plugin_modules = config.get("plugin_modules", [])
+    config, errors = _fill(_load_config(args), _SWEEP_SCHEMA)
+    errors += [f"{key} (must be non-empty)" for key in _GRID if config.get(key) == []]
+    errors += [f"{key} (must be >= 1)" for key in ("runs_per_cell", "parallelism")
+               if isinstance(config.get(key), int) and config[key] < 1]
+    if errors:
+        raise ConfigError(errors)
     cells = _sweep_cells(config)
-    jobs = [(cell, out_dir, plugin_modules) for cell in cells]
+    out_dir = args.out or config["output_directory"]
+    parallelism = args.parallelism or config["parallelism"]
+    jobs = [(cell, out_dir) for cell in cells]
     os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:

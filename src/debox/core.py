@@ -14,20 +14,17 @@ from __future__ import annotations
 
 import hashlib
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Bounds",
-    "Individual",
     "Population",
     "PopulationStats",
     "RngStream",
-    "draw",
     "population_stats",
     "stable_key",
-    "violation_profile",
 ]
 
 
@@ -76,20 +73,6 @@ class Bounds:
 
 
 @dataclass(eq=False)
-class Individual:
-    """A candidate solution.  fitness is +inf until the point has been
-    evaluated inside the box (strict-box semantics treat everything else
-    as infinitely bad)."""
-
-    position: np.ndarray
-    fitness: float = np.inf
-
-    def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=float)
-        self.fitness = float(self.fitness)
-
-
-@dataclass(eq=False)
 class Population:
     """Column-stacked population state.
 
@@ -113,23 +96,6 @@ class Population:
             raise ValueError("positions and fitness must have matching leading size")
         if self.generation < 0 or self.evaluations_used < 0:
             raise ValueError("generation and evaluations_used must be non-negative")
-
-    @classmethod
-    def from_members(
-        cls, members: list[Individual], generation: int = 0, evaluations_used: int = 0
-    ) -> "Population":
-        if not members:
-            raise ValueError("empty population")
-        return cls(
-            np.stack([m.position for m in members]),
-            np.array([m.fitness for m in members]),
-            generation,
-            evaluations_used,
-        )
-
-    @property
-    def members(self) -> list[Individual]:
-        return [Individual(p.copy(), f) for p, f in zip(self.positions, self.fitness)]
 
     @property
     def size(self) -> int:
@@ -162,16 +128,6 @@ def population_stats(pop: Population) -> PopulationStats:
     deviation = pop.positions - mean
     variance = (deviation * deviation).sum(axis=0) / pop.size  # biased 1/N formula
     return PopulationStats(mean=mean, variance=variance)
-
-
-def violation_profile(y: np.ndarray, bounds: Bounds) -> tuple[set[int], int]:
-    """Indices of components of ``y`` lying outside the closed box, and their count."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size != bounds.dimension:
-        raise ValueError("dimension mismatch")
-    mask = np.logical_or(y < bounds.lower, y > bounds.upper)
-    idx = np.nonzero(mask)[0]
-    return set(int(i) for i in idx), int(idx.size)
 
 
 def stable_key(*parts) -> int:
@@ -228,6 +184,8 @@ class RngStream:
     def cauchy(self, loc=0.0, scale=1.0, size=None):
         if _anywhere(operator.le, scale, 0.0):
             raise ValueError("invalid distribution parameters: cauchy scale must be > 0")
+        if size is None:  # one draw per entry of the broadcast parameters, as normal does
+            size = np.broadcast_shapes(np.shape(loc), np.shape(scale)) or None
         return loc + scale * self._gen.standard_cauchy(size)
 
     def beta(self, a, b, size=None):
@@ -239,12 +197,6 @@ class RngStream:
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)
 
-    def choice(self, a, size=None, replace=True, p=None):
-        return self._gen.choice(a, size=size, replace=replace, p=p)
-
-    def permutation(self, x):
-        return self._gen.permutation(x)
-
 
 def _anywhere(compare, a, b) -> bool:
     """Whether ``compare(a, b)`` holds for any element: a plain comparison
@@ -252,27 +204,3 @@ def _anywhere(compare, a, b) -> bool:
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         return compare(a, b)
     return bool(np.any(compare(np.asarray(a), b)))
-
-
-def draw(stream: RngStream, dist: tuple) -> float | np.ndarray:
-    """Sample from a named distribution spec.
-
-    ``dist`` is a tuple: ("uniform", u, v), ("normal", loc, scale),
-    ("cauchy", loc, scale) or ("beta", a, b).
-    """
-    name, *params = dist
-    if name == "uniform":
-        u, v = params
-        if not v > u:
-            raise ValueError("invalid distribution parameters: uniform needs v > u")
-        return stream.uniform(u, v)
-    if name == "normal":
-        loc, scale = params
-        return stream.normal(loc, scale)
-    if name == "cauchy":
-        loc, scale = params
-        return stream.cauchy(loc, scale)
-    if name == "beta":
-        a, b = params
-        return stream.beta(a, b)
-    raise ValueError(f"unknown distribution {name!r}")

@@ -94,6 +94,8 @@ class ShadeParams:
             errors.append("shade.n_min (must be >= 4)")
         if not 0.0 < self.p_max <= 1.0:
             errors.append("shade.p_max (must be in (0, 1])")
+        if self.archive_capacity is not None and self.archive_capacity < 0:
+            errors.append("shade.archive_capacity (must be >= 0)")
         return errors
 
 
@@ -105,25 +107,21 @@ class ShadeState:
     memory_cr: np.ndarray  # NaN entries mark the terminal CR value
     memory_index: int
     archive: np.ndarray  # defeated parents, shape (A, n)
-    archive_capacity: int | None
+    params: ShadeParams
     n_init: int
-    n_min: int
-    p_max: float
     n_fe_max: int
-    reduction_enabled: bool
 
     @classmethod
     def create(cls, dimension: int, budget: int, params: ShadeParams) -> "ShadeState":
         n_init = params.n_init if params.n_init is not None else 18 * dimension
         return cls(
             memory_f=np.full(params.memory_size, 0.5), memory_cr=np.full(params.memory_size, 0.5),
-            memory_index=0, archive=np.empty((0, dimension)), archive_capacity=params.archive_capacity,
-            n_init=n_init, n_min=params.n_min, p_max=params.p_max, n_fe_max=budget,
-            reduction_enabled=params.reduction_enabled,
+            memory_index=0, archive=np.empty((0, dimension)), params=params, n_init=n_init, n_fe_max=budget,
         )
 
     def current_archive_capacity(self, population_size: int) -> int:
-        return self.archive_capacity if self.archive_capacity is not None else population_size
+        capacity = self.params.archive_capacity
+        return capacity if capacity is not None else population_size
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +175,9 @@ def lehmer_mean(values, weights) -> float:
 def lpsr_target_size(state: ShadeState, evaluations_used: int) -> int:
     """Linear population size schedule from n_init down to n_min over the budget."""
     frac = min(evaluations_used / state.n_fe_max, 1.0)
-    target = round(state.n_init + (state.n_min - state.n_init) * frac)
-    return int(min(max(target, state.n_min), state.n_init))
+    n_min = state.params.n_min
+    target = round(state.n_init + (n_min - state.n_init) * frac)
+    return int(min(max(target, n_min), state.n_init))
 
 
 def _distinct_indices(rng: RngStream, j: np.ndarray, *limits: int, lead=None) -> list[np.ndarray]:
@@ -307,7 +306,8 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, bch
 
 def classic_generation(pop: Population, params: ClassicDEParams, bchm: str, problem, rng: RngStream,
                        records: list, adaptive_state: AdaptiveState | None = None, budget: int | None = None,
-                       beta_epsilon: float = 0.1, clock: _PhaseClock | None = None) -> Population:
+                       beta_epsilon: float = CorrectionContext.beta_epsilon,
+                       clock: _PhaseClock | None = None) -> Population:
     """One synchronous DE/rand/1/bin generation.
 
     If the budget runs out mid-generation the remaining targets carry over
@@ -327,7 +327,7 @@ def classic_generation(pop: Population, params: ClassicDEParams, bchm: str, prob
 
 def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rng: RngStream, records: list,
                       adaptive_state: AdaptiveState | None = None, budget: int | None = None,
-                      beta_epsilon: float = 0.1,
+                      beta_epsilon: float = CorrectionContext.beta_epsilon,
                       clock: _PhaseClock | None = None) -> tuple[Population, ShadeState]:
     """One L-SHADE generation: current-to-pbest/1/bin with memories, archive
     and (optionally) linear population size reduction."""
@@ -338,7 +338,7 @@ def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rn
     f = sample_scale_factor(rng, state.memory_f[slots])
     cr = sample_crossover_rate(rng, state.memory_cr[slots])
     p_lo = 2.0 / n_pop
-    p = rng.uniform(p_lo, max(p_lo, state.p_max), size=n_pop)
+    p = rng.uniform(p_lo, max(p_lo, state.params.p_max), size=n_pop)
     k_best = np.maximum(2, np.ceil(p * n_pop).astype(int))
     donors = np.concatenate([x, state.archive]) if len(state.archive) else x
     rank, r1, r2 = _distinct_indices(rng, np.arange(n_pop), n_pop, len(donors), lead=k_best)
@@ -353,7 +353,7 @@ def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rn
             state.archive = np.concatenate([state.archive, x[:kept][better]])
             improvements = fitness[:kept][better] - trial_fitness[better]
             _update_memories(state, f[:kept][better], cr[:kept][better], improvements)
-        if state.reduction_enabled:
+        if state.params.reduction_enabled:
             target_size = lpsr_target_size(state, problem.budget_consumed)
             if target_size < n_pop:
                 keep = np.sort(np.argsort(new_fitness, kind="stable")[:target_size])
@@ -404,6 +404,10 @@ def _update_memories(state: ShadeState, successful_f, successful_cr, improvement
 STALL_GENERATIONS = 10000
 
 
+#: the default budget, in feasible evaluations per dimension
+BUDGET_PER_DIMENSION = 10000
+
+
 @dataclass
 class RunConfig:
     """Everything needed to reproduce one optimization run."""
@@ -411,34 +415,32 @@ class RunConfig:
     problem: object
     engine: str = "lshade"
     bchm: str = "sat"
-    budget: int | None = None  # default: 10000 * dimension feasible evaluations
+    budget: int | None = None  # default: BUDGET_PER_DIMENSION * dimension
     target_error: float | None = None
     seed: int = 0
     max_generations: int | None = None
     classic: ClassicDEParams = field(default_factory=ClassicDEParams)
     shade: ShadeParams = field(default_factory=ShadeParams)
-    beta_epsilon: float = 0.1
-    adaptive_update_period: int = 25
-    adaptive_floor: float = 0.05
+    beta_epsilon: float = CorrectionContext.beta_epsilon
+    adaptive_update_period: int = AdaptiveState.update_period
+    adaptive_floor: float = AdaptiveState.floor_probability
 
     def resolved_budget(self) -> int:
-        return self.budget if self.budget is not None else 10000 * self.problem.dimension
+        return self.budget if self.budget is not None else BUDGET_PER_DIMENSION * self.problem.dimension
 
-    def validate(self) -> None:
+    def validation_errors(self) -> list[str]:
+        """One message per invalid field; the problem is not consulted."""
         errors = []
-        if self.problem is None:
-            errors.append("problem (required)")
         if self.engine not in ("classic", "lshade"):
             errors.append("engine (must be 'classic' or 'lshade')")
         if self.bchm not in METHOD_IDS:
             errors.append(f"bchm (unknown method id {self.bchm!r})")
         if self.budget is not None and self.budget <= 0:
             errors.append("budget (budget must be positive)")
-        if self.target_error is not None:
-            if self.target_error <= 0:
-                errors.append("target_error (must be positive)")
-            elif getattr(self.problem, "optimum_value", None) is None:
-                errors.append("target_error (problem has no known optimum value)")
+        if self.target_error is not None and self.target_error <= 0:
+            errors.append("target_error (must be positive)")
+        if self.seed < 0:
+            errors.append("seed (must be >= 0)")
         if self.max_generations is not None and self.max_generations <= 0:
             errors.append("max_generations (must be positive)")
         if not 0.0 < self.beta_epsilon < 0.5:
@@ -447,8 +449,14 @@ class RunConfig:
             errors.append("adaptive_update_period (must be >= 1)")
         if not 0.0 <= self.adaptive_floor < 0.2:
             errors.append("adaptive_floor (must be in [0, 0.2))")
-        errors.extend(self.classic.validation_errors())
-        errors.extend(self.shade.validation_errors())
+        return errors + self.classic.validation_errors() + self.shade.validation_errors()
+
+    def validate(self) -> None:
+        errors = self.validation_errors()
+        if self.problem is None:
+            errors.insert(0, "problem (required)")
+        elif self.target_error is not None and getattr(self.problem, "optimum_value", None) is None:
+            errors.append("target_error (problem has no known optimum value)")
         if errors:
             raise ValueError("invalid config fields: " + "; ".join(errors))
 
@@ -487,15 +495,12 @@ def run(config: RunConfig) -> RunResult:
     init_rng = root.split(0)
     loop_rng = root.split(1)
 
-    if config.engine == "classic":
-        n_init = config.classic.population_size
-    else:
-        n_init = config.shade.n_init if config.shade.n_init is not None else 18 * n
+    shade_state = ShadeState.create(n, budget, config.shade) if config.engine == "lshade" else None
+    n_init = config.classic.population_size if shade_state is None else shade_state.n_init
     positions = init_rng.uniform(bounds.lower, bounds.upper, (n_init, n))
     fitness = _evaluate(problem, positions)
     pop = Population(positions, fitness, generation=0, evaluations_used=problem.budget_consumed)
 
-    shade_state = ShadeState.create(n, budget, config.shade) if config.engine == "lshade" else None
     adaptive_state = None if config.bchm != "adaptive" else AdaptiveState(
         update_period=config.adaptive_update_period, floor_probability=config.adaptive_floor)
 

@@ -7,7 +7,6 @@ from debox.benchmarks import (
     ExternalProblem,
     catalog_ids,
     create_problem,
-    evaluate_strict,
     make_instance,
     raw_linear_slope,
     register_function,
@@ -80,7 +79,7 @@ class TestEvaluateStrict:
         for function in ALL_FUNCTIONS:
             problem = make_instance(function, 1, 8, "SBOX")
             assert_allclose(
-                evaluate_strict(problem, problem.optimum_location),
+                problem.evaluate(problem.optimum_location),
                 problem.optimum_value,
                 atol=1e-12,
             )
@@ -89,27 +88,27 @@ class TestEvaluateStrict:
         problem = make_instance("sphere", 4, 6, "BBOB_LIKE")
         x = problem.optimum_location.copy()
         x[0] += 1.0
-        assert_allclose(evaluate_strict(problem, x), problem.optimum_value + 1.0, atol=1e-12)
+        assert_allclose(problem.evaluate(x), problem.optimum_value + 1.0, atol=1e-12)
 
     def test_outside_box_is_infinite(self):
         for function in ALL_FUNCTIONS:
             problem = make_instance(function, 1, 4, "SBOX")
             x = np.zeros(4)
             x[0] = 5.0001
-            assert evaluate_strict(problem, x) == np.inf
+            assert problem.evaluate(x) == np.inf
 
     def test_finite_iff_inside_closed_box(self):
         problem = make_instance("rastrigin", 2, 5, "SBOX")
         rng = RngStream(3)
         for _ in range(200):
             x = rng.uniform(-7, 7, 5)
-            value = evaluate_strict(problem, x)
+            value = problem.evaluate(x)
             assert np.isfinite(value) == bool(problem.bounds.contains(x))
 
     def test_dimension_mismatch(self):
         problem = make_instance("sphere", 1, 4, "SBOX")
         with pytest.raises(ValueError, match="dimension mismatch"):
-            evaluate_strict(problem, np.zeros(5))
+            problem.evaluate(np.zeros(5))
 
     def test_batch_matches_single_point_evaluation(self):
         rng = RngStream(5)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
 from debox.cli import main
+from debox.engine import RunConfig
 
 
 def write_json(path, payload):
@@ -68,6 +70,40 @@ class TestRunCommand:
         config = write_json(tmp_path / "run.json", run_config(bchm="clip"))
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
         assert "clip" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("budget", -5),
+        ("classic.population_size", 2),
+        ("classic.population_size", "ten"),
+        ("mode", "BOX"),
+        ("engine", "jade"),
+        ("beta_epsilon", 0.7),
+        ("dimension", 1),
+        ("shade.p_max", 0),
+    ])
+    def test_range_and_type_errors_exit_2_naming_the_field(self, tmp_path, capsys, field, value):
+        payload = run_config()
+        *parents, key = field.split(".")
+        target = payload
+        for parent in parents:
+            target = target.setdefault(parent, {})
+        target[key] = value
+        config = write_json(tmp_path / "run.json", payload)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if line.startswith(f"config error: {field} ")] and len(lines) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_every_dataclass_field_is_a_key_echoed_with_its_default(self, tmp_path):
+        # drift guard: the run schema is read from RunConfig, ClassicDEParams and ShadeParams
+        defaults = dataclasses.asdict(RunConfig(problem=None))
+        del defaults["problem"]
+        payload = {"function": "sphere", "dimension": 2, "budget_multiplier": 50, **defaults}
+        config = write_json(tmp_path / "run.json", payload)
+        out = tmp_path / "out"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        echo = json.loads(next(p for p in out.iterdir() if p.suffix == ".json").read_text())["config"]
+        assert {key: echo[key] for key in defaults} == dict(defaults, budget=100)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = write_json(tmp_path / "run.json", run_config())
@@ -143,10 +179,39 @@ class TestSweepCommand:
         kept = csvs[1]
         victim_bytes = victim.read_bytes()
         kept_mtime = kept.stat().st_mtime_ns
+        manifest = (out / "manifest.json").read_bytes()
         victim.unlink()
         main(["sweep", "--config", config, "--out", str(out)])
         assert victim.read_bytes() == victim_bytes  # recomputed identically
         assert kept.stat().st_mtime_ns == kept_mtime  # untouched
+        assert (out / "manifest.json").read_bytes() == manifest
+
+    def test_resume_recomputes_cells_of_a_changed_config(self, tmp_path):
+        out = tmp_path / "out"
+        main(["sweep", "--config", write_json(tmp_path / "a.json", sweep_config(budget_multiplier=20)),
+              "--out", str(out)])
+        main(["sweep", "--config", write_json(tmp_path / "b.json", sweep_config(budget_multiplier=150)),
+              "--out", str(out)])
+        for summary in (out / "runs").glob("*.json"):
+            assert json.loads(summary.read_text())["config"]["budget"] == 300
+
+    def test_resume_recomputes_a_truncated_summary(self, tmp_path):
+        config = write_json(tmp_path / "sweep.json", sweep_config())
+        out = tmp_path / "out"
+        main(["sweep", "--config", config, "--out", str(out)])
+        victim = sorted((out / "runs").glob("*.json"))[0]
+        whole = victim.read_text()
+        victim.write_text(whole[: len(whole) // 2])
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        assert json.loads(victim.read_text())["config"] == json.loads(whole)["config"]
+        assert main(["classify", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path)]) == 0
+
+    def test_bad_cell_value_starts_no_run(self, tmp_path, capsys):
+        config = write_json(tmp_path / "sweep.json", sweep_config(classic={"population_size": 2}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: classic.population_size (must be >= 4)"]
+        assert not out.exists()
 
     def test_parallelism_does_not_change_outputs(self, tmp_path):
         config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=1))

@@ -3,16 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import kstest
 
-from debox.core import (
-    Bounds,
-    Individual,
-    Population,
-    RngStream,
-    draw,
-    population_stats,
-    stable_key,
-    violation_profile,
-)
+from debox.core import Bounds, Population, RngStream, population_stats, stable_key
 
 
 def pop_1d(*values):
@@ -57,7 +48,7 @@ class TestPopulationStats:
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError, match="empty population"):
-            Population.from_members([])
+            population_stats(Population(np.empty((0, 2)), np.empty(0)))
 
     def test_translation_invariance(self):
         rng = RngStream(7)
@@ -66,31 +57,6 @@ class TestPopulationStats:
         shifted = population_stats(Population(positions + 3.25, np.zeros(20)))
         assert_allclose(shifted.mean, base.mean + 3.25, atol=1e-12)
         assert_allclose(shifted.variance, base.variance, atol=1e-12)
-
-
-class TestViolationProfile:
-    BOX = Bounds.symmetric(5.0, 2)
-
-    def test_interior_point(self):
-        assert violation_profile(np.array([0.0, 0.0]), self.BOX) == (set(), 0)
-
-    def test_both_violated(self):
-        assert violation_profile(np.array([6.0, -7.0]), self.BOX) == ({0, 1}, 2)
-
-    def test_boundary_is_feasible(self):
-        assert violation_profile(np.array([5.0, -5.0]), self.BOX) == (set(), 0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            violation_profile(np.array([0.0, 0.0, 0.0]), self.BOX)
-
-    def test_count_complements_feasible_components(self):
-        rng = RngStream(11)
-        for _ in range(50):
-            y = rng.uniform(-9, 9, 2)
-            _, count = violation_profile(y, self.BOX)
-            feasible = int(np.sum((y >= -5) & (y <= 5)))
-            assert count == 2 - feasible
 
 
 class TestRngStream:
@@ -117,8 +83,8 @@ class TestRngStream:
 
 
 class TestDraw:
-    def test_uniform_is_linear_map_of_unit_draw(self, scripted):
-        assert draw(scripted([0.25]), ("uniform", -5.0, 5.0)) == -2.5
+    def test_uniform_is_linear_map_of_unit_draw(self):
+        assert RngStream(3).uniform(-5.0, 5.0) == -5.0 + 10.0 * RngStream(3).random()
 
     def test_beta_1_1_is_uniform(self):
         samples = RngStream(42).beta(1.0, 1.0, 100_000)
@@ -128,10 +94,14 @@ class TestDraw:
         samples = RngStream(43).cauchy(0.5, 0.1, 100_000)
         assert abs(np.median(samples) - 0.5) < 0.01
 
+    def test_cauchy_draws_once_per_parameter_entry(self):
+        samples = RngStream(1).cauchy(np.zeros(3), 1.0)
+        assert samples.shape == (3,) and len(set(samples.tolist())) == 3
+        assert samples[0] == RngStream(1).cauchy(0.0, 1.0)  # the scalar stream is unchanged
+
     @pytest.mark.parametrize(
         "spec",
         [
-            ("uniform", 1.0, 1.0),
             ("uniform", 2.0, -2.0),
             ("beta", 0.0, 1.0),
             ("beta", 1.0, -3.0),
@@ -140,12 +110,9 @@ class TestDraw:
         ],
     )
     def test_invalid_parameters(self, spec):
+        name, *params = spec
         with pytest.raises(ValueError, match="invalid distribution parameters"):
-            draw(RngStream(0), spec)
-
-    def test_unknown_distribution(self):
-        with pytest.raises(ValueError, match="unknown distribution"):
-            draw(RngStream(0), ("triangular", 0.0, 1.0))
+            getattr(RngStream(0), name)(*params)
 
 
 class TestStableKey:
@@ -158,8 +125,3 @@ class TestStableKey:
 
     def test_fits_in_64_bits(self):
         assert 0 <= stable_key("x") < 2**64
-
-
-def test_individual_defaults_to_unevaluated():
-    ind = Individual(np.zeros(3))
-    assert ind.fitness == np.inf
