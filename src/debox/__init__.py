@@ -7,6 +7,8 @@ bound-violation telemetry, convergence-behaviour classification, and the
 similarity/clustering analyses used to compare methods and functions.
 """
 
+__version__ = "0.1.0"
+
 from .analysis import (
     Dendrogram,
     RankingTable,
@@ -74,4 +76,3 @@ from .telemetry import (
     record_generation,
 )
 
-__version__ = "0.1.0"

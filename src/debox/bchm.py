@@ -15,7 +15,7 @@ Method ids used in configs and CSV output:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -197,7 +197,7 @@ def fit_beta_params(stats: PopulationStats, bounds: Bounds,
         alpha_i = m_i * (m_i*(1 - m_i)/v_i - 1),   beta_i = alpha_i*(1 - m_i)/m_i.
     """
     width = bounds.width
-    m = np.clip((stats.mean - bounds.lower) / width, epsilon, 1.0 - epsilon)
+    m = _clip((stats.mean - bounds.lower) / width, epsilon, 1.0 - epsilon)
     v = stats.variance / width**2
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = m * (m * (1.0 - m) / v - 1.0)
@@ -229,10 +229,10 @@ def beta_correct(
     use_beta = ~params.fallback_mask[cols]
     lo, hi = bounds.lower[cols], bounds.upper[cols]
     values = np.empty(k)
-    if use_beta.any():
+    if np.logical_or.reduce(use_beta):
         draws = rng.beta(params.alpha[cols[use_beta]], params.beta[cols[use_beta]])
         values[use_beta] = lo[use_beta] + draws * (hi[use_beta] - lo[use_beta])
-    if (~use_beta).any():
+    if not np.logical_and.reduce(use_beta):
         values[~use_beta] = rng.uniform(lo[~use_beta], hi[~use_beta])
     corrected[mask] = _clip(values, lo, hi)
     return CorrectionOutcome(corrected, components_corrected=k)
@@ -290,13 +290,13 @@ def vector_alpha(y, R, bounds: Bounds) -> float | np.ndarray:
     R = np.asarray(R, dtype=float)
     below, above = _masks(y, bounds)
     violated = np.logical_or(below, above)
-    if (violated & (R == y)).any():
+    if np.logical_or.reduce(violated & (R == y), axis=None):
         raise ValueError("degenerate reference")
     with np.errstate(divide="ignore", invalid="ignore"):
         lo_ratio = (R - bounds.lower) / (R - y)
         hi_ratio = (bounds.upper - R) / (y - R)
     alpha_i = np.where(above, hi_ratio, np.where(below, lo_ratio, 1.0))
-    alpha = _clip(alpha_i.min(axis=-1), 0.0, 1.0)
+    alpha = _clip(np.minimum.reduce(alpha_i, axis=-1), 0.0, 1.0)
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
@@ -428,9 +428,10 @@ def adaptive_correct(
     picks = adaptive_select(state, rng, size=len(batch))
     corrected = np.empty_like(batch)
     for k, method in enumerate(state.pool):
-        rows = picks == k
-        if rows.any():
-            group = replace(ctx, target=_group(ctx.target, rows), pbest=_group(ctx.pbest, rows))
+        rows = (picks == k).nonzero()[0]
+        if rows.size:
+            group = CorrectionContext(ctx.bounds, _group(ctx.target, rows), _group(ctx.pbest, rows),
+                                      ctx.population_mean, ctx.stats, ctx.beta_epsilon)
             corrected[rows] = correct(method, batch[rows], group, rng).vector
     changed = np.count_nonzero(corrected != batch)
     if y.ndim == 1:

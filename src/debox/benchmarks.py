@@ -52,18 +52,18 @@ OFFSET_RANGE = 100.0  # f* ~ U[-100, 100]
 # ---------------------------------------------------------------------------
 
 def _raw_sphere(z: np.ndarray) -> np.ndarray:
-    return np.sum(z * z, axis=-1)
+    return np.add.reduce(z * z, axis=-1)
 
 
 def _raw_separable_ellipsoid(z: np.ndarray) -> np.ndarray:
     n = z.shape[-1]
     exponents = 6.0 * np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
-    return np.sum(10.0**exponents * z * z, axis=-1)
+    return np.add.reduce(10.0**exponents * z * z, axis=-1)
 
 
 def _raw_rastrigin(z: np.ndarray) -> np.ndarray:
     n = z.shape[-1]
-    return 10.0 * (n - np.sum(np.cos(2.0 * np.pi * z), axis=-1)) + np.sum(z * z, axis=-1)
+    return 10.0 * (n - np.add.reduce(np.cos(2.0 * np.pi * z), axis=-1)) + np.add.reduce(z * z, axis=-1)
 
 
 def _raw_rosenbrock(z: np.ndarray) -> np.ndarray:
@@ -71,13 +71,13 @@ def _raw_rosenbrock(z: np.ndarray) -> np.ndarray:
     # on w = z + 1 moves that optimum to z = 0 so the stored x* stays exact
     w = z + 1.0
     head, tail = w[..., :-1], w[..., 1:]
-    return np.sum(100.0 * (head**2 - tail) ** 2 + (head - 1.0) ** 2, axis=-1)
+    return np.add.reduce(100.0 * (head**2 - tail) ** 2 + (head - 1.0) ** 2, axis=-1)
 
 
 def _raw_different_powers(z: np.ndarray) -> np.ndarray:
     n = z.shape[-1]
     exponents = 2.0 + (4.0 * np.arange(n) / (n - 1) if n > 1 else np.zeros(1))
-    return np.sum(np.abs(z) ** exponents, axis=-1)
+    return np.add.reduce(np.abs(z) ** exponents, axis=-1)
 
 
 def raw_linear_slope(x: np.ndarray, x_star: np.ndarray, bounds: Bounds | None = None) -> np.ndarray:
@@ -91,9 +91,9 @@ def raw_linear_slope(x: np.ndarray, x_star: np.ndarray, bounds: Bounds | None = 
     x_star = np.asarray(x_star, dtype=float)
     if bounds is None:
         bounds = Bounds.symmetric(BOX_HALF_WIDTH, x_star.size)
-    if not ((x_star == bounds.lower) | (x_star == bounds.upper)).all():
+    if not np.logical_and.reduce((x_star == bounds.lower) | (x_star == bounds.upper)):
         raise ValueError("linear slope requires corner optimum")
-    return np.sum(_slope_weights(x_star.size) * (x_star - x) * np.sign(x_star), axis=-1)
+    return np.add.reduce(_slope_weights(x_star.size) * (x_star - x) * np.sign(x_star), axis=-1)
 
 
 @functools.lru_cache(maxsize=None)

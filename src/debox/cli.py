@@ -22,13 +22,14 @@ import importlib
 import itertools
 import json
 import os
+import platform
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import analysis, benchmarks, telemetry
+from . import __version__, analysis, benchmarks, telemetry
 from .bchm import METHOD_IDS
 from .core import stable_key
 from .engine import BUDGET_PER_DIMENSION, ClassicDEParams, RunConfig, ShadeParams, run
@@ -85,7 +86,8 @@ _GRID = {"functions": "function", "instances": "instance", "dimensions": "dimens
          "modes": "mode", "engines": "engine", "bchms": "bchm"}
 
 #: run keys a sweep sets once for all its cells
-_SHARED = ("budget_multiplier", "count_infeasible_evals", "classic", "shade", "plugin_modules")
+_SHARED = ("budget_multiplier", "count_infeasible_evals", "target_error", "classic", "shade",
+           "plugin_modules")
 
 _SWEEP_SCHEMA = {
     **{key: (list[_RUN_SCHEMA[cell_key][0]], _REQUIRED) for key, cell_key in _GRID.items()},
@@ -184,6 +186,12 @@ def _resolve_run(data, schema: dict = _RUN_SCHEMA) -> dict:
     elif resolved["budget"] is None:
         resolved["budget"] = resolved["budget_multiplier"] * resolved["dimension"]
     errors += _run_config(resolved, None).validation_errors()
+    if not errors and resolved["target_error"] is not None:
+        # the one check that needs the problem itself, made only when a target is set
+        problem = benchmarks.create_problem(function, resolved["instance"], resolved["dimension"],
+                                            resolved["mode"])
+        if getattr(problem, "optimum_value", None) is None:
+            errors.append("target_error (problem has no known optimum value)")
     if errors:
         raise ConfigError(errors)
     return resolved
@@ -214,9 +222,14 @@ def _execute_run(resolved: dict, out_dir: str, stem: str) -> dict:
         "wall_time_seconds": result.wall_time_seconds,
         "stop_reason": result.stop_reason,
         "phase_seconds": result.phase_seconds,
+        "versions": _VERSIONS,
     }
     telemetry.write_run_summary(json_path, summary)
     return summary
+
+
+#: the versions a run's random stream and results depend on, recorded in every summary
+_VERSIONS = {"debox": __version__, "numpy": np.__version__, "python": platform.python_version()}
 
 
 def _run_stem(resolved: dict) -> str:
@@ -336,6 +349,15 @@ def _load_manifest(path: str) -> tuple[dict, str]:
     return manifest, os.path.dirname(os.path.abspath(path))
 
 
+def _read_artifact(read, base: str, relative: str):
+    """``read`` of the run artifact at ``relative`` to the manifest; a file
+    that does not parse is an error that names it."""
+    try:
+        return read(os.path.join(base, relative))
+    except ValueError as exc:
+        raise ValueError(f"{relative}: {exc}") from exc
+
+
 def _check_complete(manifest: dict, base: str) -> list[str]:
     missing = []
     for entry in manifest["cells"]:
@@ -369,7 +391,7 @@ def cmd_classify(args) -> int:
     rows = []
     groups: dict[tuple, list[dict]] = {}
     for entry in manifest["cells"]:
-        summary = telemetry.read_run_summary(os.path.join(base, entry["summary_json"]))
+        summary = _read_artifact(telemetry.read_run_summary, base, entry["summary_json"])
         record = dict(entry)
         record["class"] = summary["behaviour_class"]
         record["final_error"] = summary["final_error"]
@@ -432,7 +454,7 @@ def cmd_cluster(args) -> int:
     label_key = {"bchm": "bchm", "function": "function"}[args.label_by]
     runs_by_label: dict[str, list] = {}
     for entry in manifest["cells"]:
-        columns = telemetry.read_trajectory_csv(os.path.join(base, entry["trajectory_csv"]))
+        columns = _read_artifact(telemetry.read_trajectory_csv, base, entry["trajectory_csv"])
         runs_by_label.setdefault(str(entry[label_key]), []).append(columns)
 
     for metric in metrics:
@@ -475,7 +497,7 @@ def cmd_rank(args) -> int:
 
     errors: dict[tuple[str, str], list[float]] = {}
     for entry in manifest["cells"]:
-        summary = telemetry.read_run_summary(os.path.join(base, entry["summary_json"]))
+        summary = _read_artifact(telemetry.read_run_summary, base, entry["summary_json"])
         if summary["final_error"] is None:
             continue
         errors.setdefault((entry["function"], entry["bchm"]), []).append(summary["final_error"])

@@ -65,7 +65,7 @@ class Bounds:
     def contains(self, x: np.ndarray) -> np.ndarray | bool:
         """Closed-box membership; reduces over the last (component) axis."""
         x = np.asarray(x, dtype=float)
-        inside = ((x >= self.lower) & (x <= self.upper)).all(axis=-1)
+        inside = np.logical_and.reduce((x >= self.lower) & (x <= self.upper), axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
     def clip(self, x: np.ndarray) -> np.ndarray:
@@ -90,7 +90,9 @@ class Population:
     stats: PopulationStats | None = None
 
     def __post_init__(self) -> None:
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
+        self.positions = np.asarray(self.positions, dtype=float)
+        if self.positions.ndim != 2:
+            self.positions = np.atleast_2d(self.positions)
         self.fitness = np.asarray(self.fitness, dtype=float).ravel()
         if self.positions.shape[0] != self.fitness.size:
             raise ValueError("positions and fitness must have matching leading size")
@@ -124,9 +126,9 @@ def population_stats(pop: Population) -> PopulationStats:
         raise ValueError("empty population")
     # the operations ndarray.mean and ndarray.var perform along axis 0, with
     # the mean computed once; the results are bit-identical to theirs
-    mean = pop.positions.sum(axis=0) / pop.size
+    mean = np.add.reduce(pop.positions, axis=0) / pop.size
     deviation = pop.positions - mean
-    variance = (deviation * deviation).sum(axis=0) / pop.size  # biased 1/N formula
+    variance = np.add.reduce(deviation * deviation, axis=0) / pop.size  # biased 1/N formula
     return PopulationStats(mean=mean, variance=variance)
 
 
@@ -200,7 +202,7 @@ class RngStream:
 
 def _anywhere(compare, a, b) -> bool:
     """Whether ``compare(a, b)`` holds for any element: a plain comparison
-    when both are Python numbers, ``np.any`` over the broadcast otherwise."""
+    when both are Python numbers, a reduction over the broadcast otherwise."""
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         return compare(a, b)
-    return bool(np.any(compare(np.asarray(a), b)))
+    return bool(np.logical_or.reduce(compare(np.asarray(a), b), axis=None))

@@ -9,23 +9,29 @@ lies in the closed box, so a NaN component counts as violated.  Dismissed
 trials never reach the raw landscape: they score +inf, count as infeasible
 evaluations and leave their target in place.
 
-Draw order of a generation of m trials:
+Every unit variate of a generation of m trials in dimension n comes from one
+``random`` call, sliced in this order:
 
-* L-SHADE: m memory slots, m Cauchy F (the nonpositive ones redrawn in
-  rounds), m normal CR, m p values, then one integers call for m pbest
-  ranks, m r1 and m r2 (r2 over population and archive);
-* classic: one integers call for m r1, m r2 and m r3;
-* then m i_rand and the m x n crossover units (row-major), then the repair
-  draws of the infeasible trials (see :func:`debox.bchm.adaptive_correct`);
-* L-SHADE: one unit per archive entry when the archive is trimmed.
+* L-SHADE: m memory slots, m F, m p, m pbest ranks, m r1, m r2 (r2 over
+  population and archive), then m rows of 1 + n: i_rand and the n crossover
+  units of one trial;
+* classic: m r1, m r2, m r3, then the same m rows of 1 + n.
 
-An index that must differ from the target and from the indices drawn before
-it in its row (k of them) is drawn from the limit - k free slots, then
-shifted past the row's sorted forbidden indices, which makes it exactly
-uniform over the free slots.  When the budget runs out mid-generation only
-the prefix of trials whose cumulative cost fits the remaining budget is
-repaired, evaluated and recorded; a trial costs one evaluation unless it is
-dismissed while infeasible evaluations are free.
+L-SHADE then redraws its nonpositive F in rounds (one ``random`` call per
+round) and draws its m CR in one ``normal`` call.  The repair draws of the
+infeasible trials follow (see :func:`debox.bchm.adaptive_correct`), then
+one unit per archive entry when L-SHADE trims its archive.
+
+A unit u maps to an index in [0, k) as floor(u k), uniform to within k 2^-53;
+F is the inverse Cauchy CDF loc + 0.1 tan(pi (u - 1/2)), p is
+p_lo + (p_hi - p_lo) u.  An index that must differ from the target and from
+the k - 1 indices drawn before it in its row is drawn as q over the
+limit - k free slots and shifted past the row's sorted forbidden indices
+f_0 < f_1 < ... in closed form, q + #{i : q >= f_i - i}.  When the budget
+runs out mid-generation only the prefix of trials whose cumulative cost
+fits the remaining budget is repaired, evaluated and recorded; a trial
+costs one evaluation unless it is dismissed while infeasible evaluations
+are free.
 
 L-SHADE adds success-history parameter adaptation (memory of size H storing
 weighted Lehmer means of successful F and weighted arithmetic means of
@@ -133,34 +139,35 @@ def rand1_mutant(x_r1: np.ndarray, x_r2: np.ndarray, x_r3: np.ndarray, f) -> np.
     return x_r1 + f * (x_r2 - x_r3)
 
 
-def binomial_crossover(rng: RngStream, targets: np.ndarray, mutants: np.ndarray, cr) -> np.ndarray:
+def binomial_crossover(units: np.ndarray, targets: np.ndarray, mutants: np.ndarray, cr) -> np.ndarray:
     """Row-wise exchange of components with probability cr (scalar or one per
-    row); component i_rand of each row always comes from the mutant.
-    Draw order: the m i_rand indices, then the m x n unit draws."""
+    row, as a column); component i_rand of each row always comes from the
+    mutant.  ``units`` holds one row of 1 + n unit draws per trial: i_rand =
+    floor(u n), then the n crossover units."""
     m, n = targets.shape
-    i_rand = rng.integers(n, size=m)
-    mask = rng.random((m, n)) < np.asarray(cr, dtype=float).reshape(-1, 1)
-    mask[np.arange(m), i_rand] = True
+    mask = units[:, 1:] < cr
+    mask[np.arange(m), (units[:, 0] * n).astype(np.intp)] = True
     return np.where(mask, mutants, targets)
 
 
-def sample_scale_factor(rng: RngStream, loc, scale: float = 0.1) -> np.ndarray:
-    """Cauchy(loc_i, scale) draws, one per entry of ``loc``; nonpositive
-    entries are redrawn until positive, then all are truncated at 1."""
-    loc = np.asarray(loc, dtype=float)
-    f = rng.cauchy(loc, scale, size=loc.shape)
-    redraw = np.flatnonzero(f <= 0.0)
+def sample_scale_factor(rng: RngStream, loc: np.ndarray, units: np.ndarray, scale: float = 0.1) -> np.ndarray:
+    """Cauchy(loc_i, scale) variates by the inverse CDF, one per entry of
+    ``loc`` from the matching entry of ``units``; nonpositive entries are
+    redrawn in rounds of further unit draws until positive, then all are
+    truncated at 1."""
+    f = loc + scale * np.tan(np.pi * (units - 0.5))
+    redraw = (f <= 0.0).nonzero()[0]
     while redraw.size:
-        f[redraw] = rng.cauchy(loc[redraw], scale, size=redraw.size)
-        redraw = redraw[f[redraw] <= 0.0]
+        redrawn = loc[redraw] + scale * np.tan(np.pi * (rng.random(redraw.size) - 0.5))
+        f[redraw] = redrawn
+        redraw = redraw[redrawn <= 0.0]
     return np.minimum(f, 1.0)
 
 
-def sample_crossover_rate(rng: RngStream, memory_cr, scale: float = 0.1) -> np.ndarray:
+def sample_crossover_rate(rng: RngStream, memory_cr: np.ndarray, scale: float = 0.1) -> np.ndarray:
     """Normal(M_CR_i, scale) draws clipped to [0, 1], one per entry of
-    ``memory_cr``; the terminal marker (NaN) pins CR to 0 (its draw is
-    still consumed)."""
-    memory_cr = np.asarray(memory_cr, dtype=float)
+    ``memory_cr``, in one ``normal`` call; the terminal marker (NaN) pins CR
+    to 0 (its draw is still consumed)."""
     cr = np.minimum(np.maximum(rng.normal(memory_cr, scale, size=memory_cr.shape), 0.0), 1.0)
     return np.where(np.isnan(memory_cr), 0.0, cr)
 
@@ -169,7 +176,7 @@ def lehmer_mean(values, weights) -> float:
     """Weighted Lehmer mean sum(w v^2)/sum(w v) used for the F memory."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    return float(np.sum(weights * values**2) / np.sum(weights * values))
+    return float(np.add.reduce(weights * values**2) / np.add.reduce(weights * values))
 
 
 def lpsr_target_size(state: ShadeState, evaluations_used: int) -> int:
@@ -180,26 +187,24 @@ def lpsr_target_size(state: ShadeState, evaluations_used: int) -> int:
     return int(min(max(target, n_min), state.n_init))
 
 
-def _distinct_indices(rng: RngStream, j: np.ndarray, *limits: int, lead=None) -> list[np.ndarray]:
-    """Index arrays r_1, r_2, ... drawn in one integers call: r_i lies in
+def _distinct_indices(units: np.ndarray, j: np.ndarray, *limits: int) -> list[np.ndarray]:
+    """Index arrays r_1, r_2, ... from the rows of ``units``: r_i lies in
     [0, limits[i-1]) and differs, row by row, from ``j`` and from the arrays
-    before it.  Each r_i is drawn from its limit - i free slots and shifted
-    past the row's forbidden indices in increasing order.  ``lead`` holds the
-    per-row bounds of a plain draw [0, lead) that shares the call and comes first.
-    """
-    highs = np.repeat([limit - i for i, limit in enumerate(limits, start=1)], j.size)
-    draws = list(rng.integers(highs if lead is None else np.concatenate([lead, highs])).reshape(-1, j.size))
-    picked = [draws.pop(0)] if lead is not None else []
-    ascending = [j]  # each row's forbidden indices, in increasing order
-    for picks in draws:
-        for forbidden in ascending:
-            picks += picks >= forbidden
-        picked.append(picks)
-        merged = []
-        for forbidden in ascending:  # insert picks, one compare-exchange per entry
-            merged.append(np.minimum(forbidden, picks))
-            picks = np.maximum(forbidden, picks)
-        ascending = merged + [picks]
+    before it.  r_i is floor(u (limit - i)) over its free slots, shifted past
+    the row's forbidden indices f_0 < f_1 < ... as q + #{k : q >= f_k - k}."""
+    picked, ascending = [], [j]  # each row's forbidden indices, in increasing order
+    for u, limit in zip(units, limits):
+        q = (u * (limit - len(ascending))).astype(np.intp)
+        r = q + (q >= ascending[0])
+        for k in range(1, len(ascending)):
+            r += q >= ascending[k] - k
+        picked.append(r)
+        if len(picked) < len(limits):
+            merged = []
+            for forbidden in ascending:  # insert r, one compare-exchange per entry
+                merged.append(np.minimum(forbidden, r))
+                r = np.maximum(forbidden, r)
+            ascending = merged + [r]
     return picked
 
 
@@ -233,32 +238,33 @@ class _PhaseClock:
         self.last = now
 
 
-def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, bchm: str, problem,
-                rng: RngStream, records: list, adaptive_state: AdaptiveState | None,
+def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, units: np.ndarray, bchm: str,
+                problem, rng: RngStream, records: list, adaptive_state: AdaptiveState | None,
                 budget: int | None, beta_epsilon: float, clock: _PhaseClock, adapt=None) -> Population:
     """Crossover, budget prefix, batch repair, batch evaluation, greedy
     selection and the telemetry record of one generation.
 
-    ``pbest`` is one vector (classic) or one row per trial (L-SHADE).
+    ``pbest`` is one vector (classic) or one row per trial (L-SHADE);
+    ``units`` holds the crossover rows of the generation's unit block.
     ``adapt(trial_fitness, positions, fitness)`` sees the fitness of the
     evaluated prefix and the selected population, and returns the population
     that carries over (L-SHADE's memory, archive and size reduction).
     """
     x, fitness = pop.positions, pop.fitness
-    trials = binomial_crossover(rng, x, mutants, cr)
+    trials = binomial_crossover(units, x, mutants, cr)
     clock.lap(VARIATION)
     bounds = problem.bounds
     # the one violation mask of the generation, with Bounds.contains semantics
     outside = ~((trials >= bounds.lower) & (trials <= bounds.upper))
-    infeasible = outside.any(axis=1)
+    infeasible = np.logical_or.reduce(outside, axis=1)
     if budget is not None and budget - problem.budget_consumed < len(trials):
         # a trial costs one evaluation unless it is dismissed while infeasible ones are free
         cost = ~infeasible | (bchm != "dismiss") | bool(problem.count_infeasible_evals)
-        kept = int(np.count_nonzero(np.cumsum(cost) - cost < budget - problem.budget_consumed))
+        kept = int(np.count_nonzero(cost.cumsum() - cost < budget - problem.budget_consumed))
         trials, outside, infeasible = trials[:kept], outside[:kept], infeasible[:kept]
 
     repaired, dismissed, picks = trials, None, None
-    rows = np.flatnonzero(infeasible)
+    rows = infeasible.nonzero()[0]
     if rows.size:
         stats = pop.stats if pop.stats is not None else population_stats(pop)
         ctx = CorrectionContext(bounds=bounds, target=x[rows], population_mean=stats.mean, stats=stats,
@@ -294,7 +300,7 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, bch
     records.append(telemetry.record_generation(
         next_pop.generation, trials, next_pop, problem, corrections_applied=rows.size,
         adaptive_probabilities=None if adaptive_state is None else adaptive_state.probabilities,
-        stats=next_pop.stats, outside=outside,
+        stats=next_pop.stats, outside=outside, infeasible=infeasible,
     ))
     clock.lap(TELEMETRY)
     return next_pop
@@ -315,14 +321,16 @@ def classic_generation(pop: Population, params: ClassicDEParams, bchm: str, prob
     ``clock`` accumulates the seconds of each phase.
     """
     clock = clock if clock is not None else _PhaseClock()
-    n_pop = pop.size
-    if n_pop < 4:
+    m, n = pop.positions.shape
+    if m < 4:
         raise ValueError("classic DE needs a population of at least 4")
     x = pop.positions
-    r1, r2, r3 = _distinct_indices(rng, np.arange(n_pop), n_pop, n_pop, n_pop)
+    units = rng.random(m * (4 + n))
+    index_units, crossover_units = units[:3 * m].reshape(3, m), units[3 * m:].reshape(m, 1 + n)
+    r1, r2, r3 = _distinct_indices(index_units, np.arange(m), m, m, m)
     mutants = rand1_mutant(x[r1], x[r2], x[r3], params.scale_factor)
-    return _generation(pop, mutants, params.crossover_rate, x[pop.best_index], bchm, problem, rng,
-                       records, adaptive_state, budget, beta_epsilon, clock)
+    return _generation(pop, mutants, params.crossover_rate, x[pop.best_index], crossover_units, bchm, problem,
+                       rng, records, adaptive_state, budget, beta_epsilon, clock)
 
 
 def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rng: RngStream, records: list,
@@ -332,67 +340,63 @@ def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rn
     """One L-SHADE generation: current-to-pbest/1/bin with memories, archive
     and (optionally) linear population size reduction."""
     clock = clock if clock is not None else _PhaseClock()
-    n_pop = pop.size
     x, fitness = pop.positions, pop.fitness
-    slots = rng.integers(state.memory_f.size, size=n_pop)
-    f = sample_scale_factor(rng, state.memory_f[slots])
+    m, n = x.shape
+    units = rng.random(m * (7 + n))
+    slot_u, f_u, p_u, rank_u = units[:4 * m].reshape(4, m)
+    slots = (slot_u * state.memory_f.size).astype(np.intp)
+    f = sample_scale_factor(rng, state.memory_f[slots], f_u)
     cr = sample_crossover_rate(rng, state.memory_cr[slots])
-    p_lo = 2.0 / n_pop
-    p = rng.uniform(p_lo, max(p_lo, state.params.p_max), size=n_pop)
-    k_best = np.maximum(2, np.ceil(p * n_pop).astype(int))
+    p_lo = 2.0 / m
+    p = p_lo + (max(p_lo, state.params.p_max) - p_lo) * p_u  # Generator.uniform, bit for bit
+    rank = (rank_u * np.ceil(p * m)).astype(np.intp)  # p >= 2/m, so ceil(p m) >= 2
     donors = np.concatenate([x, state.archive]) if len(state.archive) else x
-    rank, r1, r2 = _distinct_indices(rng, np.arange(n_pop), n_pop, len(donors), lead=k_best)
-    pbest = x[np.argsort(fitness, kind="stable")[rank]]
-    f_col = f[:, None]
-    mutants = x + f_col * (pbest - x) + f_col * (x[r1] - donors[r2])
+    r1, r2 = _distinct_indices(units[4 * m:6 * m].reshape(2, m), np.arange(m), m, len(donors))
+    pbest = x[fitness.argsort(kind="stable")[rank]]
+    mutants = x + f[:, None] * (pbest - x + x[r1] - donors[r2])
 
     def adapt(trial_fitness, positions, new_fitness):
-        kept = len(trial_fitness)
-        better = trial_fitness < fitness[:kept]
-        if better.any():
-            state.archive = np.concatenate([state.archive, x[:kept][better]])
-            improvements = fitness[:kept][better] - trial_fitness[better]
-            _update_memories(state, f[:kept][better], cr[:kept][better], improvements)
+        better = (trial_fitness < fitness[:len(trial_fitness)]).nonzero()[0]
+        if better.size:
+            state.archive = np.concatenate([state.archive, x[better]])
+            _update_memories(state, f[better], cr[better], fitness[better] - trial_fitness[better])
         if state.params.reduction_enabled:
             target_size = lpsr_target_size(state, problem.budget_consumed)
-            if target_size < n_pop:
-                keep = np.sort(np.argsort(new_fitness, kind="stable")[:target_size])
+            if target_size < m:
+                keep = new_fitness.argsort(kind="stable")[:target_size]
+                keep.sort()
                 positions, new_fitness = positions[keep], new_fitness[keep]
         _trim_archive(state, len(positions), rng)
         return positions, new_fitness
 
-    next_pop = _generation(pop, mutants, cr, pbest, bchm, problem, rng, records, adaptive_state, budget,
-                           beta_epsilon, clock, adapt)
+    next_pop = _generation(pop, mutants, cr[:, None], pbest, units[6 * m:].reshape(m, 1 + n), bchm, problem,
+                           rng, records, adaptive_state, budget, beta_epsilon, clock, adapt)
     return next_pop, state
 
 
 def _trim_archive(state: ShadeState, population_size: int, rng: RngStream) -> None:
-    """Drop uniformly chosen archive entries down to the capacity."""
+    """Drop uniformly chosen archive entries down to the capacity; the survivors keep no order."""
     excess = len(state.archive) - state.current_archive_capacity(population_size)
     if excess > 0:
-        survivors = np.sort(np.argsort(rng.random(len(state.archive)))[excess:])
-        state.archive = state.archive[survivors]
+        state.archive = state.archive[rng.random(len(state.archive)).argsort()[excess:]]
 
 
 def _update_memories(state: ShadeState, successful_f, successful_cr, improvements) -> None:
     """Write one memory slot from this generation's successful parameters."""
-    if not successful_f.size:
-        return
-    weights = improvements
-    total = weights.sum()
+    weights, total = improvements, np.add.reduce(improvements)
     if total == np.inf:
         # improvements over +inf targets (NaN objective values) share the weight
         weights = np.isinf(weights).astype(float)
-        total = weights.sum()
+        total = np.add.reduce(weights)
     if total <= 0.0:
         return
     weights = weights / total
     k = state.memory_index
     state.memory_f[k] = lehmer_mean(successful_f, weights)
-    if np.isnan(state.memory_cr[k]) or successful_cr.max() == 0.0:
+    if np.isnan(state.memory_cr[k]) or np.maximum.reduce(successful_cr) == 0.0:
         state.memory_cr[k] = np.nan  # terminal: CR stays pinned at 0 for this slot
     else:
-        state.memory_cr[k] = float(np.sum(weights * successful_cr))
+        state.memory_cr[k] = float(np.add.reduce(weights * successful_cr))
     state.memory_index = (k + 1) % state.memory_f.size
 
 
@@ -402,7 +406,6 @@ def _update_memories(state: ShadeState, successful_f, successful_cr, improvement
 
 #: consecutive generations without budget consumption after which a run stops
 STALL_GENERATIONS = 10000
-
 
 #: the default budget, in feasible evaluations per dimension
 BUDGET_PER_DIMENSION = 10000
@@ -488,16 +491,13 @@ def run(config: RunConfig) -> RunResult:
     problem = config.problem
     problem.reset_counters()
     budget = config.resolved_budget()
-    n = problem.dimension
-    bounds = problem.bounds
 
-    root = RngStream(config.seed)
-    init_rng = root.split(0)
-    loop_rng = root.split(1)
+    root, n = RngStream(config.seed), problem.dimension
+    init_rng, loop_rng = root.split(0), root.split(1)
 
     shade_state = ShadeState.create(n, budget, config.shade) if config.engine == "lshade" else None
     n_init = config.classic.population_size if shade_state is None else shade_state.n_init
-    positions = init_rng.uniform(bounds.lower, bounds.upper, (n_init, n))
+    positions = init_rng.uniform(problem.bounds.lower, problem.bounds.upper, (n_init, n))
     fitness = _evaluate(problem, positions)
     pop = Population(positions, fitness, generation=0, evaluations_used=problem.budget_consumed)
 

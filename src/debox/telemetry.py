@@ -97,14 +97,16 @@ def record_generation(
     adaptive_probabilities=None,
     stats=None,
     outside=None,
+    infeasible=None,
 ) -> GenerationRecord:
     """Build the telemetry record for one completed generation.
 
     ``trials`` holds the raw (pre-correction) trial vectors of the
     generation, shape (M, n); the violation ratios are computed on them.  A
     component violates unless it lies in the closed box, so a NaN component
-    counts as violated.  ``outside`` is that (M, n) violation mask and
-    ``stats`` the population statistics, when the caller has them already.
+    counts as violated.  ``outside`` is that (M, n) violation mask,
+    ``infeasible`` its rows with any violation and ``stats`` the population
+    statistics, when the caller has them already.
     The population is the post-selection state.
     """
     if outside is None:
@@ -112,15 +114,17 @@ def record_generation(
         outside = ~((trials >= problem.bounds.lower) & (trials <= problem.bounds.upper))
     m = len(outside) if outside.size else 0
     if m:
+        if infeasible is None:
+            infeasible = np.logical_or.reduce(outside, axis=1)
         component_ratio = np.count_nonzero(outside) / outside.size
-        individual_ratio = np.count_nonzero(outside.any(axis=1)) / m
+        individual_ratio = np.count_nonzero(infeasible) / m
     else:
         component_ratio = 0.0
         individual_ratio = 0.0
     if stats is None:
         stats = population_stats(population)
     f_star = getattr(problem, "optimum_value", None)
-    best_error = max(float(population.fitness.min()) - f_star, 0.0) if f_star is not None else np.nan
+    best_error = max(float(np.minimum.reduce(population.fitness)) - f_star, 0.0) if f_star is not None else np.nan
     return GenerationRecord(
         generation=generation,
         feasible_evaluations=int(problem.feasible_evaluations),
@@ -128,8 +132,8 @@ def record_generation(
         best_error=best_error,
         infeasible_component_ratio=component_ratio,
         infeasible_individual_ratio=individual_ratio,
-        max_component_variance=float(stats.variance.max()),
-        mean_component_variance=float(stats.variance.sum() / stats.variance.size),  # bit-identical to mean()
+        max_component_variance=float(np.maximum.reduce(stats.variance)),
+        mean_component_variance=float(np.add.reduce(stats.variance) / stats.variance.size),  # bit-identical to mean()
         corrections_applied=int(corrections_applied),
         adaptive_probabilities=None if adaptive_probabilities is None else np.asarray(
             adaptive_probabilities, dtype=float).tolist(),
@@ -169,8 +173,12 @@ def read_trajectory_csv(path) -> dict[str, list]:
     """Read a trajectory back as a mapping column name -> list of values."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError("no header row")
         columns: dict[str, list] = {name: [] for name in reader.fieldnames}
         for row in reader:
+            if None in row or None in row.values():  # a cut or overlong line
+                raise ValueError(f"line {reader.line_num}: expected {len(reader.fieldnames)} fields")
             for name, raw in row.items():
                 if name == "adaptive_probabilities":
                     value = [float(p) for p in raw.split(";")] if raw else None

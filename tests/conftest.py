@@ -6,19 +6,21 @@ class ScriptedStream:
     """Test double for RngStream driven by queues of predetermined draws.
 
     ``units`` feeds random()/uniform() (values in [0, 1] mapped linearly for
-    uniform); ``ints`` feeds integers(); ``cauchy_values`` and
-    ``normal_values`` are returned verbatim by cauchy() and normal().  Every
+    uniform); ``normal_values`` are returned verbatim by normal().  Every
     draw takes ``size`` values (an int or a shape) from its queue, or the
     broadcast shape of the parameters when ``size`` is None; a shape () draw
-    returns a plain number.
+    returns a plain number.  ``calls`` lists the number of units each
+    random() call took, ``consumed`` their sum.
     """
 
-    def __init__(self, units=(), ints=(), cauchy_values=(), normal_values=()):
+    def __init__(self, units=(), normal_values=()):
         self.units = [float(u) for u in units]
-        self.ints = [int(i) for i in ints]
-        self.cauchy_values = [float(v) for v in cauchy_values]
         self.normal_values = [float(v) for v in normal_values]
-        self.consumed = 0
+        self.calls = []
+
+    @property
+    def consumed(self):
+        return sum(self.calls)
 
     @staticmethod
     def _shape(size, *params):
@@ -35,7 +37,7 @@ class ScriptedStream:
 
     def random(self, size=None):
         out = self._pop(self.units, "unit", self._shape(size))
-        self.consumed += np.size(out)
+        self.calls.append(np.size(out))
         return out
 
     def uniform(self, low, high, size=None):
@@ -44,13 +46,6 @@ class ScriptedStream:
         u = self.random(self._shape(size, low, high))
         out = low + (high - low) * np.asarray(u)
         return float(out) if np.ndim(out) == 0 else out
-
-    def integers(self, low, high=None, size=None):
-        params = (low,) if high is None else (low, high)
-        return self._pop(self.ints, "integer", self._shape(size, *params))
-
-    def cauchy(self, loc=0.0, scale=1.0, size=None):
-        return self._pop(self.cauchy_values, "cauchy", self._shape(size, loc, scale))
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self._pop(self.normal_values, "normal", self._shape(size, loc, scale))

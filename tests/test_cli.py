@@ -1,9 +1,12 @@
 import dataclasses
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
 
+import debox
 from debox.cli import main
 from debox.engine import RunConfig
 
@@ -133,6 +136,40 @@ class TestRunCommand:
         assert set(summary["phase_seconds"]) == {
             "variation", "repair", "evaluation", "selection_and_adaptation", "telemetry"}
         assert sum(summary["phase_seconds"].values()) <= summary["wall_time_seconds"]
+
+    def test_summary_records_versions(self, tmp_path):
+        config = write_json(tmp_path / "run.json", run_config())
+        out = tmp_path / "out"
+        main(["run", "--config", config, "--out", str(out)])
+        summary = json.loads(next(p for p in out.iterdir() if p.suffix == ".json").read_text())
+        assert summary["versions"] == {
+            "debox": debox.__version__, "numpy": np.__version__, "python": platform.python_version()}
+
+    def test_target_error_without_known_optimum_exits_2(self, tmp_path, monkeypatch, capsys):
+        module = tmp_path / "unknown_optimum.py"
+        module.write_text(
+            "import numpy as np\n"
+            "from debox.benchmarks import ExternalProblem, register_problem\n"
+            "from debox.core import Bounds\n"
+            "register_problem('no_optimum', lambda instance, dimension: ExternalProblem(\n"
+            "    name='no_optimum', dimension=dimension, bounds=Bounds.symmetric(5.0, dimension),\n"
+            "    objective=lambda x: float(np.sum(x * x))))\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        message = "config error: target_error (problem has no known optimum value)"
+        config = write_json(tmp_path / "run.json", run_config(
+            function="no_optimum", plugin_modules=["unknown_optimum"], target_error=1e-3))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "run_out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        sweep = write_json(tmp_path / "sweep.json", sweep_config(
+            functions=["no_optimum"], plugin_modules=["unknown_optimum"], target_error=1e-3))
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep_out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "run_out").exists() and not (tmp_path / "sweep_out").exists()
+        # without a target the same problem runs
+        config = write_json(tmp_path / "run.json",
+                            run_config(function="no_optimum", plugin_modules=["unknown_optimum"]))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "run_out")]) == 0
 
     def test_plugin_problem(self, tmp_path, monkeypatch):
         module = tmp_path / "my_problems.py"
@@ -277,6 +314,21 @@ class TestAnalysisCommands:
         lines = (tmp_path / "ranking.csv").read_text().splitlines()
         assert lines[0] == "method,mean_rank,rank_rastrigin,rank_sphere"
         assert len(lines) == 3  # header + 2 methods
+
+    def test_broken_artifact_exits_1_naming_it(self, tmp_path, capsys):
+        config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=1))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        manifest = str(out / "manifest.json")
+        summary = sorted((out / "runs").glob("*.json"))[0]
+        trajectory = sorted((out / "runs").glob("*.csv"))[1]
+        summary.write_text(summary.read_text()[:200])
+        text = trajectory.read_text()
+        trajectory.write_text(text[: len(text) // 2])
+        for command, broken in (("classify", summary), ("rank", summary), ("cluster", trajectory)):
+            assert main([command, "--manifest", manifest, "--out", str(tmp_path / command)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: runs/{broken.name}: "), (command, err)
 
     def test_missing_trajectory_exits_1_listing_gap(self, sweep_output, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.stats import chi2
+from scipy.stats import binomtest, cauchy, chi2, kstest, norm
 
 import hashlib
 from collections import Counter
@@ -64,36 +64,42 @@ def noise_problem(dimension=5):
 
 
 class TestBuildingBlocks:
+    P_THRESHOLD = 1e-3  # of the two distribution tests, fixed before their first run
+
     def test_rand1_mutant_hand_value(self):
         mutant = rand1_mutant(np.array([1.0]), np.array([2.0]), np.array([0.5]), 0.5)
         assert_allclose(mutant, [1.75])
 
-    def test_crossover_high_cr_takes_whole_mutant(self, scripted):
-        stream = scripted(units=[0.5, 0.5, 0.5], ints=[1])
-        trial = binomial_crossover(stream, np.zeros((1, 3)), np.ones((1, 3)), cr=0.999999)
+    def test_crossover_high_cr_takes_whole_mutant(self):
+        # one row: the i_rand unit (floor(0.5 * 3) = 1), then the crossover units
+        units = np.array([[0.5, 0.5, 0.5, 0.5]])
+        trial = binomial_crossover(units, np.zeros((1, 3)), np.ones((1, 3)), cr=0.999999)
         assert_allclose(trial, [[1.0, 1.0, 1.0]])
 
-    def test_crossover_zero_cr_forces_single_mutant_component(self, scripted):
-        stream = scripted(units=[0.5] * 6, ints=[2, 0])
-        trial = binomial_crossover(stream, np.zeros((2, 3)), np.ones((2, 3)), cr=0.0)
+    def test_crossover_zero_cr_forces_single_mutant_component(self):
+        # i_rand = floor(0.7 * 3) = 2 and floor(0.1 * 3) = 0
+        units = np.array([[0.7, 0.5, 0.5, 0.5], [0.1, 0.5, 0.5, 0.5]])
+        trial = binomial_crossover(units, np.zeros((2, 3)), np.ones((2, 3)), cr=0.0)
         assert_allclose(trial, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
 
-    def test_crossover_rate_per_row(self, scripted):
-        # i_rand draws come first (one per row), then the units row by row
-        stream = scripted(units=[0.1, 0.6, 0.9, 0.1, 0.6, 0.9], ints=[0, 0])
-        trial = binomial_crossover(stream, np.zeros((2, 3)), np.ones((2, 3)), cr=np.array([0.5, 0.95]))
+    def test_crossover_rate_per_row(self):
+        # each row: its i_rand unit, then its crossover units; cr is one column
+        units = np.array([[0.0, 0.1, 0.6, 0.9], [0.0, 0.1, 0.6, 0.9]])
+        trial = binomial_crossover(units, np.zeros((2, 3)), np.ones((2, 3)), cr=np.array([[0.5], [0.95]]))
         assert_allclose(trial, [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        assert stream.units == [] and stream.ints == []
 
     def test_scale_factor_truncated_at_one(self, scripted):
-        f = sample_scale_factor(scripted(cauchy_values=[1.7, 0.3]), np.array([0.5, 0.5]))
-        assert_allclose(f, [1.0, 0.3])
+        # F = loc + 0.1 tan(pi (u - 1/2)): u = 3/4 gives loc + 0.1, u = 1/4 gives loc - 0.1
+        f = sample_scale_factor(scripted(), np.array([0.95, 0.5]), np.array([0.75, 0.25]))
+        assert_allclose(f, [1.0, 0.4])
 
     def test_scale_factor_resampled_while_nonpositive(self, scripted):
-        # rows still nonpositive are redrawn together, in rounds
-        stream = scripted(cauchy_values=[-0.4, 0.2, 0.0, 0.6, 0.7])
-        assert_allclose(sample_scale_factor(stream, np.array([0.5, 0.5, 0.5])), [0.6, 0.2, 0.7])
-        assert stream.cauchy_values == []
+        # rows 0 and 2 start at 0.05 - 0.1 <= 0 and are redrawn together; row 2
+        # is nonpositive again and is redrawn alone in a second round
+        stream = scripted(units=[0.75, 0.25, 0.5])
+        f = sample_scale_factor(stream, np.array([0.05, 0.5, 0.05]), np.array([0.25, 0.75, 0.25]))
+        assert_allclose(f, [0.15, 0.6, 0.05])
+        assert stream.units == [] and stream.calls == [2, 1]
 
     def test_crossover_rate_terminal_marker(self, scripted):
         stream = scripted(normal_values=[0.4, 0.7])
@@ -103,6 +109,25 @@ class TestBuildingBlocks:
     def test_crossover_rate_clipped(self, scripted):
         cr = sample_crossover_rate(scripted(normal_values=[1.4, -0.2]), np.array([0.9, 0.1]))
         assert_allclose(cr, [1.0, 0.0])
+
+    def test_scale_factor_follows_cauchy_before_truncation(self):
+        rng = RngStream(23)
+        k, loc = 20_000, 0.5
+        f = sample_scale_factor(rng, np.full(k, loc), rng.random(k))
+        law = cauchy(loc, 0.1)
+        at_zero, at_one = law.cdf(0.0), law.cdf(1.0)
+        # redrawn while nonpositive: below the truncation point F is Cauchy(loc, 0.1) given F in (0, 1)
+        below = f[f < 1.0]
+        assert kstest(below, lambda v: (law.cdf(v) - at_zero) / (at_one - at_zero)).pvalue >= self.P_THRESHOLD
+        # and the share truncated at 1 is P(F >= 1 | F > 0)
+        share = (1.0 - at_one) / (1.0 - at_zero)
+        assert binomtest(k - below.size, k, share).pvalue >= self.P_THRESHOLD
+        assert below.min() > 0.0 and np.all(f[f >= 1.0] == 1.0)
+
+    def test_crossover_rate_follows_normal_before_clipping(self):
+        # at M_CR = 0.5 clipping to [0, 1] is five standard deviations away
+        cr = sample_crossover_rate(RngStream(29), np.full(20_000, 0.5))
+        assert kstest(cr, norm(0.5, 0.1).cdf).pvalue >= self.P_THRESHOLD
 
     def test_lehmer_mean_hand_value(self):
         assert lehmer_mean([0.5, 1.0], [0.5, 0.5]) == pytest.approx(0.625 / 0.75, abs=1e-12)
@@ -169,23 +194,30 @@ class TestShadeMemory:
 
 
 class CountingStream(RngStream):
-    """An RngStream that counts its integers calls and the integers they draw."""
+    """An RngStream that logs each draw call as (method, values drawn)."""
 
     def __init__(self, seed):
         super().__init__(seed)
-        self.integer_calls = 0
-        self.integers_drawn = 0
+        self.log = []
 
-    def integers(self, low, high=None, size=None):
-        out = super().integers(low, high, size)
-        self.integer_calls += 1
-        self.integers_drawn += np.size(out)
+
+def _logged(name):
+    def draw(self, *args, **kwargs):
+        out = getattr(RngStream, name)(self, *args, **kwargs)
+        self.log.append((name, np.array(out, copy=True)))
         return out
+
+    return draw
+
+
+for _name in ("random", "uniform", "normal", "cauchy", "beta", "integers"):
+    setattr(CountingStream, _name, _logged(_name))
 
 
 class TestIndexDraws:
-    """Index draws without rejection: one integers call, shifted past the
-    forbidden indices, exactly uniform over the free slots."""
+    """Index draws from unit variates: floor(u k) over the k free slots,
+    shifted past the forbidden indices in closed form, uniform over the free
+    slots."""
 
     N, ARCHIVE, CALLS = 5, 3, 4000
     P_THRESHOLD = 1e-3  # fixed before the test was first run
@@ -193,17 +225,14 @@ class TestIndexDraws:
     @pytest.fixture(scope="class")
     def sample(self):
         """(name, forbidden arrays, picks, limit) for each forbidden-set shape the engines use."""
-        rng = CountingStream(17)
+        rng = RngStream(17)
         j = np.tile(np.arange(self.N), self.CALLS)
-        classic, lshade = [], []
+        classic, lshade, target = [], [], np.arange(self.N)
         for _ in range(self.CALLS):
-            classic.append(_distinct_indices(rng, np.arange(self.N), self.N, self.N, self.N))
-            lead = np.full(self.N, 2)
-            lshade.append(_distinct_indices(rng, np.arange(self.N), self.N, self.N + self.ARCHIVE, lead=lead))
-        assert rng.integer_calls == 2 * self.CALLS  # one call per engine's index arrays, no rounds
-        assert rng.integers_drawn == (3 + 3) * self.N * self.CALLS
+            classic.append(_distinct_indices(rng.random((3, self.N)), target, self.N, self.N, self.N))
+            lshade.append(_distinct_indices(rng.random((2, self.N)), target, self.N, self.N + self.ARCHIVE))
         r1, r2, r3 = (np.concatenate(a) for a in zip(*classic))
-        _, s1, s2 = (np.concatenate(a) for a in zip(*lshade))
+        s1, s2 = (np.concatenate(a) for a in zip(*lshade))
         return [
             ("{j}", [j], r1, self.N),
             ("{j, r1}", [j, r1], r2, self.N),
@@ -229,19 +258,37 @@ class TestIndexDraws:
             p = chi2.sf(statistic, len(groups) * (free - 1))
             assert p >= self.P_THRESHOLD, f"{name}: chi-square p = {p:.2e}"
 
-    def test_one_integers_call_per_generation_for_the_indices(self):
+
+class TestDrawBlock:
+    """Every unit variate of a generation comes from one random call; L-SHADE
+    adds one normal call for CR and a random call per F redraw round."""
+
+    def test_draw_calls_per_generation(self):
         problem = centered_problem(dimension=3)
         rng = CountingStream(5)
         positions = rng.uniform(-5, 5, (12, 3))
         pop = Population(positions, problem.evaluate_batch(positions))
+        rng.log.clear()
         classic_generation(pop, ClassicDEParams(population_size=12), "sat", problem, rng, [])
-        assert (rng.integer_calls, rng.integers_drawn) == (2, 3 * 12 + 12)  # r1/r2/r3, then i_rand
-        rng = CountingStream(6)
-        state = ShadeState.create(3, 1000, ShadeParams(n_init=12))
-        state.archive = rng.uniform(-5, 5, (4, 3))
-        lshade_generation(pop, state, "sat", problem, rng, [])
-        # memory slots, then pbest rank/r1/r2, then i_rand
-        assert (rng.integer_calls, rng.integers_drawn) == (3, 12 + 3 * 12 + 12)
+        assert [(name, out.size) for name, out in rng.log] == [("random", 12 * (4 + 3))]
+
+        m, with_rounds = 12, set()
+        for seed in range(20):
+            rng = CountingStream(seed)
+            # no archive trim, and sat draws nothing, so the log holds only the generation's draws
+            state = ShadeState.create(3, 1000, ShadeParams(n_init=m, archive_capacity=100))
+            rng.log.clear()
+            lshade_generation(pop, state, "sat", problem, rng, [])
+            (first, block), *rounds, (last, cr) = rng.log
+            assert (first, block.size, last, cr.size) == ("random", m * (7 + 3), "normal", m)
+            # memory F is 0.5 everywhere, so the first round redraws the F that start nonpositive
+            nonpositive = np.count_nonzero(0.5 + 0.1 * np.tan(np.pi * (block[m:2 * m] - 0.5)) <= 0.0)
+            sizes = [out.size for name, out in rounds if name == "random"]
+            assert len(sizes) == len(rounds)
+            assert sizes == sorted(sizes, reverse=True) and all(sizes)
+            assert (sizes[0] if sizes else 0) == nonpositive
+            with_rounds.add(bool(sizes))
+        assert with_rounds == {True, False}
 
 
 class TestClassicGeneration:
@@ -250,13 +297,13 @@ class TestClassicGeneration:
         positions = np.array([[4.0, 0.0], [4.5, 0.0], [0.0, 0.0], [-4.0, 0.0]])
         fitness = np.array([problem.evaluate(x) for x in positions])
         pop = Population(positions, fitness)
-        # every raw index draw is 0, the lowest free slot, so the donor triples
+        # every index unit is 0, the lowest free slot, so the donor triples
         # are r1, r2, r3 = (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2); each
         # pushes component 0 of the mutant far outside the box and i_rand = 0
         # transfers it into the trial, so all four trials are dismissed and
         # the population must survive unchanged;
-        # draw order: r1, r2, r3 and i_rand for all four rows, then the units
-        script = scripted(units=[0.9, 0.9] * 4, ints=[0] * 12 + [0, 0, 0, 0])
+        # block order: r1, r2, r3 for all four rows, then per row i_rand and the units
+        script = scripted(units=[0.0] * 12 + [0.0, 0.9, 0.9] * 4)
         params = ClassicDEParams(population_size=4, scale_factor=2.0, crossover_rate=0.5)
         records = []
         new_pop = classic_generation(pop, params, "dismiss", problem, script, records)
@@ -276,17 +323,22 @@ class TestClassicGeneration:
         r3 = [3, 0, 1, 2]
         i_rand = [0, 1, 1, 0]
         units = [0.9, 0.1, 0.2, 0.9, 0.9, 0.9, 0.1, 0.1]
-        script = scripted(
-            units=units,
-            # index draws are ranks among the row's free slots: r1 over the
-            # 3 slots other than the target, r2 over the 2 slots left, r3 over
-            # the last one; each rank steps past the sorted forbidden indices
-            ints=[0, 1, 2, 0] + [0, 1, 0, 0] + [0, 0, 0, 0] + i_rand,
-        )
+
+        def unit(rank, slots):  # the unit whose floor(u * slots) is rank
+            return (rank + 0.5) / slots
+
+        # index draws are ranks among the row's free slots: r1 over the 3
+        # slots other than the target, r2 over the 2 slots left, r3 over the
+        # last one; each rank steps past the sorted forbidden indices
+        block = ([unit(q, 3) for q in [0, 1, 2, 0]] + [unit(q, 2) for q in [0, 1, 0, 0]]
+                 + [unit(q, 1) for q in [0, 0, 0, 0]])
+        for row in range(4):
+            block += [unit(i_rand[row], 2)] + units[2 * row:2 * row + 2]
+        script = scripted(units=block)
         params = ClassicDEParams(population_size=4, scale_factor=0.5, crossover_rate=0.5)
         records = []
         new_pop = classic_generation(pop, params, "sat", problem, script, records)
-        assert script.ints == [] and script.units == []
+        assert script.units == [] and script.calls == [len(block)]
 
         mutants = positions[r1] + 0.5 * (positions[r2] - positions[r3])
         cross = np.array(units).reshape(4, 2) < 0.5
