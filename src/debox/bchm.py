@@ -4,8 +4,13 @@ Each method maps an infeasible trial vector back into the closed box (or
 discards it).  Component-wise methods touch only the violated components;
 vector-wise methods rescale the whole vector toward a feasible reference
 point.  All corrections accept either a single vector of shape (n,) or a
-batch of shape (m, n); the batch form exists because the feasibility
-guarantees are Monte-Carlo tested over millions of vectors.
+batch of shape (m, n); the engines repair a generation's infeasible trials
+as one batch, and a vector is repaired as a one-row batch would be.
+
+The component-wise methods gather the violated entries once, in row-major
+order (row by row, and by component within a row), and a method that draws
+consumes its draws in that order.  Input with a NaN or infinite component
+raises ``ValueError``: such a trial has no defined repair.
 
 Method ids used in configs and CSV output:
 
@@ -16,6 +21,7 @@ Method ids used in configs and CSV output:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,9 +68,6 @@ METHOD_IDS = (
 #: every method that actually produces a corrected vector (dismiss discards)
 CORRECTING_METHOD_IDS = tuple(m for m in METHOD_IDS if m != "dismiss")
 
-REFERENCE_CHOICES = ("target", "pbest", "midpoint")
-
-
 @dataclass(eq=False)
 class CorrectionContext:
     """Feasible reference information available at the repair point.
@@ -101,11 +104,36 @@ def _as_float_array(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2):
         raise ValueError("expected a vector (n,) or a batch (m, n)")
+    if not np.logical_and.reduce(np.isfinite(y), axis=None):
+        raise ValueError("trial vectors must be finite: NaN and inf have no repair")
     return y
 
 
-def _masks(y: np.ndarray, bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
-    return y < bounds.lower, y > bounds.upper
+class _Violations(NamedTuple):
+    """The violated entries of a trial array, in row-major order."""
+
+    y: np.ndarray  # the trial array
+    at: np.ndarray  # flat row-major index of each violated entry
+    cols: np.ndarray  # its component index
+    values: np.ndarray  # its value
+    lo: np.ndarray  # its component's lower bound
+    hi: np.ndarray  # its component's upper bound
+    below: np.ndarray  # whether it lies below ``lo`` (else above ``hi``)
+
+
+def _violations(y, bounds: Bounds) -> _Violations:
+    y = _as_float_array(y)
+    at = ((y < bounds.lower) | (y > bounds.upper)).ravel().nonzero()[0]
+    cols = at % y.shape[-1]
+    values, lo = y.ravel()[at], bounds.lower[cols]
+    return _Violations(y, at, cols, values, lo, bounds.upper[cols], values < lo)
+
+
+def _repaired(v: _Violations, repairs) -> CorrectionOutcome:
+    """The trial array with its violated entries replaced by ``repairs``."""
+    corrected = v.y.copy()
+    corrected.ravel()[v.at] = repairs  # a view: the copy is C-contiguous
+    return CorrectionOutcome(corrected, components_corrected=v.at.size)
 
 
 def _clip(y, lower, upper) -> np.ndarray:
@@ -113,14 +141,19 @@ def _clip(y, lower, upper) -> np.ndarray:
     return np.minimum(np.maximum(y, lower), upper)
 
 
+#: reference name -> the CorrectionContext field holding the reference point
+_REFERENCE_FIELDS = {"target": "target", "pbest": "pbest", "midpoint": "population_mean"}
+
+
 def resolve_reference(reference: str, ctx: CorrectionContext) -> np.ndarray:
-    if reference == "target":
-        return np.asarray(ctx.target, dtype=float)
-    if reference == "pbest":
-        return np.asarray(ctx.pbest, dtype=float)
-    if reference == "midpoint":
-        return np.asarray(ctx.population_mean, dtype=float)
-    raise ValueError(f"unknown reference {reference!r}, expected one of {REFERENCE_CHOICES}")
+    if reference not in _REFERENCE_FIELDS:
+        raise ValueError(f"unknown reference {reference!r}, expected one of {tuple(_REFERENCE_FIELDS)}")
+    return np.asarray(getattr(ctx, _REFERENCE_FIELDS[reference]), dtype=float)
+
+
+def _reference_at(R: np.ndarray, v: _Violations) -> np.ndarray:
+    """R at the violated entries; a shared (n,) reference repeats on every row."""
+    return R.ravel()[v.at % R.size]
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +163,9 @@ def resolve_reference(reference: str, ctx: CorrectionContext) -> np.ndarray:
 def saturate(y, bounds: Bounds) -> CorrectionOutcome:
     """Set each violated component on the violated bound."""
     y = _as_float_array(y)
-    below, above = _masks(y, bounds)
+    # the clip moves exactly the violated entries, each onto its bound
     corrected = _clip(y, bounds.lower, bounds.upper)
-    return CorrectionOutcome(corrected, components_corrected=np.count_nonzero(below | above))
+    return CorrectionOutcome(corrected, components_corrected=np.count_nonzero(corrected != y))
 
 
 def mirror(y, bounds: Bounds) -> CorrectionOutcome:
@@ -143,14 +176,10 @@ def mirror(y, bounds: Bounds) -> CorrectionOutcome:
     (a single reflection can itself land outside for violations larger than
     the box width).
     """
-    y = _as_float_array(y)
-    below, above = _masks(y, bounds)
-    mask = np.logical_or(below, above)
-    width2 = 2.0 * bounds.width
-    z = np.mod(y - bounds.lower, width2)
-    folded = bounds.lower + np.minimum(z, width2 - z)
-    corrected = np.where(mask, folded, y)
-    return CorrectionOutcome(corrected, components_corrected=np.count_nonzero(mask))
+    v = _violations(y, bounds)
+    width2 = 2.0 * (v.hi - v.lo)
+    z = np.mod(v.values - v.lo, width2)
+    return _repaired(v, v.lo + np.minimum(z, width2 - z))
 
 
 def uniform_resample(y, bounds: Bounds, rng: RngStream) -> CorrectionOutcome:
@@ -159,15 +188,8 @@ def uniform_resample(y, bounds: Bounds, rng: RngStream) -> CorrectionOutcome:
     Feasible components are untouched and consume no randomness; violated
     positions are redrawn in row-major order.
     """
-    y = _as_float_array(y)
-    below, above = _masks(y, bounds)
-    mask = np.logical_or(below, above)
-    corrected = y.copy()
-    k = np.count_nonzero(mask)
-    if k:
-        cols = np.nonzero(mask)[-1]
-        corrected[mask] = rng.uniform(bounds.lower[cols], bounds.upper[cols])
-    return CorrectionOutcome(corrected, components_corrected=k)
+    v = _violations(y, bounds)
+    return _repaired(v, rng.uniform(v.lo, v.hi))
 
 
 @dataclass(eq=False)
@@ -216,26 +238,17 @@ def beta_correct(
     Fallback components follow uniform resampling.  Beta draws are consumed
     first (row-major over violated positions), then uniform fallback draws.
     """
-    y = _as_float_array(y)
+    v = _violations(y, bounds)
     params = fit_beta_params(stats, bounds, epsilon)
-    below, above = _masks(y, bounds)
-    mask = np.logical_or(below, above)
-    corrected = y.copy()
-    k = np.count_nonzero(mask)
-    if k == 0:
-        return CorrectionOutcome(corrected, components_corrected=0)
-
-    cols = np.nonzero(mask)[-1]  # component index of each violated position
-    use_beta = ~params.fallback_mask[cols]
-    lo, hi = bounds.lower[cols], bounds.upper[cols]
-    values = np.empty(k)
+    use_beta = ~params.fallback_mask[v.cols]
+    fallback = ~use_beta
+    values = np.empty(v.at.size)
     if np.logical_or.reduce(use_beta):
-        draws = rng.beta(params.alpha[cols[use_beta]], params.beta[cols[use_beta]])
-        values[use_beta] = lo[use_beta] + draws * (hi[use_beta] - lo[use_beta])
-    if not np.logical_and.reduce(use_beta):
-        values[~use_beta] = rng.uniform(lo[~use_beta], hi[~use_beta])
-    corrected[mask] = _clip(values, lo, hi)
-    return CorrectionOutcome(corrected, components_corrected=k)
+        cols, lo, hi = v.cols[use_beta], v.lo[use_beta], v.hi[use_beta]
+        values[use_beta] = lo + rng.beta(params.alpha[cols], params.beta[cols]) * (hi - lo)
+    if np.logical_or.reduce(fallback):
+        values[fallback] = rng.uniform(v.lo[fallback], v.hi[fallback])
+    return _repaired(v, _clip(values, v.lo, v.hi))
 
 
 def exp_confined(
@@ -251,28 +264,14 @@ def exp_confined(
     for an upper violation; r is drawn fresh per violated component
     (row-major order).  The output lies in [a_i, R_i] resp. [R_i, b_i].
     """
-    y = _as_float_array(y)
     R = resolve_reference(reference, ctx)
-    below, above = _masks(y, bounds)
-    mask = np.logical_or(below, above)
-    corrected = y.copy()
-    k = np.count_nonzero(mask)
-    if k == 0:
-        return CorrectionOutcome(corrected, components_corrected=0)
-
-    r = np.asarray(rng.random(k), dtype=float)
-    cols = np.nonzero(mask)[-1]
-    lo, hi = bounds.lower[cols], bounds.upper[cols]
-    ref = R[mask] if R.ndim == y.ndim else R[cols]  # one reference per row, or one for all
-    is_below = below[mask]
-    values = np.empty(k)
+    v = _violations(y, bounds)
+    ref = _reference_at(R, v)
+    r = rng.random(v.at.size)
     # log1p/expm1 keep the correction strictly inside the interval for small r
-    values[is_below] = lo[is_below] - np.log1p(r[is_below] * np.expm1(lo[is_below] - ref[is_below]))
-    values[~is_below] = hi[~is_below] + np.log1p(
-        (1.0 - r[~is_below]) * np.expm1(ref[~is_below] - hi[~is_below])
-    )
-    corrected[mask] = _clip(values, lo, hi)
-    return CorrectionOutcome(corrected, components_corrected=k)
+    lower = v.lo - np.log1p(r * np.expm1(v.lo - ref))
+    upper = v.hi + np.log1p((1.0 - r) * np.expm1(ref - v.hi))
+    return _repaired(v, _clip(np.where(v.below, lower, upper), v.lo, v.hi))
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +285,13 @@ def vector_alpha(y, R, bounds: Bounds) -> float | np.ndarray:
     violations, (b_i - R_i)/(y_i - R_i) for upper violations and 1 for
     feasible components.  alpha is in [0, 1]; alpha = 1 means y is feasible.
     """
-    y = _as_float_array(y)
-    R = np.asarray(R, dtype=float)
-    below, above = _masks(y, bounds)
-    violated = np.logical_or(below, above)
-    if np.logical_or.reduce(violated & (R == y), axis=None):
+    v = _violations(y, bounds)
+    ref = _reference_at(np.asarray(R, dtype=float), v)
+    if np.logical_or.reduce(ref == v.values):
         raise ValueError("degenerate reference")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo_ratio = (R - bounds.lower) / (R - y)
-        hi_ratio = (bounds.upper - R) / (y - R)
-    alpha_i = np.where(above, hi_ratio, np.where(below, lo_ratio, 1.0))
+    alpha_i = np.ones(v.y.shape)
+    alpha_i.ravel()[v.at] = np.where(v.below, (ref - v.lo) / (ref - v.values),
+                                     (v.hi - ref) / (v.values - ref))
     alpha = _clip(np.minimum.reduce(alpha_i, axis=-1), 0.0, 1.0)
     return float(alpha) if alpha.ndim == 0 else alpha
 
@@ -448,12 +444,10 @@ def _group(reference, rows: np.ndarray):
 # dispatch
 # ---------------------------------------------------------------------------
 
-_EXP_REFERENCES = {"expTarget": "target", "expBest": "pbest", "expMidpoint": "midpoint"}
-_VECTOR_REFERENCES = {"vectorTarget": "target", "vectorBest": "pbest", "vectorMidpoint": "midpoint"}
-
-
 def correct(method_id: str, y, ctx: CorrectionContext, rng: RngStream) -> CorrectionOutcome:
     """Apply the method named by ``method_id`` to the trial vector ``y``."""
+    if method_id not in METHOD_IDS:
+        raise ValueError(f"unknown method id {method_id!r}")
     if method_id == "sat":
         return saturate(y, ctx.bounds)
     if method_id == "mirror":
@@ -464,12 +458,14 @@ def correct(method_id: str, y, ctx: CorrectionContext, rng: RngStream) -> Correc
         if ctx.stats is None:
             raise ValueError("beta correction requires population stats in the context")
         return beta_correct(y, ctx.bounds, ctx.stats, rng, ctx.beta_epsilon)
-    if method_id in _EXP_REFERENCES:
-        return exp_confined(y, ctx.bounds, _EXP_REFERENCES[method_id], ctx, rng)
-    if method_id in _VECTOR_REFERENCES:
-        return vector_correct(y, _VECTOR_REFERENCES[method_id], ctx)
     if method_id == "dismiss":
         return dismiss(y, ctx.bounds)
     if method_id == "adaptive":
         raise ValueError("the adaptive method needs state; use adaptive_correct")
-    raise ValueError(f"unknown method id {method_id!r}")
+    # the rest name a reference by suffix: expTarget, vectorBest (pbest), expMidpoint, ...
+    family = "exp" if method_id.startswith("exp") else "vector"
+    reference = method_id[len(family):].lower()
+    reference = "pbest" if reference == "best" else reference
+    if family == "exp":
+        return exp_confined(y, ctx.bounds, reference, ctx, rng)
+    return vector_correct(y, reference, ctx)

@@ -343,10 +343,20 @@ def cmd_sweep(args) -> int:
 # analysis commands
 # ---------------------------------------------------------------------------
 
-def _load_manifest(path: str) -> tuple[dict, str]:
-    with open(path) as fh:
+def _open_manifest(args) -> tuple[dict, str, str]:
+    """The manifest named by an analysis command, its directory and the
+    output directory, which is created; every run artifact it lists must
+    exist."""
+    with open(args.manifest) as fh:
         manifest = json.load(fh)
-    return manifest, os.path.dirname(os.path.abspath(path))
+    base = os.path.dirname(os.path.abspath(args.manifest))
+    missing = [entry[key] for entry in manifest["cells"] for key in ("trajectory_csv", "summary_json")
+               if not os.path.exists(os.path.join(base, entry[key]))]
+    if missing:
+        raise FileNotFoundError("missing run artifacts:\n" + "\n".join(f"  {path}" for path in missing))
+    out_dir = args.out or base
+    os.makedirs(out_dir, exist_ok=True)
+    return manifest, base, out_dir
 
 
 def _read_artifact(read, base: str, relative: str):
@@ -356,16 +366,6 @@ def _read_artifact(read, base: str, relative: str):
         return read(os.path.join(base, relative))
     except ValueError as exc:
         raise ValueError(f"{relative}: {exc}") from exc
-
-
-def _check_complete(manifest: dict, base: str) -> list[str]:
-    missing = []
-    for entry in manifest["cells"]:
-        for key in ("trajectory_csv", "summary_json"):
-            path = os.path.join(base, entry[key])
-            if not os.path.exists(path):
-                missing.append(entry[key])
-    return missing
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -378,15 +378,7 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_classify(args) -> int:
-    manifest, base = _load_manifest(args.manifest)
-    missing = _check_complete(manifest, base)
-    if missing:
-        print("missing run artifacts:", file=sys.stderr)
-        for path in missing:
-            print(f"  {path}", file=sys.stderr)
-        return 1
-    out_dir = args.out or base
-    os.makedirs(out_dir, exist_ok=True)
+    manifest, base, out_dir = _open_manifest(args)
 
     rows = []
     groups: dict[tuple, list[dict]] = {}
@@ -440,22 +432,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    manifest, base = _load_manifest(args.manifest)
-    missing = _check_complete(manifest, base)
-    if missing:
-        print("missing run artifacts:", file=sys.stderr)
-        for path in missing:
-            print(f"  {path}", file=sys.stderr)
-        return 1
-    out_dir = args.out or base
-    os.makedirs(out_dir, exist_ok=True)
+    manifest, base, out_dir = _open_manifest(args)
 
     metrics = sorted(analysis.METRICS) if args.metric == "all" else [args.metric]
-    label_key = {"bchm": "bchm", "function": "function"}[args.label_by]
     runs_by_label: dict[str, list] = {}
     for entry in manifest["cells"]:
         columns = _read_artifact(telemetry.read_trajectory_csv, base, entry["trajectory_csv"])
-        runs_by_label.setdefault(str(entry[label_key]), []).append(columns)
+        runs_by_label.setdefault(str(entry[args.label_by]), []).append(columns)
 
     for metric in metrics:
         matrix = analysis.build_trajectory_matrix(
@@ -485,15 +468,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    manifest, base = _load_manifest(args.manifest)
-    missing = _check_complete(manifest, base)
-    if missing:
-        print("missing run artifacts:", file=sys.stderr)
-        for path in missing:
-            print(f"  {path}", file=sys.stderr)
-        return 1
-    out_dir = args.out or base
-    os.makedirs(out_dir, exist_ok=True)
+    manifest, base, out_dir = _open_manifest(args)
 
     errors: dict[tuple[str, str], list[float]] = {}
     for entry in manifest["cells"]:

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from debox.bchm import (
     ADAPTIVE_POOL,
     CORRECTING_METHOD_IDS,
+    METHOD_IDS,
     AdaptiveState,
     CorrectionContext,
     adaptive_correct,
@@ -393,6 +394,18 @@ class TestFeasibilityAndIdempotence:
             outcome = correct(method, y, ctx, rng)
         assert_allclose(outcome.vector, y)
         assert outcome.components_corrected == 0
+
+    @pytest.mark.parametrize("method", METHOD_IDS)
+    def test_non_finite_input_rejected(self, method):
+        rng = RngStream(7)
+        ctx = self.feasible_ctx(rng, 3)
+        for bad in (np.nan, np.inf, -np.inf):
+            for y in (np.array([1.0, bad, 0.0]), np.array([[0.0, 0.0, 0.0], [bad, 9.0, 0.0]])):
+                with pytest.raises(ValueError, match="finite"):
+                    if method == "adaptive":
+                        adaptive_correct(y, ctx, rng, AdaptiveState())
+                    else:
+                        correct(method, y, ctx, rng)
 
     def test_unknown_method(self):
         rng = RngStream(0)

@@ -1,0 +1,93 @@
+"""Property tests of the repair layer over extreme boxes, violations and references.
+
+Boxes are asymmetric, with widths from 1e-9 to 1e6 and offsets up to 1e6;
+violations reach 1e300 beyond a bound; reference points may sit on a bound.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from debox.bchm import CORRECTING_METHOD_IDS, AdaptiveState, CorrectionContext, adaptive_correct, correct
+from debox.core import Bounds, Population, RngStream, population_stats
+
+COMPONENT_WISE = ("sat", "mirror", "uniform", "beta", "expTarget", "expBest", "expMidpoint")
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+
+
+def _in_box(lower, upper, units):
+    """Points at unit positions of the box; 0 and 1 land exactly on the bounds."""
+    units = np.asarray(units)
+    inside = np.clip(lower + units * (upper - lower), lower, upper)
+    return np.where(units == 0.0, lower, np.where(units == 1.0, upper, inside))
+
+
+units = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def entries(draw, lower, upper):
+    """One trial component: inside, on a bound, or up to 1e300 beyond one."""
+    kind = draw(st.sampled_from(["inside", "below", "above"]))
+    if kind == "inside":
+        return float(_in_box(lower, upper, draw(units)))
+    distance = 10.0 ** draw(st.floats(-9.0, 300.0))
+    return lower - distance if kind == "below" else upper + distance
+
+
+@st.composite
+def cases(draw, max_rows=3):
+    """(trial batch, context) on an asymmetric box."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, max_rows))
+    lower = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    width = 10.0 ** np.array(draw(st.lists(st.floats(-9.0, 6.0), min_size=n, max_size=n)))
+    bounds = Bounds(lower, lower + width)
+    y = np.array([[draw(entries(bounds.lower[j], bounds.upper[j])) for j in range(n)] for _ in range(m)])
+    population = _in_box(bounds.lower, bounds.upper, np.array(
+        draw(st.lists(st.lists(units, min_size=n, max_size=n), min_size=m + 2, max_size=m + 2))))
+    stats = population_stats(Population(population, np.zeros(len(population))))
+    ctx = CorrectionContext(bounds=bounds, target=population[:m], pbest=population[m],
+                            population_mean=population[m + 1], stats=stats)
+    return y, ctx
+
+
+def _apply(method, y, ctx, seed=0):
+    rng = RngStream(seed)
+    if method == "adaptive":
+        return adaptive_correct(y, ctx, rng, AdaptiveState())[0]
+    return correct(method, y, ctx, rng)
+
+
+@PROPERTY
+@given(cases())
+def test_every_correcting_method_returns_in_box_output(case):
+    y, ctx = case
+    for method in CORRECTING_METHOD_IDS:
+        out = _apply(method, y, ctx).vector
+        assert np.all(out >= ctx.bounds.lower) and np.all(out <= ctx.bounds.upper), method
+
+
+@PROPERTY
+@given(cases())
+def test_component_wise_methods_touch_only_violated_entries(case):
+    y, ctx = case
+    feasible = (y >= ctx.bounds.lower) & (y <= ctx.bounds.upper)
+    for method in COMPONENT_WISE:
+        outcome = _apply(method, y, ctx)
+        assert outcome.vector[feasible].tobytes() == y[feasible].tobytes(), method
+        assert outcome.components_corrected == np.count_nonzero(~feasible), method
+
+
+@PROPERTY
+@given(cases(max_rows=1))
+def test_vector_call_equals_row_of_one_row_batch(case):
+    batch, ctx = case
+    row = CorrectionContext(ctx.bounds, ctx.target[0], ctx.pbest, ctx.population_mean, ctx.stats)
+    for method in CORRECTING_METHOD_IDS:
+        single, rows = _apply(method, batch[0], row), _apply(method, batch, ctx)
+        assert single.vector.tobytes() == rows.vector[0].tobytes(), method
+        assert single.components_corrected == rows.components_corrected, method
+        if single.vector_alpha is not None:
+            assert single.vector_alpha == rows.vector_alpha[0], method

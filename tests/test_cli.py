@@ -330,6 +330,17 @@ class TestAnalysisCommands:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: runs/{broken.name}: "), (command, err)
 
+    def test_missing_artifact_exits_1_naming_it(self, tmp_path, capsys):
+        config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=1))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        trajectory = sorted((out / "runs").glob("*.csv"))[0]
+        trajectory.unlink()
+        for command in ("classify", "cluster", "rank"):
+            assert main([command, "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / command)]) == 1
+            err = capsys.readouterr().err
+            assert f"runs/{trajectory.name}" in err, (command, err)
+
     def test_missing_trajectory_exits_1_listing_gap(self, sweep_output, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads((sweep_output / "manifest.json").read_text())
