@@ -4,13 +4,15 @@ Each method maps an infeasible trial vector back into the closed box (or
 discards it).  Component-wise methods touch only the violated components;
 vector-wise methods rescale the whole vector toward a feasible reference
 point.  All corrections accept either a single vector of shape (n,) or a
-batch of shape (m, n); the engines repair a generation's infeasible trials
-as one batch, and a vector is repaired as a one-row batch would be.
+batch of shape (m, n); the engines hand a generation's whole trial block to
+one call, and a vector is repaired as a one-row batch would be.  A row with
+no violated component comes back bit-unchanged and consumes no draw, so a
+block repairs exactly as its infeasible rows alone would.
 
-The component-wise methods gather the violated entries once, in row-major
-order (row by row, and by component within a row), and a method that draws
-consumes its draws in that order.  Input with a NaN or infinite component
-raises ``ValueError``: such a trial has no defined repair.
+Each public call validates its input once and gathers the violated entries
+once, in row-major order (row by row, and by component within a row); a
+method that draws consumes its draws in that order.  Input with a NaN or
+infinite component raises ``ValueError``: such a trial has no defined repair.
 
 Method ids used in configs and CSV output:
 
@@ -20,6 +22,7 @@ Method ids used in configs and CSV output:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -123,7 +126,11 @@ class _Violations(NamedTuple):
 
 def _violations(y, bounds: Bounds) -> _Violations:
     y = _as_float_array(y)
-    at = ((y < bounds.lower) | (y > bounds.upper)).ravel().nonzero()[0]
+    return _gather(y, ((y < bounds.lower) | (y > bounds.upper)).ravel().nonzero()[0], bounds)
+
+
+def _gather(y: np.ndarray, at: np.ndarray, bounds: Bounds) -> _Violations:
+    """The entries of ``y`` at the flat indices ``at``, all of them violated."""
     cols = at % y.shape[-1]
     values, lo = y.ravel()[at], bounds.lower[cols]
     return _Violations(y, at, cols, values, lo, bounds.upper[cols], values < lo)
@@ -177,9 +184,13 @@ def mirror(y, bounds: Bounds) -> CorrectionOutcome:
     the box width).
     """
     v = _violations(y, bounds)
+    return _repaired(v, _mirrored(v))
+
+
+def _mirrored(v: _Violations) -> np.ndarray:
     width2 = 2.0 * (v.hi - v.lo)
     z = np.mod(v.values - v.lo, width2)
-    return _repaired(v, v.lo + np.minimum(z, width2 - z))
+    return v.lo + np.minimum(z, width2 - z)
 
 
 def uniform_resample(y, bounds: Bounds, rng: RngStream) -> CorrectionOutcome:
@@ -239,7 +250,10 @@ def beta_correct(
     first (row-major over violated positions), then uniform fallback draws.
     """
     v = _violations(y, bounds)
-    params = fit_beta_params(stats, bounds, epsilon)
+    return _repaired(v, _beta_values(v, fit_beta_params(stats, bounds, epsilon), rng))
+
+
+def _beta_values(v: _Violations, params: BetaFitParams, rng: RngStream) -> np.ndarray:
     use_beta = ~params.fallback_mask[v.cols]
     fallback = ~use_beta
     values = np.empty(v.at.size)
@@ -248,7 +262,7 @@ def beta_correct(
         values[use_beta] = lo + rng.beta(params.alpha[cols], params.beta[cols]) * (hi - lo)
     if np.logical_or.reduce(fallback):
         values[fallback] = rng.uniform(v.lo[fallback], v.hi[fallback])
-    return _repaired(v, _clip(values, v.lo, v.hi))
+    return _clip(values, v.lo, v.hi)
 
 
 def exp_confined(
@@ -266,12 +280,16 @@ def exp_confined(
     """
     R = resolve_reference(reference, ctx)
     v = _violations(y, bounds)
+    return _repaired(v, _exp_values(v, R, rng))
+
+
+def _exp_values(v: _Violations, R: np.ndarray, rng: RngStream) -> np.ndarray:
     ref = _reference_at(R, v)
     r = rng.random(v.at.size)
     # log1p/expm1 keep the correction strictly inside the interval for small r
     lower = v.lo - np.log1p(r * np.expm1(v.lo - ref))
     upper = v.hi + np.log1p((1.0 - r) * np.expm1(ref - v.hi))
-    return _repaired(v, _clip(np.where(v.below, lower, upper), v.lo, v.hi))
+    return _clip(np.where(v.below, lower, upper), v.lo, v.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +303,25 @@ def vector_alpha(y, R, bounds: Bounds) -> float | np.ndarray:
     violations, (b_i - R_i)/(y_i - R_i) for upper violations and 1 for
     feasible components.  alpha is in [0, 1]; alpha = 1 means y is feasible.
     """
-    v = _violations(y, bounds)
-    ref = _reference_at(np.asarray(R, dtype=float), v)
+    return _shrink(_violations(y, bounds), np.asarray(R, dtype=float), bounds)
+
+
+def _shrink(v: _Violations, R: np.ndarray, bounds: Bounds, out: np.ndarray | None = None):
+    """Every row's alpha; with ``out``, also write alpha*y + (1-alpha)*R into
+    it on each row with a violated entry in ``v``."""
+    ref = _reference_at(R, v)
     if np.logical_or.reduce(ref == v.values):
         raise ValueError("degenerate reference")
-    alpha_i = np.ones(v.y.shape)
+    alpha_i = np.full(v.y.shape, np.inf)  # a violated entry's alpha_i is at most 1
     alpha_i.ravel()[v.at] = np.where(v.below, (ref - v.lo) / (ref - v.values),
                                      (v.hi - ref) / (v.values - ref))
-    alpha = _clip(np.minimum.reduce(alpha_i, axis=-1), 0.0, 1.0)
+    row_min = np.asarray(np.minimum.reduce(alpha_i, axis=-1))
+    alpha = _clip(row_min, 0.0, 1.0)
+    if out is not None:
+        a = alpha[..., np.newaxis]
+        # a*y + (1-a)*R can overshoot the binding bound by one ulp
+        shrunk = _clip(a * v.y + (1.0 - a) * R, bounds.lower, bounds.upper)
+        np.copyto(out, shrunk, where=(row_min < np.inf)[..., np.newaxis])
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
@@ -301,16 +330,13 @@ def vector_correct(y, reference: str, ctx: CorrectionContext) -> CorrectionOutco
 
     The corrected point is where the segment [R, y] crosses the box, so for
     reference = target the search direction y - x is preserved exactly.
+    Feasible rows (alpha = 1) come back untouched.
     """
-    y = _as_float_array(y)
     R = resolve_reference(reference, ctx)
-    alpha = vector_alpha(y, R, ctx.bounds)
-    a = np.asarray(alpha)[..., np.newaxis]
-    corrected = a * y + (1.0 - a) * R
-    # a*y + (1-a)*R can overshoot the binding bound by one ulp
-    corrected = _clip(corrected, ctx.bounds.lower, ctx.bounds.upper)
-    changed = np.count_nonzero(corrected != y)
-    return CorrectionOutcome(corrected, components_corrected=changed, vector_alpha=alpha)
+    v = _violations(y, ctx.bounds)
+    corrected = v.y.copy()
+    alpha = _shrink(v, R, ctx.bounds, corrected)
+    return CorrectionOutcome(corrected, components_corrected=np.count_nonzero(corrected != v.y), vector_alpha=alpha)
 
 
 def dismiss(y, bounds: Bounds) -> CorrectionOutcome:
@@ -399,50 +425,71 @@ def adaptive_update(state: AdaptiveState) -> AdaptiveState:
     """
     scores = (state.successes + 1.0) / (state.uses + 2.0)
     probabilities = _floor_and_normalize(scores / scores.sum(), state.floor_probability)
-    return AdaptiveState(
-        pool=state.pool,
-        probabilities=probabilities,
-        uses=np.zeros(len(state.pool), dtype=int),
-        successes=np.zeros(len(state.pool), dtype=int),
-        update_period=state.update_period,
-        floor_probability=state.floor_probability,
-    )
+    return dataclasses.replace(state, probabilities=probabilities, uses=None, successes=None)
 
 
 def adaptive_correct(
     y, ctx: CorrectionContext, rng: RngStream, state: AdaptiveState
 ) -> tuple[CorrectionOutcome, int | np.ndarray]:
-    """Select a pool method per vector and apply each method to its group.
+    """Select a pool method per infeasible vector and repair each with its method.
 
-    Returns the outcome and the pool index of each vector (an int for a
-    single vector).  Draw order: the selection draws of all vectors, then
-    each method's draws on its group, in pool order.  Reference vectors of
-    shape (m, n) in ``ctx`` are split with the groups.
+    Returns the outcome and the pool index of each vector, -1 for a feasible
+    one (an int for a single vector).  Draw order: one selection draw per
+    infeasible vector, in row order, then each method's draws on the
+    violated entries of its vectors, row-major, in pool order.  Reference
+    vectors of shape (m, n) in ``ctx`` are read at each vector's own row.
     """
-    y = _as_float_array(y)
-    batch = np.atleast_2d(y)
-    picks = adaptive_select(state, rng, size=len(batch))
-    corrected = np.empty_like(batch)
-    for k, method in enumerate(state.pool):
-        rows = (picks == k).nonzero()[0]
-        if rows.size:
-            group = CorrectionContext(ctx.bounds, _group(ctx.target, rows), _group(ctx.pbest, rows),
-                                      ctx.population_mean, ctx.stats, ctx.beta_epsilon)
-            corrected[rows] = correct(method, batch[rows], group, rng).vector
+    batch = np.atleast_2d(_as_float_array(y))
+    outside = (batch < ctx.bounds.lower) | (batch > ctx.bounds.upper)
+    infeasible = np.logical_or.reduce(outside, axis=1)
+    picks, corrected = np.full(len(batch), -1), batch.copy()
+    if np.logical_or.reduce(infeasible):
+        picks[infeasible] = adaptive_select(state, rng, size=np.count_nonzero(infeasible))
+        at = outside.ravel().nonzero()[0]
+        entry_picks = picks[at // batch.shape[1]]
+        # one gather, grouped by method; each group's entries stay in row-major order
+        v = _gather(batch, at[entry_picks.argsort(kind="stable")], ctx.bounds)
+        stops = np.bincount(entry_picks, minlength=len(state.pool)).cumsum().tolist()
+        for method, start, stop in zip(state.pool, [0] + stops, stops):
+            if stop == start:
+                continue
+            group = _Violations(batch, *(field[start:stop] for field in v[1:]))
+            if method.startswith("vector"):
+                _shrink(group, resolve_reference(_suffix_reference(method), ctx), ctx.bounds, corrected)
+            else:
+                corrected.ravel()[group.at] = _entry_repairs(method, group, ctx, rng)
     changed = np.count_nonzero(corrected != batch)
-    if y.ndim == 1:
+    if np.ndim(y) == 1:
         return CorrectionOutcome(corrected[0], components_corrected=changed), int(picks[0])
     return CorrectionOutcome(corrected, components_corrected=changed), picks
-
-
-def _group(reference, rows: np.ndarray):
-    reference = np.asarray(reference, dtype=float)
-    return reference[rows] if reference.ndim == 2 else reference
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
+
+def _entry_repairs(method_id: str, v: _Violations, ctx: CorrectionContext, rng: RngStream) -> np.ndarray:
+    """The violated entries ``v`` repaired by a component-wise method."""
+    if method_id == "sat":
+        return np.where(v.below, v.lo, v.hi)
+    if method_id == "mirror":
+        return _mirrored(v)
+    if method_id == "uniform":
+        return rng.uniform(v.lo, v.hi)
+    if method_id == "beta":
+        if ctx.stats is None:
+            raise ValueError("beta correction requires population stats in the context")
+        return _beta_values(v, fit_beta_params(ctx.stats, ctx.bounds, ctx.beta_epsilon), rng)
+    if method_id.startswith("exp"):
+        return _exp_values(v, resolve_reference(_suffix_reference(method_id), ctx), rng)
+    raise ValueError(f"{method_id!r} is not a repair")
+
+
+def _suffix_reference(method_id: str) -> str:
+    """The reference an exp*/vector* id names by suffix: expTarget, vectorBest (pbest), ..."""
+    reference = method_id.removeprefix("exp").removeprefix("vector").lower()
+    return "pbest" if reference == "best" else reference
+
 
 def correct(method_id: str, y, ctx: CorrectionContext, rng: RngStream) -> CorrectionOutcome:
     """Apply the method named by ``method_id`` to the trial vector ``y``."""
@@ -450,22 +497,11 @@ def correct(method_id: str, y, ctx: CorrectionContext, rng: RngStream) -> Correc
         raise ValueError(f"unknown method id {method_id!r}")
     if method_id == "sat":
         return saturate(y, ctx.bounds)
-    if method_id == "mirror":
-        return mirror(y, ctx.bounds)
-    if method_id == "uniform":
-        return uniform_resample(y, ctx.bounds, rng)
-    if method_id == "beta":
-        if ctx.stats is None:
-            raise ValueError("beta correction requires population stats in the context")
-        return beta_correct(y, ctx.bounds, ctx.stats, rng, ctx.beta_epsilon)
     if method_id == "dismiss":
         return dismiss(y, ctx.bounds)
     if method_id == "adaptive":
         raise ValueError("the adaptive method needs state; use adaptive_correct")
-    # the rest name a reference by suffix: expTarget, vectorBest (pbest), expMidpoint, ...
-    family = "exp" if method_id.startswith("exp") else "vector"
-    reference = method_id[len(family):].lower()
-    reference = "pbest" if reference == "best" else reference
-    if family == "exp":
-        return exp_confined(y, ctx.bounds, reference, ctx, rng)
-    return vector_correct(y, reference, ctx)
+    if method_id.startswith("vector"):
+        return vector_correct(y, _suffix_reference(method_id), ctx)
+    v = _violations(y, ctx.bounds)
+    return _repaired(v, _entry_repairs(method_id, v, ctx, rng))

@@ -19,7 +19,6 @@ the linear slope always places its optimum on a corner of the box.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,26 +86,28 @@ def raw_linear_slope(x: np.ndarray, x_star: np.ndarray, bounds: Bounds | None = 
     which is 0 at the corner x* and strictly positive elsewhere in the box.
     ``x`` is one point (n,) or a batch (m, n).
     """
-    x = np.asarray(x, dtype=float)
     x_star = np.asarray(x_star, dtype=float)
+    return _slope(np.asarray(x, dtype=float), x_star, _signed_slope_weights(x_star, bounds))
+
+
+def _slope(x: np.ndarray, x_star: np.ndarray, signed_weights: np.ndarray) -> np.ndarray:
+    # w_i sign(x*_i) is w_i or -w_i exactly, so this is bit for bit w_i (x*_i - x_i) sign(x*_i)
+    return np.add.reduce(signed_weights * (x_star - x), axis=-1)
+
+
+def _signed_slope_weights(x_star: np.ndarray, bounds: Bounds | None = None) -> np.ndarray:
+    """w_i sign(x*_i) with w_i = 10^(i/(n-1)); raises unless x* is a corner of the box."""
     if bounds is None:
         bounds = Bounds.symmetric(BOX_HALF_WIDTH, x_star.size)
     if not np.logical_and.reduce((x_star == bounds.lower) | (x_star == bounds.upper)):
         raise ValueError("linear slope requires corner optimum")
-    return np.add.reduce(_slope_weights(x_star.size) * (x_star - x) * np.sign(x_star), axis=-1)
-
-
-@functools.lru_cache(maxsize=None)
-def _slope_weights(n: int) -> np.ndarray:
-    """w_i = 10^(i/(n-1)) of the linear slope, computed once per dimension."""
-    weights = 10.0 ** (np.arange(n) / (n - 1)) if n > 1 else np.ones(1)
-    weights.flags.writeable = False
-    return weights
+    n = x_star.size
+    return (10.0 ** (np.arange(n) / (n - 1)) if n > 1 else np.ones(1)) * np.sign(x_star)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    raw: Callable[[np.ndarray], np.ndarray]  # a batch (m, n) to m values
+    raw: Callable[..., np.ndarray]  # a batch (m, n) to m values; a corner optimum's also takes x* and its weights
     exempt_from_boundary_shift: bool = False
     corner_optimum: bool = False
 
@@ -115,7 +116,7 @@ _CATALOG: dict[str, CatalogEntry] = {
     "sphere": CatalogEntry(_raw_sphere),
     "separable_ellipsoid": CatalogEntry(_raw_separable_ellipsoid),
     "rastrigin": CatalogEntry(_raw_rastrigin),
-    "linear_slope": CatalogEntry(raw_linear_slope, exempt_from_boundary_shift=True, corner_optimum=True),
+    "linear_slope": CatalogEntry(_slope, exempt_from_boundary_shift=True, corner_optimum=True),
     "rosenbrock": CatalogEntry(_raw_rosenbrock),
     "different_powers": CatalogEntry(_raw_different_powers),
 }
@@ -162,6 +163,7 @@ class BenchmarkProblem:
     objective: Callable[[np.ndarray], float] | None = None  # one point to a float; None: the catalogue
     feasible_evaluations: int = field(default=0, compare=False)
     infeasible_evaluations: int = field(default=0, compare=False)
+    _slope_weights: np.ndarray | None = field(default=None, init=False, repr=False)  # corner optimum only
 
     def __post_init__(self) -> None:
         if self.objective is not None:
@@ -171,6 +173,8 @@ class BenchmarkProblem:
             raise ValueError("optimum_location length must equal dimension")
         if self.function_id not in _CATALOG:
             raise ValueError(f"unknown function {self.function_id!r}")
+        if _CATALOG[self.function_id].corner_optimum:  # checked once, here, not per evaluation
+            self._slope_weights = _signed_slope_weights(self.optimum_location, self.bounds)
 
     @property
     def budget_consumed(self) -> int:
@@ -221,7 +225,7 @@ class BenchmarkProblem:
             return _rows(self.objective, xs)
         entry = _CATALOG[self.function_id]
         if entry.corner_optimum:
-            return entry.raw(xs, self.optimum_location, self.bounds) + self.optimum_value
+            return entry.raw(xs, self.optimum_location, self._slope_weights) + self.optimum_value
         return entry.raw(xs - self.optimum_location) + self.optimum_value
 
 

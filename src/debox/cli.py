@@ -24,6 +24,7 @@ import json
 import os
 import platform
 import sys
+import traceback
 import typing
 from concurrent.futures import ProcessPoolExecutor
 
@@ -294,21 +295,35 @@ def _reusable(json_path: str, cell: dict) -> bool:
 
 
 def _run_cell(job: tuple[dict, str]) -> dict:
-    """Worker: execute one sweep cell unless its artifacts already record it."""
+    """Worker: execute one sweep cell unless its artifacts already record it.
+
+    Returns the cell's manifest entry; a cell that raises has status
+    ``failed``, its error and its traceback, and the sweep goes on with the
+    other cells.
+    """
     cell, out_dir = job
-    _import_plugins(cell["plugin_modules"])
     stem = _cell_stem(cell)
     run_dir = os.path.join(out_dir, "runs")
     csv_path = os.path.join(run_dir, stem + ".csv")
     json_path = os.path.join(run_dir, stem + ".json")
-    if not (os.path.exists(csv_path) and _reusable(json_path, cell)):
-        _execute_run(cell, run_dir, stem)
     entry = {key: cell[key] for key in (
         "function", "instance", "dimension", "mode", "engine", "bchm", "run_index", "seed",
     )}
     entry["trajectory_csv"] = os.path.join("runs", stem + ".csv")
     entry["summary_json"] = os.path.join("runs", stem + ".json")
-    return entry
+    try:
+        _import_plugins(cell["plugin_modules"])
+        if not (os.path.exists(csv_path) and _reusable(json_path, cell)):
+            _execute_run(cell, run_dir, stem)
+    except Exception as exc:
+        return dict(entry, status="failed", error=f"{type(exc).__name__}: {exc}",
+                    traceback=traceback.format_exc())
+    return dict(entry, status="ok")
+
+
+def _failed_cells(entries: list[dict]) -> list[str]:
+    """One line per failed cell of a manifest, naming it and its error."""
+    return [f"  {_cell_stem(e)}: {e['error']}" for e in entries if e.get("status", "ok") != "ok"]
 
 
 def cmd_sweep(args) -> int:
@@ -332,10 +347,14 @@ def cmd_sweep(args) -> int:
                                 e["bchm"], e["instance"], e["run_index"]))
     manifest = {"output_directory": out_dir, "cells": entries}
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w") as fh:
+    with telemetry.open_atomic(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(manifest_path)
+    failed = _failed_cells(entries)
+    if failed:
+        print(f"error: {len(failed)} of {len(entries)} sweep cells failed:", *failed, sep="\n", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -345,10 +364,13 @@ def cmd_sweep(args) -> int:
 
 def _open_manifest(args) -> tuple[dict, str, str]:
     """The manifest named by an analysis command, its directory and the
-    output directory, which is created; every run artifact it lists must
-    exist."""
+    output directory, which is created; every cell it lists must have
+    succeeded and every run artifact it lists must exist."""
     with open(args.manifest) as fh:
         manifest = json.load(fh)
+    failed = _failed_cells(manifest["cells"])
+    if failed:
+        raise RuntimeError("\n".join(["the sweep has failed cells:", *failed]))
     base = os.path.dirname(os.path.abspath(args.manifest))
     missing = [entry[key] for entry in manifest["cells"] for key in ("trajectory_csv", "summary_json")
                if not os.path.exists(os.path.join(base, entry[key]))]

@@ -2,12 +2,13 @@
 
 Each engine draws the mutants of a whole generation (L-SHADE also draws
 per-trial F and CR); one shared kernel then crosses over, measures bound
-violations before any repair, repairs all infeasible trials in one BCHM
-call, evaluates the batch under strict-box semantics and selects greedily
-(a trial replaces its target on ties).  A trial component violates unless it
-lies in the closed box, so a NaN component counts as violated.  Dismissed
-trials never reach the raw landscape: they score +inf, count as infeasible
-evaluations and leave their target in place.
+violations before any repair, hands the whole trial block to one BCHM call
+(which leaves feasible trials as they are), evaluates the batch under
+strict-box semantics and selects greedily (a trial replaces its target on
+ties).  A trial component violates unless it lies in the closed box, so a
+NaN component counts as violated.  Dismissed trials never reach the raw
+landscape: they score +inf, count as infeasible evaluations and leave their
+target in place.
 
 Every unit variate of a generation of m trials in dimension n comes from one
 ``random`` call, sliced in this order:
@@ -257,39 +258,38 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     # the one violation mask of the generation, with Bounds.contains semantics
     outside = ~((trials >= bounds.lower) & (trials <= bounds.upper))
     infeasible = np.logical_or.reduce(outside, axis=1)
-    if budget is not None and budget - problem.budget_consumed < len(trials):
+    kept = len(trials)
+    if budget is not None and budget - problem.budget_consumed < kept:
         # a trial costs one evaluation unless it is dismissed while infeasible ones are free
         cost = ~infeasible | (bchm != "dismiss") | bool(problem.count_infeasible_evals)
         kept = int(np.count_nonzero(cost.cumsum() - cost < budget - problem.budget_consumed))
         trials, outside, infeasible = trials[:kept], outside[:kept], infeasible[:kept]
 
     repaired, dismissed, picks = trials, None, None
-    rows = infeasible.nonzero()[0]
-    if rows.size:
+    corrections = np.count_nonzero(infeasible)
+    if corrections:  # the whole block goes to the BCHM, which leaves feasible rows as they are
         stats = pop.stats if pop.stats is not None else population_stats(pop)
-        ctx = CorrectionContext(bounds=bounds, target=x[rows], population_mean=stats.mean, stats=stats,
-                                pbest=pbest[rows] if pbest.ndim == 2 else pbest, beta_epsilon=beta_epsilon)
+        ctx = CorrectionContext(bounds=bounds, target=x[:kept], population_mean=stats.mean, stats=stats,
+                                pbest=pbest[:kept] if pbest.ndim == 2 else pbest, beta_epsilon=beta_epsilon)
         if adaptive_state is None:
-            outcome = correct(bchm, trials[rows], ctx, rng)
+            outcome = correct(bchm, trials, ctx, rng)
         else:
-            outcome, picks = adaptive_correct(trials[rows], ctx, rng, adaptive_state)
-        repaired = trials.copy()
-        repaired[rows] = outcome.vector
+            outcome, picks = adaptive_correct(trials, ctx, rng, adaptive_state)
+        repaired = outcome.vector
         if outcome.dismissed is not False:  # a batch dismissal's row mask
-            dismissed = rows[outcome.dismissed]
+            dismissed = outcome.dismissed
     clock.lap(REPAIR)
 
     trial_fitness = _evaluate(problem, repaired)
     clock.lap(EVALUATION)
-    kept = len(trials)
     wins = trial_fitness <= fitness[:kept]
     if dismissed is not None:
         wins[dismissed] = False
     positions, new_fitness = x.copy(), fitness.copy()
     np.copyto(positions[:kept], repaired, where=wins[:, None])
     np.copyto(new_fitness[:kept], trial_fitness, where=wins)
-    if picks is not None:
-        adaptive_state.successes += np.bincount(picks[wins[rows]], minlength=len(adaptive_state.pool))
+    if picks is not None:  # a feasible trial has no pick (-1)
+        adaptive_state.successes += np.bincount(picks[wins & (picks >= 0)], minlength=len(adaptive_state.pool))
     if adapt is not None:
         positions, new_fitness = adapt(trial_fitness, positions, new_fitness)
 
@@ -298,7 +298,7 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     next_pop.stats = population_stats(next_pop)
     clock.lap(SELECTION)
     records.append(telemetry.record_generation(
-        next_pop.generation, trials, next_pop, problem, corrections_applied=rows.size,
+        next_pop.generation, trials, next_pop, problem, corrections_applied=corrections,
         adaptive_probabilities=None if adaptive_state is None else adaptive_state.probabilities,
         stats=next_pop.stats, outside=outside, infeasible=infeasible,
     ))

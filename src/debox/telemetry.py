@@ -12,13 +12,17 @@ population variance place the run into one of four behaviour classes:
 
 Trajectories are persisted as plain CSV (one row per generation, columns
 named exactly after the record fields) and runs are summarised as JSON.
+Every file is written under a temporary name and then moved into place, so
+a reader never sees a half-written artifact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import json
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,6 +35,7 @@ __all__ = [
     "GenerationRecord",
     "classify",
     "format_float",
+    "open_atomic",
     "read_run_summary",
     "read_trajectory_csv",
     "record_generation",
@@ -161,8 +166,25 @@ def _cell(name: str, value) -> str:
     return format_float(value)
 
 
+@contextlib.contextmanager
+def open_atomic(path, newline: str | None = None):
+    """A text file to write that takes the place of ``path`` only once it is
+    complete: it is written beside ``path`` under a temporary name, then
+    moved onto it.  If the writer raises, ``path`` keeps its old content."""
+    head, tail = os.path.split(os.fspath(path))
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", newline=newline) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
+
+
 def write_trajectory_csv(records: list[GenerationRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_COLUMNS)
         for rec in records:
@@ -195,7 +217,7 @@ def records_to_columns(records: list[GenerationRecord]) -> dict[str, list]:
 
 
 def write_run_summary(path, summary: dict) -> None:
-    with open(path, "w") as fh:
+    with open_atomic(path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

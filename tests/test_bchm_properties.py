@@ -2,13 +2,22 @@
 
 Boxes are asymmetric, with widths from 1e-9 to 1e6 and offsets up to 1e6;
 violations reach 1e300 beyond a bound; reference points may sit on a bound.
+A block that mixes feasible and infeasible rows repairs exactly as its
+infeasible rows alone would.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debox.bchm import CORRECTING_METHOD_IDS, AdaptiveState, CorrectionContext, adaptive_correct, correct
+from debox.bchm import (
+    CORRECTING_METHOD_IDS,
+    METHOD_IDS,
+    AdaptiveState,
+    CorrectionContext,
+    adaptive_correct,
+    correct,
+)
 from debox.core import Bounds, Population, RngStream, population_stats
 
 COMPONENT_WISE = ("sat", "mirror", "uniform", "beta", "expTarget", "expBest", "expMidpoint")
@@ -91,3 +100,95 @@ def test_vector_call_equals_row_of_one_row_batch(case):
         assert single.components_corrected == rows.components_corrected, method
         if single.vector_alpha is not None:
             assert single.vector_alpha == rows.vector_alpha[0], method
+
+
+@st.composite
+def blocks(draw):
+    """(trial block, context, infeasible-row mask): some rows of a case put
+    back in the box, with ``pbest`` shared or one row per trial."""
+    y, ctx = draw(cases(max_rows=6))
+    lower, upper = ctx.bounds.lower, ctx.bounds.upper
+    for i in range(len(y)):
+        if draw(st.booleans()):
+            y[i] = _in_box(lower, upper, np.array(draw(st.lists(units, min_size=y.shape[1], max_size=y.shape[1]))))
+    if draw(st.booleans()):
+        ctx.pbest = ctx.target[::-1].copy()
+    return y, ctx, ~ctx.bounds.contains(y)
+
+
+def _rows_context(ctx, rows):
+    """``ctx`` as a repair of the rows ``rows`` alone sees it."""
+    pbest = ctx.pbest[rows] if ctx.pbest.ndim == 2 else ctx.pbest
+    return CorrectionContext(ctx.bounds, ctx.target[rows], pbest, ctx.population_mean, ctx.stats)
+
+
+def _repair(method, y, ctx, seed=0):
+    """The outcome, the adaptive picks and uses, and the next draw of the stream."""
+    rng, state = RngStream(seed), AdaptiveState()
+    if method == "adaptive":
+        outcome, picks = adaptive_correct(y, ctx, rng, state)
+    else:
+        outcome, picks = correct(method, y, ctx, rng), None
+    return outcome, picks, state.uses.tolist(), rng.random()
+
+
+@PROPERTY
+@given(blocks())
+def test_block_repairs_as_its_infeasible_rows_alone(block):
+    y, ctx, infeasible = block
+    rows = infeasible.nonzero()[0]
+    for method in METHOD_IDS:
+        whole, picks, uses, after = _repair(method, y, ctx)
+        assert whole.vector[~infeasible].tobytes() == y[~infeasible].tobytes(), method
+        if method == "adaptive":
+            assert np.all(picks[~infeasible] == -1), method
+        if not rows.size:
+            assert whole.components_corrected == 0 and after == RngStream(0).random(), method
+            continue
+        alone, alone_picks, alone_uses, alone_after = _repair(method, y[rows], _rows_context(ctx, rows))
+        assert whole.vector[rows].tobytes() == alone.vector.tobytes(), method
+        assert whole.components_corrected == alone.components_corrected, method
+        assert (uses, after) == (alone_uses, alone_after), method
+        if method == "adaptive":
+            assert picks[rows].tolist() == alone_picks.tolist()
+        if method == "dismiss":
+            assert whole.dismissed.tolist() == infeasible.tolist() and alone.dismissed.all()
+        if whole.vector_alpha is not None:
+            assert np.all(whole.vector_alpha[~infeasible] == 1.0), method
+            assert whole.vector_alpha[rows].tobytes() == alone.vector_alpha.tobytes(), method
+
+
+def _adaptive_by_groups(y, ctx, rng, state):
+    """The per-group formulation of adaptive repair, on infeasible rows only:
+    one selection draw per row, then ``correct`` on each method's rows, in
+    pool order, with per-row references split with the groups."""
+    u = np.asarray(rng.random(len(y)))
+    picks = np.minimum(np.searchsorted(np.cumsum(state.probabilities), u, side="right"), len(state.pool) - 1)
+    state.uses += np.bincount(picks, minlength=len(state.pool))
+    corrected = np.empty_like(y)
+    for k, method in enumerate(state.pool):
+        rows = (picks == k).nonzero()[0]
+        if rows.size:
+            corrected[rows] = correct(method, y[rows], _rows_context(ctx, rows), rng).vector
+    return corrected, np.count_nonzero(corrected != y), picks
+
+
+@PROPERTY
+@given(blocks(), st.integers(0, 2**32 - 1))
+def test_adaptive_equals_the_per_group_formulation(block, seed):
+    y, ctx, infeasible = block
+    rows = infeasible.nonzero()[0]
+    rng, state = RngStream(seed), AdaptiveState()
+    outcome, picks = adaptive_correct(y, ctx, rng, state)
+    if not rows.size:
+        assert outcome.vector.tobytes() == y.tobytes() and state.uses.sum() == 0
+        assert rng.random() == RngStream(seed).random()
+        return
+    by_groups_rng, by_groups_state = RngStream(seed), AdaptiveState()
+    corrected, changed, group_picks = _adaptive_by_groups(y[rows], _rows_context(ctx, rows),
+                                                          by_groups_rng, by_groups_state)
+    assert outcome.vector[rows].tobytes() == corrected.tobytes()
+    assert outcome.components_corrected == changed
+    assert picks[rows].tolist() == group_picks.tolist()
+    assert state.uses.tolist() == by_groups_state.uses.tolist()
+    assert rng.random() == by_groups_rng.random()

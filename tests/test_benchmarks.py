@@ -176,6 +176,17 @@ class TestLinearSlope:
         with pytest.raises(ValueError, match="corner"):
             raw_linear_slope(np.zeros(2), np.array([5.0, 0.0]))
 
+    def test_problem_checks_its_corner_when_built(self):
+        box = Bounds.symmetric(5.0, 2)
+        with pytest.raises(ValueError, match="corner"):
+            BenchmarkProblem("linear_slope", 0, 2, box, optimum_location=np.array([5.0, 0.0]), optimum_value=0.0)
+
+    def test_problem_matches_the_public_slope_bit_for_bit(self):
+        problem = make_instance("linear_slope", 4, 7)
+        xs = RngStream(5).uniform(-5, 5, (50, 7))
+        expected = raw_linear_slope(xs, problem.optimum_location) + problem.optimum_value
+        assert problem.evaluate_batch(xs).tobytes() == expected.tobytes()
+
 
 class TestPluginProblems:
     def make_external(self, dimension=3):

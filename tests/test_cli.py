@@ -261,6 +261,58 @@ class TestSweepCommand:
         for a, b in zip(serial_files, parallel_files):
             assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_a_failing_cell_loses_no_other_cell(self, tmp_path, monkeypatch, capsys, parallelism):
+        module = tmp_path / "fragile_problems.py"
+        module.write_text(
+            "import numpy as np\n"
+            "from debox.benchmarks import ExternalProblem, register_problem\n"
+            "from debox.core import Bounds\n"
+            "def _factory(instance, dimension):\n"
+            "    def objective(x):\n"
+            "        if instance == 2:\n"
+            "            raise RuntimeError('objective exploded')\n"
+            "        return float(np.sum(x * x))\n"
+            "    return ExternalProblem(name='fragile', dimension=dimension,\n"
+            "                           bounds=Bounds.symmetric(5.0, dimension), objective=objective,\n"
+            "                           optimum_value=0.0)\n"
+            "register_problem('fragile', _factory)\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        config = write_json(tmp_path / "sweep.json", sweep_config(
+            functions=["fragile"], instances=[1, 2, 3], bchms=["sat"], runs_per_cell=1,
+            plugin_modules=["fragile_problems"]))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out), "--parallelism", parallelism]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: 1 of 3 sweep cells failed:"
+        assert len(err) == 2 and "_i2_" in err[1] and err[1].endswith(": RuntimeError: objective exploded")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [(e["instance"], e["status"], e.get("error")) for e in manifest["cells"]] == [
+            (1, "ok", None), (2, "failed", "RuntimeError: objective exploded"), (3, "ok", None)]
+        for entry in manifest["cells"]:
+            assert (out / entry["summary_json"]).exists() == (entry["status"] == "ok")
+        assert "raise RuntimeError('objective exploded')" in manifest["cells"][1]["traceback"]
+        for command in ("classify", "cluster", "rank"):
+            assert main([command, "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / command)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err[0] == "error: the sweep has failed cells:" and err[1:] == [err[1]] and "_i2_" in err[1]
+
+    def test_a_manifest_write_that_raises_leaves_the_previous_manifest(self, tmp_path, monkeypatch):
+        config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=1))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        manifest = (out / "manifest.json").read_bytes()
+
+        def dump_half(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:100])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_half)
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 1
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "runs"]
+
     def test_empty_list_rejected(self, tmp_path, capsys):
         config = write_json(tmp_path / "sweep.json", sweep_config(bchms=[]))
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 2

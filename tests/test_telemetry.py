@@ -161,6 +161,19 @@ class TestPersistence:
         write_run_summary(path, summary)
         assert read_run_summary(path) == summary
 
+    def test_a_write_that_raises_midway_leaves_the_previous_file(self, tmp_path):
+        csv_path, json_path = tmp_path / "trajectory.csv", tmp_path / "summary.json"
+        write_trajectory_csv(self.sample_records(), csv_path)
+        write_run_summary(json_path, {"final_error": 1.0})
+        before = {path: path.read_bytes() for path in (csv_path, json_path)}
+        broken = self.sample_records() * 50 + [GenerationRecord(3, 90, 18, "not a number", 0, 0, 1, 1, 0, None)]
+        with pytest.raises(ValueError):
+            write_trajectory_csv(broken, csv_path)
+        with pytest.raises(TypeError):
+            write_run_summary(json_path, {"config": {"seed": 3}, "z_last": object()})
+        assert {path: path.read_bytes() for path in (csv_path, json_path)} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json", "trajectory.csv"]
+
 
 def test_format_float_round_trips_doubles():
     rng = np.random.default_rng(0)
