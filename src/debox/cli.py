@@ -17,10 +17,12 @@ failure, 2 config/schema violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
 import itertools
 import json
+import math
 import os
 import platform
 import sys
@@ -202,15 +204,11 @@ def _resolve_run(data, schema: dict = _RUN_SCHEMA) -> dict:
 # run
 # ---------------------------------------------------------------------------
 
-def _execute_run(resolved: dict, out_dir: str, stem: str) -> dict:
-    """Run one resolved configuration and write <stem>.csv / <stem>.json into out_dir."""
+def _execute_run(resolved: dict) -> tuple[list, dict]:
+    """Run one resolved configuration; its generation records and its summary."""
     problem = benchmarks.create_problem(resolved["function"], resolved["instance"], resolved["dimension"],
                                         resolved["mode"], resolved["count_infeasible_evals"])
     result = run(_run_config(resolved, problem))
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, stem + ".csv")
-    json_path = os.path.join(out_dir, stem + ".json")
-    telemetry.write_trajectory_csv(result.records, csv_path)
     summary = {
         "config": resolved,
         "behaviour_class": result.behaviour.value if result.behaviour else None,
@@ -225,8 +223,7 @@ def _execute_run(resolved: dict, out_dir: str, stem: str) -> dict:
         "phase_seconds": result.phase_seconds,
         "versions": _VERSIONS,
     }
-    telemetry.write_run_summary(json_path, summary)
-    return summary
+    return result.records, summary
 
 
 #: the versions a run's random stream and results depend on, recorded in every summary
@@ -245,7 +242,10 @@ def cmd_run(args) -> int:
     out, name = resolved.pop("out"), resolved.pop("name")
     out_dir = args.out or out
     stem = name or _run_stem(resolved)
-    _execute_run(resolved, out_dir, stem)
+    records, summary = _execute_run(resolved)
+    os.makedirs(out_dir, exist_ok=True)
+    telemetry.write_trajectory_csv(records, os.path.join(out_dir, stem + ".csv"))
+    telemetry.write_run_summary(os.path.join(out_dir, stem + ".json"), summary)
     print(os.path.join(out_dir, stem + ".csv"))
     print(os.path.join(out_dir, stem + ".json"))
     return 0
@@ -285,40 +285,41 @@ def _cell_stem(cell: dict) -> str:
     return _run_stem(cell) + f"_r{cell['run_index']}"
 
 
-def _reusable(json_path: str, cell: dict) -> bool:
-    """Whether the summary at ``json_path`` is complete and records this very cell."""
+def _entry(cell: dict) -> dict:
+    stem = _cell_stem(cell)
+    keys = ("function", "instance", "dimension", "mode", "engine", "bchm", "run_index", "seed")
+    return dict({key: cell[key] for key in keys}, trajectory_csv=os.path.join("runs", stem + ".csv"),
+                summary_json=os.path.join("runs", stem + ".json"))
+
+
+def _reusable(out_dir: str, cell: dict) -> bool:
+    """Whether the artifacts of ``cell`` in ``out_dir`` are complete and record this very cell."""
+    entry = _entry(cell)
     try:
-        summary = telemetry.read_run_summary(json_path)
+        summary = telemetry.read_run_summary(os.path.join(out_dir, entry["summary_json"]))
     except (OSError, ValueError):
         return False
-    return isinstance(summary, dict) and summary.get("config") == json.loads(json.dumps(cell))
+    return (os.path.exists(os.path.join(out_dir, entry["trajectory_csv"])) and isinstance(summary, dict)
+            and summary.get("config") == json.loads(json.dumps(cell)))
 
 
-def _run_cell(job: tuple[dict, str]) -> dict:
-    """Worker: execute one sweep cell unless its artifacts already record it.
+def _failure(entry: dict, exc: Exception) -> dict:
+    return dict(entry, status="failed", error=f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
 
-    Returns the cell's manifest entry; a cell that raises has status
-    ``failed``, its error and its traceback, and the sweep goes on with the
-    other cells.
-    """
-    cell, out_dir = job
-    stem = _cell_stem(cell)
-    run_dir = os.path.join(out_dir, "runs")
-    csv_path = os.path.join(run_dir, stem + ".csv")
-    json_path = os.path.join(run_dir, stem + ".json")
-    entry = {key: cell[key] for key in (
-        "function", "instance", "dimension", "mode", "engine", "bchm", "run_index", "seed",
-    )}
-    entry["trajectory_csv"] = os.path.join("runs", stem + ".csv")
-    entry["summary_json"] = os.path.join("runs", stem + ".json")
+
+def _run_cell(cell: dict) -> tuple[dict, tuple[str, ...]]:
+    """Worker: run one sweep cell and return its manifest entry with the
+    texts of its trajectory CSV and summary JSON; it writes no file.  A
+    cell that raises has status ``failed``, its error and its traceback,
+    and no texts, and the sweep goes on with the other cells."""
+    entry = _entry(cell)
     try:
         _import_plugins(cell["plugin_modules"])
-        if not (os.path.exists(csv_path) and _reusable(json_path, cell)):
-            _execute_run(cell, run_dir, stem)
+        records, summary = _execute_run(cell)
+        return dict(entry, status="ok"), (telemetry.trajectory_csv_text(records),
+                                          telemetry.run_summary_text(summary))
     except Exception as exc:
-        return dict(entry, status="failed", error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback.format_exc())
-    return dict(entry, status="ok")
+        return _failure(entry, exc), ()
 
 
 def _failed_cells(entries: list[dict]) -> list[str]:
@@ -328,6 +329,8 @@ def _failed_cells(entries: list[dict]) -> list[str]:
 
 def cmd_sweep(args) -> int:
     config, errors = _fill(_load_config(args), _SWEEP_SCHEMA)
+    if args.parallelism is not None:
+        config["parallelism"] = args.parallelism
     errors += [f"{key} (must be non-empty)" for key in _GRID if config.get(key) == []]
     errors += [f"{key} (must be >= 1)" for key in ("runs_per_cell", "parallelism")
                if isinstance(config.get(key), int) and config[key] < 1]
@@ -335,14 +338,23 @@ def cmd_sweep(args) -> int:
         raise ConfigError(errors)
     cells = _sweep_cells(config)
     out_dir = args.out or config["output_directory"]
-    parallelism = args.parallelism or config["parallelism"]
-    jobs = [(cell, out_dir) for cell in cells]
     os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            entries = list(pool.map(_run_cell, jobs))
-    else:
-        entries = [_run_cell(job) for job in jobs]
+    done = [_reusable(out_dir, cell) for cell in cells]  # resume is decided before any cell runs
+    entries = [dict(_entry(cell), status="ok") for cell, reused in zip(cells, done) if reused]
+    todo = [cell for cell, reused in zip(cells, done) if not reused]
+    # workers only compute: files created in one directory by several processes block each other
+    parallelism = config["parallelism"]
+    with ProcessPoolExecutor(parallelism) if parallelism > 1 and todo else contextlib.nullcontext() as pool:
+        results = (pool.map(_run_cell, todo, chunksize=math.ceil(len(todo) / (4 * parallelism)))
+                   if pool else map(_run_cell, todo))
+        for entry, texts in results:
+            try:
+                for key, text in zip(("trajectory_csv", "summary_json"), texts):
+                    with telemetry.open_atomic(os.path.join(out_dir, entry[key]), newline="") as fh:
+                        fh.write(text)
+            except Exception as exc:  # a write that raises fails only its own cell
+                entry = _failure(entry, exc)
+            entries.append(entry)
     entries.sort(key=lambda e: (e["function"], e["mode"], e["dimension"], e["engine"],
                                 e["bchm"], e["instance"], e["run_index"]))
     manifest = {"output_directory": out_dir, "cells": entries}

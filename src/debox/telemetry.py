@@ -40,6 +40,8 @@ __all__ = [
     "read_trajectory_csv",
     "record_generation",
     "records_to_columns",
+    "run_summary_text",
+    "trajectory_csv_text",
     "write_run_summary",
     "write_trajectory_csv",
 ]
@@ -183,12 +185,15 @@ def open_atomic(path, newline: str | None = None):
         raise
 
 
+def trajectory_csv_text(records: list[GenerationRecord]) -> str:
+    # no field needs CSV quoting: each is a column name, a number or numbers joined by ";"
+    rows = [_COLUMNS] + [[_cell(name, getattr(rec, name)) for name in _COLUMNS] for rec in records]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 def write_trajectory_csv(records: list[GenerationRecord], path) -> None:
     with open_atomic(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_COLUMNS)
-        for rec in records:
-            writer.writerow([_cell(name, getattr(rec, name)) for name in _COLUMNS])
+        fh.write(trajectory_csv_text(records))
 
 
 def read_trajectory_csv(path) -> dict[str, list]:
@@ -216,10 +221,13 @@ def records_to_columns(records: list[GenerationRecord]) -> dict[str, list]:
     return {name: [getattr(rec, name) for rec in records] for name in _COLUMNS}
 
 
+def run_summary_text(summary: dict) -> str:
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
 def write_run_summary(path, summary: dict) -> None:
-    with open_atomic(path) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open_atomic(path, newline="") as fh:
+        fh.write(run_summary_text(summary))
 
 
 def read_run_summary(path) -> dict:

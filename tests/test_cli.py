@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import debox
+from debox import cli, telemetry
 from debox.cli import main
 from debox.engine import RunConfig
 
@@ -312,6 +314,97 @@ class TestSweepCommand:
         assert main(["sweep", "--config", config, "--out", str(out)]) == 1
         assert (out / "manifest.json").read_bytes() == manifest
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "runs"]
+
+    @pytest.mark.parametrize("parallelism", ["0", "-3"])
+    def test_parallelism_flag_below_1_exits_2(self, tmp_path, capsys, parallelism):
+        config = write_json(tmp_path / "sweep.json", sweep_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out), "--parallelism", parallelism]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: parallelism (must be >= 1)"]
+        assert not out.exists()
+
+    def test_the_sweep_process_makes_every_write(self, tmp_path, monkeypatch):
+        # forked workers would count into their own copy of ``paths``
+        paths, real = [], telemetry.open_atomic
+
+        def counting(path, *args, **kwargs):
+            paths.append(os.fspath(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(telemetry, "open_atomic", counting)
+        config = write_json(tmp_path / "sweep.json", sweep_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out), "--parallelism", "2"]) == 0
+        assert len(paths) == 2 * 12 + 1 and paths[-1] == str(out / "manifest.json")
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_an_artifact_write_that_raises_fails_only_its_cell(self, tmp_path, monkeypatch, capsys, parallelism):
+        victim, real = "rastrigin_SBOX_d2_classic_mirror_", telemetry.open_atomic
+
+        @contextlib.contextmanager
+        def failing(path, *args, **kwargs):
+            with real(path, *args, **kwargs) as fh:
+                if victim in os.fspath(path) and os.fspath(path).endswith("_r1.json"):
+                    raise OSError("disk full")
+                yield fh
+
+        monkeypatch.setattr(telemetry, "open_atomic", failing)
+        config = write_json(tmp_path / "sweep.json", sweep_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out), "--parallelism", parallelism]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "error: 1 of 12 sweep cells failed:"
+        assert len(err) == 2 and victim in err[1] and err[1].endswith("_r1: OSError: disk full")
+        cells = json.loads((out / "manifest.json").read_text())["cells"]
+        failed = [e for e in cells if e["status"] != "ok"]
+        assert len(failed) == 1 and failed[0]["error"] == "OSError: disk full"
+        assert 'raise OSError("disk full")' in failed[0]["traceback"]
+        for entry in cells:
+            assert (out / entry["summary_json"]).exists() == (entry["status"] == "ok")
+            assert entry["status"] == "failed" or (out / entry["trajectory_csv"]).exists()
+        assert not [p.name for p in (out / "runs").iterdir() if p.name.startswith(".")]
+
+    def test_resume_runs_only_the_missing_cell(self, tmp_path, monkeypatch):
+        config = write_json(tmp_path / "sweep.json", sweep_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        sorted((out / "runs").glob("*.csv"))[3].unlink()
+        calls, real = [], cli._run_cell
+        monkeypatch.setattr(cli, "_run_cell", lambda cell: calls.append(cell) or real(cell))
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        assert len(calls) == 1
+
+    def test_resume_of_a_complete_sweep_starts_no_pool(self, tmp_path, monkeypatch):
+        config = write_json(tmp_path / "sweep.json", sweep_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        assert main(["sweep", "--config", config, "--out", str(out), "--parallelism", "2"]) == 0
+
+    def test_parallelism_1_and_2_write_the_same_artifacts(self, tmp_path):
+        config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=3))
+
+        def artifacts(parallelism):
+            out = tmp_path / f"p{parallelism}"
+            assert main(["sweep", "--config", config, "--out", str(out), "--parallelism", parallelism]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["output_directory"]
+            files = {}
+            for path in sorted((out / "runs").iterdir()):
+                files[path.name] = path.read_bytes()
+                if path.suffix == ".json":
+                    summary = json.loads(files[path.name])
+                    del summary["wall_time_seconds"], summary["phase_seconds"]
+                    files[path.name] = summary
+            return manifest, files
+
+        serial, parallel = artifacts("1"), artifacts("2")
+        assert len(serial[1]) == 24
+        assert serial == parallel
 
     def test_empty_list_rejected(self, tmp_path, capsys):
         config = write_json(tmp_path / "sweep.json", sweep_config(bchms=[]))
