@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "Dendrogram",
@@ -109,7 +108,11 @@ def build_trajectory_matrix(
         if not runs:
             raise ValueError(f"empty run set for label {label!r}")
         resampled = [resample_series(*_metric_series(run, metric), grid_points) for run in runs]
-        rows.append(np.mean(resampled, axis=0) if aggregate == "mean" else np.concatenate(resampled))
+        row = np.mean(resampled, axis=0) if aggregate == "mean" else np.concatenate(resampled)
+        if np.isnan(row).any():
+            raise ValueError(f"{metric} of label {label!r} holds NaN "
+                             "(runs without a known optimum have no best_so_far)")
+        rows.append(row)
     lengths = {row.size for row in rows}
     if len(lengths) > 1:
         raise ValueError("labels have differing run counts; concat aggregation needs equal counts")
@@ -261,6 +264,22 @@ class RankingTable:
     mean_rank: np.ndarray  # (M,), lower is better
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..m with ties given the mean of their ranks, by the formula of
+    ``scipy.stats.rankdata(method="average")``; every value is an integer or
+    a half, so the result is exact.  Any NaN makes every rank NaN."""
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = np.cumsum(starts)[inverse]
+    count = np.r_[np.flatnonzero(starts), starts.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def rank_methods(errors: Mapping[tuple[str, str], Sequence[float]]) -> RankingTable:
     """Rank methods per function by median final error, then average.
 
@@ -273,8 +292,8 @@ def rank_methods(errors: Mapping[tuple[str, str], Sequence[float]]) -> RankingTa
         raise ValueError("ranking needs at least two methods")
     ranks = np.zeros((len(functions), len(methods)))
     for i, function in enumerate(functions):
-        medians = [float(np.median(errors[(function, method)])) for method in methods]
-        ranks[i] = rankdata(medians, method="average")
+        medians = np.array([np.median(errors[(function, method)]) for method in methods])
+        ranks[i] = _average_ranks(medians)
     return RankingTable(
         methods=methods,
         functions=functions,

@@ -40,6 +40,8 @@ class Bounds:
         up = np.asarray(self.upper, dtype=float)
         if lo.ndim != 1 or up.ndim != 1 or lo.shape != up.shape:
             raise ValueError("bounds must be 1-D vectors of equal length")
+        if not (np.isfinite(lo).all() and np.isfinite(up).all()):
+            raise ValueError("bounds must be finite")
         if not np.all(lo < up):
             raise ValueError("every lower bound must be strictly below its upper bound")
         object.__setattr__(self, "lower", lo)

@@ -492,8 +492,8 @@ def run(config: RunConfig) -> RunResult:
     problem.reset_counters()
     budget = config.resolved_budget()
 
-    root, n = RngStream(config.seed), problem.dimension
-    init_rng, loop_rng = root.split(0), root.split(1)
+    n = problem.dimension
+    init_rng, loop_rng = RngStream(config.seed, (0,)), RngStream(config.seed, (1,))
 
     shade_state = ShadeState.create(n, budget, config.shade) if config.engine == "lshade" else None
     n_init = config.classic.population_size if shade_state is None else shade_state.n_init

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import rankdata
 
 from debox.analysis import (
     METRICS,
@@ -202,6 +203,30 @@ class TestRankMethods:
         transformed = {k: [np.log10(x) for x in v] for k, v in errors.items()}
         assert_allclose(rank_methods(errors).ranks, rank_methods(transformed).ranks)
 
+    def test_ranks_equal_scipy_rankdata(self):
+        def check(medians):
+            medians = np.asarray(medians, dtype=float)
+            errors = {(f"f{i}", f"m{j}"): [medians[i, j]]
+                      for i in range(medians.shape[0]) for j in range(medians.shape[1])}
+            table = rank_methods(errors)
+            expected = np.vstack([rankdata(row, method="average") for row in medians])
+            assert table.ranks.tobytes() == expected.tobytes(), medians
+            assert table.mean_rank.tobytes() == expected.mean(axis=0).tobytes(), medians
+            return table
+
+        # ties; a NaN median makes its whole function row NaN; +-inf at the ends;
+        # a different best method for each function
+        assert_allclose(check([[1e-8, 0.5, 1e-8, 0.5]]).ranks, [[1.5, 3.5, 1.5, 3.5]])
+        assert np.isnan(check([[1.0, np.nan], [2.0, 1.0]]).ranks[0]).all()
+        assert_allclose(check([[np.inf, -np.inf, 0.0, np.inf]]).ranks, [[3.5, 1.0, 2.0, 3.5]])
+        assert_allclose(check([[0, 1, 2], [2, 0, 1], [1, 2, 0]]).ranks, [[1, 2, 3], [3, 1, 2], [2, 3, 1]])
+        # medians from a small set force ties
+        values = np.array([0.0, 1e-8, 1e-8, 0.5, 3.0, np.inf, -np.inf, np.nan])
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            shape = (rng.integers(1, 5), rng.integers(2, 8))
+            check(rng.choice(values, size=shape, p=[.2, .2, .2, .1, .1, .08, .07, .05]))
+
     def test_needs_two_methods(self):
         with pytest.raises(ValueError, match="two methods"):
             rank_methods({("f1", "a"): [1.0]})
@@ -225,6 +250,15 @@ class TestTrajectoryMatrix:
         }
         matrix = build_trajectory_matrix(runs, "violation_probability", grid_points=3, aggregate="concat")
         assert matrix.rows.shape == (2, 6)
+
+    def test_nan_best_so_far_names_metric_and_label(self):
+        # a run of a problem without a known optimum records best_error as NaN
+        runs = {
+            "known": [run_columns([0, 10], [1.0, 0.1], "best_so_far")],
+            "unknown": [run_columns([0, 10], [np.nan, np.nan], "best_so_far")],
+        }
+        with pytest.raises(ValueError, match=r"best_so_far of label 'unknown'.*without a known optimum"):
+            build_trajectory_matrix(runs, "best_so_far", grid_points=4)
 
     def test_similarity_matrix_unit_diagonal(self):
         runs = {

@@ -3,6 +3,9 @@ import dataclasses
 import json
 import os
 import platform
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -486,6 +489,28 @@ class TestAnalysisCommands:
             err = capsys.readouterr().err
             assert f"runs/{trajectory.name}" in err, (command, err)
 
+    def test_cluster_without_known_optimum_exits_1_naming_metric(self, tmp_path, monkeypatch, capsys):
+        module = tmp_path / "optimum_unknown.py"
+        module.write_text(
+            "import numpy as np\n"
+            "from debox.benchmarks import ExternalProblem, register_problem\n"
+            "from debox.core import Bounds\n"
+            "register_problem('optimum_unknown', lambda instance, dimension: ExternalProblem(\n"
+            "    name='optimum_unknown', dimension=dimension, bounds=Bounds.symmetric(5.0, dimension),\n"
+            "    objective=lambda x: float(np.sum(x * x))))\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        config = write_json(tmp_path / "sweep.json", sweep_config(
+            functions=["optimum_unknown"], plugin_modules=["optimum_unknown"], runs_per_cell=1))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        manifest = str(out / "manifest.json")
+        assert main(["cluster", "--manifest", manifest, "--out", str(tmp_path / "all")]) == 1
+        err = capsys.readouterr().err
+        assert "best_so_far" in err and "without a known optimum" in err, err
+        assert main(["cluster", "--manifest", manifest, "--out", str(tmp_path / "vp"),
+                     "--metric", "violation_probability"]) == 0
+
     def test_missing_trajectory_exits_1_listing_gap(self, sweep_output, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads((sweep_output / "manifest.json").read_text())
@@ -502,3 +527,53 @@ def test_list_command(capsys):
     output = capsys.readouterr().out
     for needle in ("sphere", "linear_slope", "sat", "vectorMidpoint", "adaptive", "dismiss"):
         assert needle in output
+
+
+def _python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports debox from this tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(debox.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestRuntimeDependencies:
+    """scipy is a test dependency only: no command may need it."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        done = _python("""
+            import sys
+            import debox, debox.cli
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_every_command_runs_without_scipy(self, tmp_path):
+        write_json(tmp_path / "run.json", run_config())
+        write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=2, budget_multiplier=50))
+        done = _python("""
+            import sys
+
+            class NoScipy:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"scipy is blocked: {name}")
+
+            sys.meta_path.insert(0, NoScipy())
+            from debox.cli import main
+            manifest = ["--manifest", "sweep/manifest.json"]
+            commands = [
+                ["list"],
+                ["run", "--config", "run.json", "--out", "run"],
+                ["sweep", "--config", "sweep.json", "--out", "sweep", "--parallelism", "1"],
+                ["classify", *manifest],
+                ["cluster", *manifest],
+                ["rank", *manifest],
+            ]
+            codes = [main(argv) for argv in commands]
+            print(codes)
+            assert "scipy" not in sys.modules
+        """, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]", done.stdout + done.stderr

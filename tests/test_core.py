@@ -21,6 +21,12 @@ class TestBounds:
         with pytest.raises(ValueError):
             Bounds(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
+    def test_rejects_non_finite(self):
+        for lower, upper in (([-np.inf, -1.0], [np.inf, 1.0]), ([0.0, 0.0], [1.0, np.inf]),
+                             ([np.nan, 0.0], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="bounds must be finite"):
+                Bounds(np.array(lower), np.array(upper))
+
     def test_closed_box_membership(self):
         b = Bounds.symmetric(5.0, 2)
         assert b.contains(np.array([5.0, -5.0]))
