@@ -35,7 +35,7 @@ print("instance determinism:", np.array_equal(a.optimum_location, b.optimum_loca
 # strict-box semantics: finite inside the closed box, +inf outside, and the
 # raw landscape is never even evaluated for infeasible points
 problem = make_instance("separable_ellipsoid", 1, 6, "SBOX")
-inside = problem.bounds.clip(problem.optimum_location + 0.5)
+inside = np.clip(problem.optimum_location + 0.5, problem.bounds.lower, problem.bounds.upper)
 outside = inside.copy()
 outside[0] = 5.0000001
 print(f"f(x*)            = {problem.evaluate(problem.optimum_location):.6f}  (= f*)")

@@ -13,7 +13,6 @@ from .analysis import (
     Dendrogram,
     RankingTable,
     TrajectoryMatrix,
-    build_trajectory,
     build_trajectory_matrix,
     complete_linkage_cluster,
     cosine_similarity,
@@ -36,7 +35,6 @@ from .bchm import (
     fit_beta_params,
     mirror,
     saturate,
-    uniform_resample,
     vector_alpha,
     vector_correct,
 )
@@ -46,7 +44,6 @@ from .benchmarks import (
     catalog_ids,
     create_problem,
     make_instance,
-    register_function,
     register_problem,
 )
 from .core import (

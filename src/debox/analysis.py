@@ -21,7 +21,6 @@ __all__ = [
     "RankingTable",
     "TrajectoryMatrix",
     "METRICS",
-    "build_trajectory",
     "build_trajectory_matrix",
     "complete_linkage_cluster",
     "cosine_similarity",
@@ -62,25 +61,6 @@ def _metric_series(run: Mapping[str, Sequence[float]], metric: str) -> tuple[np.
     return x, y
 
 
-def build_trajectory(
-    runs: Sequence[Mapping[str, Sequence[float]]], metric: str, grid_points: int = 200
-) -> np.ndarray:
-    """Average trajectory row for one label.
-
-    ``runs`` are column mappings as produced by
-    :func:`debox.telemetry.records_to_columns` or ``read_trajectory_csv``.
-    Each run is resampled onto the uniform grid, then rows are averaged.
-    Best-so-far rows are log10-transformed (guarded at 1e-12).
-    """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}, expected one of {sorted(METRICS)}")
-    runs = list(runs)
-    if not runs:
-        raise ValueError("empty run set")
-    rows = [resample_series(*_metric_series(run, metric), grid_points) for run in runs]
-    return np.mean(rows, axis=0)
-
-
 @dataclass(eq=False)
 class TrajectoryMatrix:
     row_labels: tuple[str, ...]
@@ -96,9 +76,13 @@ def build_trajectory_matrix(
 ) -> TrajectoryMatrix:
     """One row per label, aligned and aggregated across that label's runs.
 
-    ``aggregate="mean"`` averages the resampled runs; ``"concat"``
-    concatenates them instead (all labels must then have the same run count).
+    Each run is a column mapping as ``read_trajectory_csv`` returns it;
+    best-so-far rows are log10 errors, guarded at 1e-12.  ``aggregate="mean"``
+    averages the resampled runs; ``"concat"`` concatenates them instead (all
+    labels must then have the same run count).
     """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}, expected one of {sorted(METRICS)}")
     if aggregate not in ("mean", "concat"):
         raise ValueError("aggregate must be 'mean' or 'concat'")
     labels = tuple(sorted(runs_by_label))
@@ -158,9 +142,6 @@ class MergeStep:
 class Dendrogram:
     leaf_labels: tuple[str, ...]
     merges: tuple[MergeStep, ...]
-
-    def heights(self) -> list[float]:
-        return [step.height for step in self.merges]
 
     def to_nested(self) -> dict:
         """Nested {label | children, height} tree, leaves at height 0."""

@@ -48,7 +48,6 @@ __all__ = [
     "fit_beta_params",
     "mirror",
     "saturate",
-    "uniform_resample",
     "vector_alpha",
     "vector_correct",
 ]
@@ -191,16 +190,6 @@ def _mirrored(v: _Violations) -> np.ndarray:
     width2 = 2.0 * (v.hi - v.lo)
     z = np.mod(v.values - v.lo, width2)
     return v.lo + np.minimum(z, width2 - z)
-
-
-def uniform_resample(y, bounds: Bounds, rng: RngStream) -> CorrectionOutcome:
-    """Replace each violated component with a fresh draw from U[a_i, b_i].
-
-    Feasible components are untouched and consume no randomness; violated
-    positions are redrawn in row-major order.
-    """
-    v = _violations(y, bounds)
-    return _repaired(v, rng.uniform(v.lo, v.hi))
 
 
 @dataclass(eq=False)

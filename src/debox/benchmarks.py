@@ -13,8 +13,7 @@ Two placement modes exist:
 * ``BBOB_LIKE`` -- the optimum is kept inside [-4, 4]^n, leaving a
                    boundary margin free of optima.
 
-Functions flagged as exempt keep the [-4, 4]^n placement even in SBOX mode;
-the linear slope always places its optimum on a corner of the box.
+The linear slope always places its optimum on a corner of the box.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ __all__ = [
     "catalog_ids",
     "create_problem",
     "make_instance",
-    "raw_linear_slope",
-    "register_function",
     "register_problem",
     "registered_problem_ids",
 ]
@@ -79,26 +76,14 @@ def _raw_different_powers(z: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.abs(z) ** exponents, axis=-1)
 
 
-def raw_linear_slope(x: np.ndarray, x_star: np.ndarray, bounds: Bounds | None = None) -> np.ndarray:
-    """Linear landscape with its optimum pinned on a corner of the box.
-
-    f(x) = sum_i w_i * (x*_i - x_i) * sign(x*_i) with w_i = 10^(i/(n-1)),
-    which is 0 at the corner x* and strictly positive elsewhere in the box.
-    ``x`` is one point (n,) or a batch (m, n).
-    """
-    x_star = np.asarray(x_star, dtype=float)
-    return _slope(np.asarray(x, dtype=float), x_star, _signed_slope_weights(x_star, bounds))
-
-
 def _slope(x: np.ndarray, x_star: np.ndarray, signed_weights: np.ndarray) -> np.ndarray:
+    """Linear landscape, 0 at the corner x* and strictly positive elsewhere in the box."""
     # w_i sign(x*_i) is w_i or -w_i exactly, so this is bit for bit w_i (x*_i - x_i) sign(x*_i)
     return np.add.reduce(signed_weights * (x_star - x), axis=-1)
 
 
-def _signed_slope_weights(x_star: np.ndarray, bounds: Bounds | None = None) -> np.ndarray:
+def _signed_slope_weights(x_star: np.ndarray, bounds: Bounds) -> np.ndarray:
     """w_i sign(x*_i) with w_i = 10^(i/(n-1)); raises unless x* is a corner of the box."""
-    if bounds is None:
-        bounds = Bounds.symmetric(BOX_HALF_WIDTH, x_star.size)
     if not np.logical_and.reduce((x_star == bounds.lower) | (x_star == bounds.upper)):
         raise ValueError("linear slope requires corner optimum")
     n = x_star.size
@@ -108,7 +93,6 @@ def _signed_slope_weights(x_star: np.ndarray, bounds: Bounds | None = None) -> n
 @dataclass(frozen=True)
 class CatalogEntry:
     raw: Callable[..., np.ndarray]  # a batch (m, n) to m values; a corner optimum's also takes x* and its weights
-    exempt_from_boundary_shift: bool = False
     corner_optimum: bool = False
 
 
@@ -116,7 +100,7 @@ _CATALOG: dict[str, CatalogEntry] = {
     "sphere": CatalogEntry(_raw_sphere),
     "separable_ellipsoid": CatalogEntry(_raw_separable_ellipsoid),
     "rastrigin": CatalogEntry(_raw_rastrigin),
-    "linear_slope": CatalogEntry(_slope, exempt_from_boundary_shift=True, corner_optimum=True),
+    "linear_slope": CatalogEntry(_slope, corner_optimum=True),
     "rosenbrock": CatalogEntry(_raw_rosenbrock),
     "different_powers": CatalogEntry(_raw_different_powers),
 }
@@ -124,18 +108,6 @@ _CATALOG: dict[str, CatalogEntry] = {
 
 def catalog_ids() -> list[str]:
     return sorted(_CATALOG)
-
-
-def register_function(function_id: str, raw: Callable[[np.ndarray], float], exempt: bool = False) -> None:
-    """Add a raw landscape (minimum 0 at z = 0) to the instance catalogue.
-
-    ``raw`` maps one shifted point (n,) to a float; batches call it row by row.
-    """
-    _CATALOG[function_id] = CatalogEntry(lambda z: _rows(raw, z), exempt_from_boundary_shift=exempt)
-
-
-def _rows(objective: Callable[[np.ndarray], float], xs: np.ndarray) -> np.ndarray:
-    return np.array([objective(x) for x in xs], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +194,7 @@ class BenchmarkProblem:
     def _landscape(self, xs: np.ndarray) -> np.ndarray:
         """Objective values of in-box rows."""
         if self.objective is not None:
-            return _rows(self.objective, xs)
+            return np.array([self.objective(x) for x in xs], dtype=float)
         entry = _CATALOG[self.function_id]
         if entry.corner_optimum:
             return entry.raw(xs, self.optimum_location, self._slope_weights) + self.optimum_value
@@ -263,7 +235,7 @@ def make_instance(
         corner_sign = np.where(stream.random(dimension) < 0.5, -1.0, 1.0)
         x_star = corner_sign * BOX_HALF_WIDTH
     else:
-        half = INNER_HALF_WIDTH if (mode == "BBOB_LIKE" or entry.exempt_from_boundary_shift) else BOX_HALF_WIDTH
+        half = INNER_HALF_WIDTH if mode == "BBOB_LIKE" else BOX_HALF_WIDTH
         x_star = stream.uniform(-half, half, dimension)
     return BenchmarkProblem(
         function_id=function_id,
@@ -281,15 +253,15 @@ def make_instance(
 # plugin problems
 # ---------------------------------------------------------------------------
 
-_PROBLEM_REGISTRY: dict[str, Callable[..., object]] = {}
+_PROBLEM_REGISTRY: dict[str, Callable[[int, int], BenchmarkProblem]] = {}
 
 
-def register_problem(name: str, factory: Callable[..., object]) -> None:
+def register_problem(name: str, factory: Callable[[int, int], BenchmarkProblem]) -> None:
     """Register an external problem factory under ``name``.
 
     The factory is called as ``factory(instance_id, dimension)`` and must
-    return an object with the problem surface (dimension, bounds, evaluate,
-    optional optimum_value, counters).
+    return a :class:`BenchmarkProblem`, usually one built by
+    :func:`ExternalProblem`.
     """
     _PROBLEM_REGISTRY[name] = factory
 
@@ -304,12 +276,15 @@ def create_problem(
     dimension: int,
     mode: str = "SBOX",
     count_infeasible_evals: bool = False,
-):
+) -> BenchmarkProblem:
     """Resolve a function id against the catalogue, then the plugin registry."""
     if function_id in _CATALOG:
         return make_instance(function_id, instance_id, dimension, mode, count_infeasible_evals)
     if function_id in _PROBLEM_REGISTRY:
         problem = _PROBLEM_REGISTRY[function_id](instance_id, dimension)
+        if not isinstance(problem, BenchmarkProblem):
+            raise TypeError(f"plugin problem {function_id!r} returned {type(problem).__name__}, "
+                            "not a BenchmarkProblem")
         problem.count_infeasible_evals = count_infeasible_evals
         return problem
     raise ValueError(f"unknown function {function_id!r}")

@@ -60,10 +60,10 @@ def _dataclass_schema(cls) -> dict:
     hints = typing.get_type_hints(cls)
     schema = {}
     for f in dataclasses.fields(cls):
-        if dataclasses.is_dataclass(hints[f.name]):
-            schema[f.name] = (hints[f.name], _dataclass_schema(hints[f.name]))
-        elif f.name != "problem":
-            schema[f.name] = (hints[f.name], f.default)
+        if f.name == "problem":
+            continue
+        nested = dataclasses.is_dataclass(hints[f.name])
+        schema[f.name] = (hints[f.name], _dataclass_schema(hints[f.name]) if nested else f.default)
     return schema
 
 
@@ -137,15 +137,12 @@ def _fill(data, schema: dict, prefix: str = "") -> tuple[dict, list[str]]:
 
 
 def _load_config(args):
-    """The JSON value in ``args.config``, with ``--count-infeasible-evals`` applied."""
+    """The JSON value in ``args.config``."""
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError([f"config: {exc}"])
-    if args.count_infeasible_evals and isinstance(config, dict):
-        config["count_infeasible_evals"] = True
-    return config
 
 
 def _import_plugins(modules: list[str]) -> None:
@@ -193,7 +190,7 @@ def _resolve_run(data, schema: dict = _RUN_SCHEMA) -> dict:
         # the one check that needs the problem itself, made only when a target is set
         problem = benchmarks.create_problem(function, resolved["instance"], resolved["dimension"],
                                             resolved["mode"])
-        if getattr(problem, "optimum_value", None) is None:
+        if problem.optimum_value is None:
             errors.append("target_error (problem has no known optimum value)")
     if errors:
         raise ConfigError(errors)
@@ -505,11 +502,16 @@ def cmd_rank(args) -> int:
     manifest, base, out_dir = _open_manifest(args)
 
     errors: dict[tuple[str, str], list[float]] = {}
+    no_optimum = set()
     for entry in manifest["cells"]:
         summary = _read_artifact(telemetry.read_run_summary, base, entry["summary_json"])
-        if summary["final_error"] is None:
+        if summary["final_error"] is None:  # ranks cover only functions with a known optimum
+            no_optimum.add(entry["function"])
             continue
         errors.setdefault((entry["function"], entry["bchm"]), []).append(summary["final_error"])
+    if not errors and no_optimum:
+        raise ValueError("no run has a final error to rank: no function of the sweep has a known "
+                         f"optimum ({', '.join(sorted(no_optimum))})")
     table = analysis.rank_methods(errors)
     order = np.argsort(table.mean_rank, kind="stable")
     rows = [
@@ -552,16 +554,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a single run from a config file")
     p_run.add_argument("--config", required=True, help="path to the JSON run config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--count-infeasible-evals", action="store_true",
-                       help="charge infeasible evaluations against the budget")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="execute a grid of runs")
     p_sweep.add_argument("--config", required=True, help="path to the JSON sweep config")
     p_sweep.add_argument("--out", default=None, help="output directory")
     p_sweep.add_argument("--parallelism", type=int, default=None, help="worker process count")
-    p_sweep.add_argument("--count-infeasible-evals", action="store_true",
-                         help="charge infeasible evaluations against the budget")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_classify = sub.add_parser("classify", help="behaviour-class tables from a manifest")

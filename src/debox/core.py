@@ -5,9 +5,8 @@ on the small value types defined here.  Conventions fixed once and for all:
 
 * the box is closed -- a component sitting exactly on a bound is feasible;
 * population variance uses the biased 1/N formula;
-* random streams are hierarchical: a stream is fully determined by
-  ``(seed, stream_path)``, and child streams obtained via :meth:`RngStream.split`
-  are independent, so parallel sweeps are schedule-free.
+* a random stream is fully determined by ``(seed, stream_path)``, so
+  parallel sweeps are schedule-free.
 """
 
 from __future__ import annotations
@@ -60,18 +59,11 @@ class Bounds:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
     def contains(self, x: np.ndarray) -> np.ndarray | bool:
         """Closed-box membership; reduces over the last (component) axis."""
         x = np.asarray(x, dtype=float)
         inside = np.logical_and.reduce((x >= self.lower) & (x <= self.upper), axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
 @dataclass(eq=False)
@@ -104,10 +96,6 @@ class Population:
     @property
     def size(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.positions.shape[1]
 
     @property
     def best_index(self) -> int:
@@ -148,8 +136,7 @@ class RngStream:
     """Seeded random stream addressable by a hierarchical path.
 
     Two streams with the same ``(seed, stream_path)`` produce bit-identical
-    draw sequences; :meth:`split` derives independent children, which makes
-    the draw schedule independent of execution order across runs.
+    draw sequences, and streams with different paths are independent.
     """
 
     def __init__(self, seed: int, stream_path: tuple[int, ...] = ()) -> None:
@@ -160,10 +147,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_path={self.stream_path})"
-
-    def split(self, *keys: int) -> "RngStream":
-        """Independent child stream addressed by ``stream_path + keys``."""
-        return RngStream(self.seed, self.stream_path + tuple(int(k) for k in keys))
 
     # -- draws ---------------------------------------------------------
     def random(self, size=None):

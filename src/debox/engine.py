@@ -52,6 +52,7 @@ import numpy as np
 
 from . import telemetry
 from .bchm import METHOD_IDS, AdaptiveState, CorrectionContext, adaptive_correct, adaptive_update, correct
+from .benchmarks import BenchmarkProblem
 from .core import Population, PopulationStats, RngStream, population_stats
 
 __all__ = [
@@ -209,13 +210,6 @@ def _distinct_indices(units: np.ndarray, j: np.ndarray, *limits: int) -> list[np
     return picked
 
 
-def _evaluate(problem, xs: np.ndarray) -> np.ndarray:
-    batch = getattr(problem, "evaluate_batch", None)
-    if batch is None:  # plugin objects that only offer evaluate(x)
-        return np.array([problem.evaluate(x) for x in xs], dtype=float)
-    return batch(xs)
-
-
 # ---------------------------------------------------------------------------
 # the generation kernel
 # ---------------------------------------------------------------------------
@@ -280,7 +274,7 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
             dismissed = outcome.dismissed
     clock.lap(REPAIR)
 
-    trial_fitness = _evaluate(problem, repaired)
+    trial_fitness = problem.evaluate_batch(repaired)
     clock.lap(EVALUATION)
     wins = trial_fitness <= fitness[:kept]
     if dismissed is not None:
@@ -415,7 +409,7 @@ BUDGET_PER_DIMENSION = 10000
 class RunConfig:
     """Everything needed to reproduce one optimization run."""
 
-    problem: object
+    problem: BenchmarkProblem | None  # None only while a front-end validates the other fields
     engine: str = "lshade"
     bchm: str = "sat"
     budget: int | None = None  # default: BUDGET_PER_DIMENSION * dimension
@@ -458,7 +452,7 @@ class RunConfig:
         errors = self.validation_errors()
         if self.problem is None:
             errors.insert(0, "problem (required)")
-        elif self.target_error is not None and getattr(self.problem, "optimum_value", None) is None:
+        elif self.target_error is not None and self.problem.optimum_value is None:
             errors.append("target_error (problem has no known optimum value)")
         if errors:
             raise ValueError("invalid config fields: " + "; ".join(errors))
@@ -498,13 +492,13 @@ def run(config: RunConfig) -> RunResult:
     shade_state = ShadeState.create(n, budget, config.shade) if config.engine == "lshade" else None
     n_init = config.classic.population_size if shade_state is None else shade_state.n_init
     positions = init_rng.uniform(problem.bounds.lower, problem.bounds.upper, (n_init, n))
-    fitness = _evaluate(problem, positions)
+    fitness = problem.evaluate_batch(positions)
     pop = Population(positions, fitness, generation=0, evaluations_used=problem.budget_consumed)
 
     adaptive_state = None if config.bchm != "adaptive" else AdaptiveState(
         update_period=config.adaptive_update_period, floor_probability=config.adaptive_floor)
 
-    f_star = getattr(problem, "optimum_value", None)
+    f_star = problem.optimum_value
     records: list[telemetry.GenerationRecord] = []
     started = time.perf_counter()
     clock = _PhaseClock()

@@ -130,7 +130,7 @@ def record_generation(
         individual_ratio = 0.0
     if stats is None:
         stats = population_stats(population)
-    f_star = getattr(problem, "optimum_value", None)
+    f_star = problem.optimum_value
     best_error = max(float(np.minimum.reduce(population.fitness)) - f_star, 0.0) if f_star is not None else np.nan
     return GenerationRecord(
         generation=generation,

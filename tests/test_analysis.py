@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from scipy.stats import rankdata
 from debox.analysis import (
     METRICS,
     Dendrogram,
-    build_trajectory,
     build_trajectory_matrix,
     complete_linkage_cluster,
     cosine_similarity,
@@ -36,22 +36,23 @@ class TestResampling:
 
     def test_averaging_across_runs(self):
         runs = [run_columns([0, 100], [0.0, 0.0]), run_columns([0, 100], [1.0, 1.0])]
-        row = build_trajectory(runs, "violation_probability", grid_points=5)
+        (row,) = build_trajectory_matrix({"a": runs}, "violation_probability", grid_points=5).rows
         assert_allclose(row, np.full(5, 0.5))
 
     def test_empty_run_set(self):
         with pytest.raises(ValueError, match="empty run set"):
-            build_trajectory([], "violation_probability")
+            build_trajectory_matrix({"a": []}, "violation_probability")
 
     def test_best_so_far_is_log_transformed(self):
         runs = [run_columns([0, 100], [1.0, 0.0], metric="best_so_far")]
-        row = build_trajectory(runs, "best_so_far", grid_points=2)
+        (row,) = build_trajectory_matrix({"a": runs}, "best_so_far", grid_points=2).rows
         assert row[0] == pytest.approx(np.log10(1.0 + 1e-12))
         assert row[1] == pytest.approx(-12.0)
 
     def test_unknown_metric(self):
-        with pytest.raises(ValueError, match="unknown metric"):
-            build_trajectory([run_columns([0], [0.0])], "speed")
+        expected = f"unknown metric 'speed', expected one of {sorted(METRICS)}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            build_trajectory_matrix({"a": [run_columns([0], [0.0])]}, "speed")
 
 
 class TestCosineSimilarity:
@@ -115,7 +116,7 @@ class TestCompleteLinkage:
         sim = np.full((k, k), 0.4)
         np.fill_diagonal(sim, 1.0)
         dendrogram = complete_linkage_cluster(sim, tuple("ABCDE"))
-        assert_allclose(dendrogram.heights(), [0.6] * (k - 1))
+        assert_allclose([step.height for step in dendrogram.merges], [0.6] * (k - 1))
 
     def test_heights_non_decreasing_on_random_matrices(self):
         rng = RngStream(4)
@@ -125,7 +126,7 @@ class TestCompleteLinkage:
             for i in range(6):
                 for j in range(i + 1, 6):
                     sim[i, j] = sim[j, i] = cosine_similarity(rows[i], rows[j])
-            heights = complete_linkage_cluster(sim, tuple("ABCDEF")).heights()
+            heights = [step.height for step in complete_linkage_cluster(sim, tuple("ABCDEF")).merges]
             assert all(a <= b + 1e-12 for a, b in zip(heights, heights[1:]))
 
     def test_non_symmetric_rejected(self):

@@ -18,7 +18,6 @@ from debox.bchm import (
     fit_beta_params,
     mirror,
     saturate,
-    uniform_resample,
     vector_alpha,
     vector_correct,
 )
@@ -78,18 +77,18 @@ class TestMirror:
 
 class TestUniformResample:
     def test_stubbed_unit_draw(self, scripted):
-        outcome = uniform_resample(np.array([9.0]), BOX1, scripted([0.25]))
+        outcome = correct("uniform", np.array([9.0]), make_ctx(BOX1), scripted([0.25]))
         assert_allclose(outcome.vector, [-2.5])
 
     def test_feasible_consumes_no_randomness(self, scripted):
         stream = scripted([])
-        outcome = uniform_resample(np.array([1.0, 1.0]), BOX2, stream)
+        outcome = correct("uniform", np.array([1.0, 1.0]), make_ctx(BOX2), stream)
         assert_allclose(outcome.vector, [1.0, 1.0])
         assert stream.consumed == 0
 
     def test_output_mean_matches_box_midpoint(self):
         rng = RngStream(5)
-        outcome = uniform_resample(np.full((100_000, 1), 9.0), BOX1, rng)
+        outcome = correct("uniform", np.full((100_000, 1), 9.0), make_ctx(BOX1), rng)
         assert abs(outcome.vector.mean()) < 0.05
 
 
@@ -133,7 +132,7 @@ class TestBetaCorrect:
     def test_fallback_behaves_like_uniform_resample(self, scripted):
         degenerate = PopulationStats(mean=np.array([0.0]), variance=np.array([25.0]))
         a = beta_correct(np.array([9.0]), BOX1, degenerate, scripted([0.25]))
-        b = uniform_resample(np.array([9.0]), BOX1, scripted([0.25]))
+        b = correct("uniform", np.array([9.0]), make_ctx(BOX1), scripted([0.25]))
         assert_allclose(a.vector, b.vector)
 
 

@@ -8,8 +8,6 @@ from debox.benchmarks import (
     catalog_ids,
     create_problem,
     make_instance,
-    raw_linear_slope,
-    register_function,
     register_problem,
 )
 from debox.core import Bounds, RngStream
@@ -51,11 +49,6 @@ class TestMakeInstance:
         for mode in ("SBOX", "BBOB_LIKE"):
             problem = make_instance("linear_slope", 2, 6, mode)
             assert np.all(np.abs(problem.optimum_location) == 5.0)
-
-    def test_exempt_function_keeps_inner_box_in_sbox_mode(self):
-        register_function("exempt_probe", lambda z: float(np.sum(z * z)), exempt=True)
-        problem = make_instance("exempt_probe", 0, 12, "SBOX")
-        assert np.all(np.abs(problem.optimum_location) <= 4.0)
 
     def test_offset_range(self):
         values = [make_instance("sphere", i, 5, "SBOX").optimum_value for i in range(50)]
@@ -112,9 +105,8 @@ class TestEvaluateStrict:
 
     def test_batch_matches_single_point_evaluation(self):
         rng = RngStream(5)
-        register_function("rowwise_probe", lambda z: float(np.sum(np.abs(z))))
-        for function in ALL_FUNCTIONS + ["rowwise_probe"]:
-            problem = make_instance(function, 1, 6, "SBOX")
+        rowwise = ExternalProblem("rowwise_probe", 6, Bounds.symmetric(5.0, 6), lambda x: float(np.sum(np.abs(x))))
+        for problem in [make_instance(function, 1, 6, "SBOX") for function in ALL_FUNCTIONS] + [rowwise]:
             batch = rng.uniform(-6, 6, (50, 6))
             single = np.array([problem.evaluate(x) for x in batch])
             assert_allclose(problem.evaluate_batch(batch), single, rtol=1e-12)
@@ -151,41 +143,42 @@ class TestEvaluationCounting:
         assert problem.budget_consumed == 0
 
 
+def slope(x_star, bounds=None):
+    """The linear slope with its optimum at the corner ``x_star`` and f* = 0."""
+    x_star = np.asarray(x_star, dtype=float)
+    bounds = bounds or Bounds.symmetric(5.0, x_star.size)
+    return BenchmarkProblem("linear_slope", 0, x_star.size, bounds, optimum_location=x_star, optimum_value=0.0)
+
+
 class TestLinearSlope:
     def test_zero_at_corner(self):
         x_star = np.array([5.0, -5.0])
-        assert raw_linear_slope(x_star, x_star) == 0.0
+        assert slope(x_star).evaluate(x_star) == 0.0
 
     def test_hand_value_at_origin(self):
         # weights (1, 10): 1*5*1 + 10*(-5)*(-1) = 55
-        assert_allclose(raw_linear_slope(np.zeros(2), np.array([5.0, -5.0])), 55.0)
+        assert_allclose(slope([5.0, -5.0]).evaluate(np.zeros(2)), 55.0)
 
     def test_linearity(self):
-        x_star = np.array([5.0, 5.0])
-        f = lambda x: raw_linear_slope(np.array(x, dtype=float), x_star)
+        f = lambda x: slope([5.0, 5.0]).evaluate(np.array(x, dtype=float))
         assert_allclose(f([1.0, 1.0]) + f([3.0, 3.0]), 2.0 * f([2.0, 2.0]), atol=1e-12)
 
     def test_positive_inside_box(self):
-        x_star = np.array([5.0, -5.0, 5.0])
-        rng = RngStream(0)
-        for _ in range(100):
-            x = rng.uniform(-5, 5, 3)
-            assert raw_linear_slope(x, x_star) > 0.0
+        problem = slope([5.0, -5.0, 5.0])
+        xs = RngStream(0).uniform(-5, 5, (100, 3))
+        assert np.all(problem.evaluate_batch(xs) > 0.0)
 
     def test_requires_corner(self):
+        # a corner of [-5, 5]^2 that is not a corner of the box the problem lives on
+        box = Bounds(np.array([-5.0, -5.0]), np.array([5.0, 4.0]))
         with pytest.raises(ValueError, match="corner"):
-            raw_linear_slope(np.zeros(2), np.array([5.0, 0.0]))
+            slope([5.0, 5.0], box)
+        assert slope([5.0, 4.0], box).evaluate(np.array([5.0, 4.0])) == 0.0
 
     def test_problem_checks_its_corner_when_built(self):
         box = Bounds.symmetric(5.0, 2)
         with pytest.raises(ValueError, match="corner"):
             BenchmarkProblem("linear_slope", 0, 2, box, optimum_location=np.array([5.0, 0.0]), optimum_value=0.0)
-
-    def test_problem_matches_the_public_slope_bit_for_bit(self):
-        problem = make_instance("linear_slope", 4, 7)
-        xs = RngStream(5).uniform(-5, 5, (50, 7))
-        expected = raw_linear_slope(xs, problem.optimum_location) + problem.optimum_value
-        assert problem.evaluate_batch(xs).tobytes() == expected.tobytes()
 
 
 class TestPluginProblems:

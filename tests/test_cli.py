@@ -199,6 +199,23 @@ class TestRunCommand:
         summary = json.loads(next(p for p in out.iterdir() if p.suffix == ".json").read_text())
         assert summary["config"]["function"] == "shifted_abs"
 
+    def test_plugin_returning_other_than_a_problem_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
+        module = tmp_path / "duck_problems.py"
+        module.write_text(
+            "import numpy as np\n"
+            "from types import SimpleNamespace\n"
+            "from debox.benchmarks import register_problem\n"
+            "from debox.core import Bounds\n"
+            "register_problem('duck', lambda instance, dimension: SimpleNamespace(\n"
+            "    dimension=dimension, bounds=Bounds.symmetric(5.0, dimension), optimum_value=0.0,\n"
+            "    evaluate=lambda x: float(np.sum(x * x))))\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        config = write_json(tmp_path / "run.json", run_config(function="duck", plugin_modules=["duck_problems"]))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "'duck'" in err and "SimpleNamespace" in err and "BenchmarkProblem" in err, err
+
 
 class TestSweepCommand:
     def test_grid_produces_expected_artifacts(self, tmp_path):
@@ -489,7 +506,9 @@ class TestAnalysisCommands:
             err = capsys.readouterr().err
             assert f"runs/{trajectory.name}" in err, (command, err)
 
-    def test_cluster_without_known_optimum_exits_1_naming_metric(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture
+    def optimum_unknown_sweep(self, tmp_path, monkeypatch):
+        """The manifest of a 1-function x 2-BCHM sweep of a plugin problem without a known optimum."""
         module = tmp_path / "optimum_unknown.py"
         module.write_text(
             "import numpy as np\n"
@@ -504,12 +523,22 @@ class TestAnalysisCommands:
             functions=["optimum_unknown"], plugin_modules=["optimum_unknown"], runs_per_cell=1))
         out = tmp_path / "out"
         assert main(["sweep", "--config", config, "--out", str(out)]) == 0
-        manifest = str(out / "manifest.json")
+        return str(out / "manifest.json")
+
+    def test_cluster_without_known_optimum_exits_1_naming_metric(self, optimum_unknown_sweep, tmp_path, capsys):
+        manifest = optimum_unknown_sweep
         assert main(["cluster", "--manifest", manifest, "--out", str(tmp_path / "all")]) == 1
         err = capsys.readouterr().err
         assert "best_so_far" in err and "without a known optimum" in err, err
         assert main(["cluster", "--manifest", manifest, "--out", str(tmp_path / "vp"),
                      "--metric", "violation_probability"]) == 0
+
+    def test_rank_without_known_optimum_exits_1_naming_cause(self, optimum_unknown_sweep, tmp_path, capsys):
+        assert main(["rank", "--manifest", optimum_unknown_sweep, "--out", str(tmp_path / "rank")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: no run has a final error to rank: no function of the sweep "
+                                    "has a known optimum (optimum_unknown)"], err
+        assert main(["classify", "--manifest", optimum_unknown_sweep, "--out", str(tmp_path / "cls")]) == 0
 
     def test_missing_trajectory_exits_1_listing_gap(self, sweep_output, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"

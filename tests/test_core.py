@@ -71,10 +71,9 @@ class TestRngStream:
         b = RngStream(123, (1, 2)).random(100)
         assert np.array_equal(a, b)
 
-    def test_split_changes_stream(self):
-        root = RngStream(5)
-        assert root.split(0).random() != root.split(1).random()
-        assert root.split(0).stream_path == (0,)
+    def test_different_paths_differ(self):
+        assert RngStream(5, (0,)).random() != RngStream(5, (1,)).random()
+        assert RngStream(5, (0,)).stream_path == (0,)
 
     def test_operation_sequence_reproducible(self):
         def sequence(stream):
