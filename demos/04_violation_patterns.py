@@ -29,7 +29,7 @@ def violation_series(optimum: np.ndarray, seed: int) -> np.ndarray:
         problem=problem, engine="lshade", bchm="dismiss",
         budget=10_000 * DIMENSION, seed=seed, max_generations=GENERATIONS,
     )
-    return np.array([r.infeasible_component_ratio for r in run(config).records])
+    return run(config).records.columns["infeasible_component_ratio"]
 
 
 near = np.mean([violation_series(np.full(DIMENSION, 4.99), s) for s in range(1, 4)], axis=0)

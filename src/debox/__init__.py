@@ -69,6 +69,7 @@ from .telemetry import (
     BehaviourClass,
     ClassifierConfig,
     GenerationRecord,
+    Trajectory,
     classify,
     record_generation,
 )

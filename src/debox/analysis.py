@@ -9,6 +9,7 @@ the feasible-evaluation axis before rows are averaged and compared.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -113,21 +114,23 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError("vectors must have equal length")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 and nv == 0.0:
-        return 1.0
+    return _cosine(u, v, float(np.linalg.norm(u)), float(np.linalg.norm(v)))
+
+
+def _cosine(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
+    """cos(u, v) from the norms of u and v, clipped to [-1, 1]."""
     if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+        return float(nu == nv)
+    return min(max(float(np.dot(u, v) / (nu * nv)), -1.0), 1.0)
 
 
 def similarity_matrix(matrix: TrajectoryMatrix) -> np.ndarray:
-    k = matrix.rows.shape[0]
-    sim = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            sim[i, j] = sim[j, i] = cosine_similarity(matrix.rows[i], matrix.rows[j])
+    """Pairwise :func:`cosine_similarity` of the rows, each row's norm computed once."""
+    rows = matrix.rows
+    norms = [float(np.linalg.norm(row)) for row in rows]
+    sim = np.eye(len(rows))
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        sim[i, j] = sim[j, i] = _cosine(rows[i], rows[j], norms[i], norms[j])
     return sim
 
 

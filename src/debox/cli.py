@@ -17,6 +17,7 @@ failure, 2 config/schema violation.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import importlib
@@ -185,7 +186,7 @@ def _resolve_run(data, schema: dict = _RUN_SCHEMA) -> dict:
         errors.append("budget_multiplier (must be >= 1)")
     elif resolved["budget"] is None:
         resolved["budget"] = resolved["budget_multiplier"] * resolved["dimension"]
-    errors += _run_config(resolved, None).validation_errors()
+    errors += _run_config(resolved, None).validation_errors(resolved["dimension"])
     if not errors and resolved["target_error"] is not None:
         # the one check that needs the problem itself, made only when a target is set
         problem = benchmarks.create_problem(function, resolved["instance"], resolved["dimension"],
@@ -201,8 +202,8 @@ def _resolve_run(data, schema: dict = _RUN_SCHEMA) -> dict:
 # run
 # ---------------------------------------------------------------------------
 
-def _execute_run(resolved: dict) -> tuple[list, dict]:
-    """Run one resolved configuration; its generation records and its summary."""
+def _execute_run(resolved: dict) -> tuple[telemetry.Trajectory, dict]:
+    """Run one resolved configuration; its trajectory and its summary."""
     problem = benchmarks.create_problem(resolved["function"], resolved["instance"], resolved["dimension"],
                                         resolved["mode"], resolved["count_infeasible_evals"])
     result = run(_run_config(resolved, problem))
@@ -239,9 +240,9 @@ def cmd_run(args) -> int:
     out, name = resolved.pop("out"), resolved.pop("name")
     out_dir = args.out or out
     stem = name or _run_stem(resolved)
-    records, summary = _execute_run(resolved)
+    trajectory, summary = _execute_run(resolved)
     os.makedirs(out_dir, exist_ok=True)
-    telemetry.write_trajectory_csv(records, os.path.join(out_dir, stem + ".csv"))
+    telemetry.write_trajectory_csv(trajectory, os.path.join(out_dir, stem + ".csv"))
     telemetry.write_run_summary(os.path.join(out_dir, stem + ".json"), summary)
     print(os.path.join(out_dir, stem + ".csv"))
     print(os.path.join(out_dir, stem + ".json"))
@@ -312,8 +313,8 @@ def _run_cell(cell: dict) -> tuple[dict, tuple[str, ...]]:
     entry = _entry(cell)
     try:
         _import_plugins(cell["plugin_modules"])
-        records, summary = _execute_run(cell)
-        return dict(entry, status="ok"), (telemetry.trajectory_csv_text(records),
+        trajectory, summary = _execute_run(cell)
+        return dict(entry, status="ok"), (telemetry.trajectory_csv_text(trajectory),
                                           telemetry.run_summary_text(summary))
     except Exception as exc:
         return _failure(entry, exc), ()
@@ -411,47 +412,29 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def cmd_classify(args) -> int:
     manifest, base, out_dir = _open_manifest(args)
 
-    rows = []
-    groups: dict[tuple, list[dict]] = {}
+    rows, groups = [], {}
     for entry in manifest["cells"]:
         summary = _read_artifact(telemetry.read_run_summary, base, entry["summary_json"])
-        record = dict(entry)
-        record["class"] = summary["behaviour_class"]
-        record["final_error"] = summary["final_error"]
-        record["final_max_component_variance"] = summary["final_max_component_variance"]
-        rows.append(record)
-        key = (entry["function"], entry["mode"], entry["dimension"], entry["engine"], entry["bchm"])
-        groups.setdefault(key, []).append(record)
-
-    run_rows = [
-        [r["function"], r["mode"], r["dimension"], r["engine"], r["bchm"], r["instance"],
-         r["run_index"], r["class"] or "",
-         "" if r["final_error"] is None else telemetry.format_float(r["final_error"]),
-         telemetry.format_float(r["final_max_component_variance"])]
-        for r in rows
-    ]
+        behaviour, error = summary["behaviour_class"] or "", summary["final_error"]
+        key = tuple(entry[name] for name in ("function", "mode", "dimension", "engine", "bchm"))
+        rows.append([*key, entry["instance"], entry["run_index"], behaviour,
+                     "" if error is None else telemetry.format_float(error),
+                     telemetry.format_float(summary["final_max_component_variance"])])
+        groups.setdefault(key, []).append((error, behaviour))
     _write_csv(
         os.path.join(out_dir, "classes.csv"),
         ["function", "mode", "dimension", "engine", "bchm", "instance", "run_index",
          "class", "final_error", "final_max_component_variance"],
-        run_rows,
+        rows,
     )
 
     summary_rows = []
     for key in sorted(groups):
-        records = groups[key]
-        counts = {name: 0 for name in ("GB", "SF", "PC", "BB")}
-        for r in records:
-            if r["class"]:
-                counts[r["class"]] += 1
+        counts = collections.Counter(behaviour for _, behaviour in groups[key])
         # class of the median-error run (lower median on even counts)
-        with_error = [r for r in records if r["final_error"] is not None]
-        if with_error:
-            with_error.sort(key=lambda r: r["final_error"])
-            median_class = with_error[(len(with_error) - 1) // 2]["class"] or ""
-        else:
-            median_class = ""
-        summary_rows.append(list(key) + [counts["GB"], counts["SF"], counts["PC"], counts["BB"], median_class])
+        ranked = sorted((run for run in groups[key] if run[0] is not None), key=lambda run: run[0])
+        median_class = ranked[(len(ranked) - 1) // 2][1] if ranked else ""
+        summary_rows.append([*key, *(counts[name] for name in ("GB", "SF", "PC", "BB")), median_class])
     _write_csv(
         os.path.join(out_dir, "classes_summary.csv"),
         ["function", "mode", "dimension", "engine", "bchm", "GB", "SF", "PC", "BB", "median_run_class"],
@@ -486,15 +469,11 @@ def cmd_cluster(args) -> int:
             sim_rows,
         )
         dendrogram = analysis.complete_linkage_cluster(sim, matrix.row_labels)
-        json_path = os.path.join(out_dir, f"dendrogram_{metric}_{args.label_by}.json")
-        with open(json_path, "w") as fh:
-            fh.write(dendrogram.to_json())
-            fh.write("\n")
-        newick_path = os.path.join(out_dir, f"dendrogram_{metric}_{args.label_by}.newick")
-        with open(newick_path, "w") as fh:
-            fh.write(dendrogram.to_newick())
-            fh.write("\n")
-        print(json_path)
+        stem = os.path.join(out_dir, f"dendrogram_{metric}_{args.label_by}")
+        for extension, text in ((".json", dendrogram.to_json()), (".newick", dendrogram.to_newick())):
+            with open(stem + extension, "w") as fh:
+                fh.write(text + "\n")
+        print(stem + ".json")
     return 0
 
 

@@ -106,6 +106,9 @@ class ShadeParams:
             errors.append("shade.archive_capacity (must be >= 0)")
         return errors
 
+    def initial_size(self, dimension: int) -> int:
+        return self.n_init if self.n_init is not None else 18 * dimension
+
 
 @dataclass(eq=False)
 class ShadeState:
@@ -121,7 +124,7 @@ class ShadeState:
 
     @classmethod
     def create(cls, dimension: int, budget: int, params: ShadeParams) -> "ShadeState":
-        n_init = params.n_init if params.n_init is not None else 18 * dimension
+        n_init = params.initial_size(dimension)
         return cls(
             memory_f=np.full(params.memory_size, 0.5), memory_cr=np.full(params.memory_size, 0.5),
             memory_index=0, archive=np.empty((0, dimension)), params=params, n_init=n_init, n_fe_max=budget,
@@ -234,10 +237,10 @@ class _PhaseClock:
 
 
 def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, units: np.ndarray, bchm: str,
-                problem, rng: RngStream, records: list, adaptive_state: AdaptiveState | None,
+                problem, rng: RngStream, trajectory: telemetry.Trajectory, adaptive_state: AdaptiveState | None,
                 budget: int | None, beta_epsilon: float, clock: _PhaseClock, adapt=None) -> Population:
     """Crossover, budget prefix, batch repair, batch evaluation, greedy
-    selection and the telemetry record of one generation.
+    selection and the telemetry of one generation, appended to ``trajectory``.
 
     ``pbest`` is one vector (classic) or one row per trial (L-SHADE);
     ``units`` holds the crossover rows of the generation's unit block.
@@ -291,11 +294,11 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
                           evaluations_used=problem.budget_consumed)
     next_pop.stats = population_stats(next_pop)
     clock.lap(SELECTION)
-    records.append(telemetry.record_generation(
-        next_pop.generation, trials, next_pop, problem, corrections_applied=corrections,
+    telemetry.record_generation(
+        trajectory, trials, next_pop, problem, corrections_applied=corrections,
         adaptive_probabilities=None if adaptive_state is None else adaptive_state.probabilities,
-        stats=next_pop.stats, outside=outside, infeasible=infeasible,
-    ))
+        outside=outside, infeasible=infeasible,
+    )
     clock.lap(TELEMETRY)
     return next_pop
 
@@ -305,13 +308,13 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
 # ---------------------------------------------------------------------------
 
 def classic_generation(pop: Population, params: ClassicDEParams, bchm: str, problem, rng: RngStream,
-                       records: list, adaptive_state: AdaptiveState | None = None, budget: int | None = None,
-                       beta_epsilon: float = CorrectionContext.beta_epsilon,
+                       trajectory: telemetry.Trajectory, adaptive_state: AdaptiveState | None = None,
+                       budget: int | None = None, beta_epsilon: float = CorrectionContext.beta_epsilon,
                        clock: _PhaseClock | None = None) -> Population:
     """One synchronous DE/rand/1/bin generation.
 
     If the budget runs out mid-generation the remaining targets carry over
-    unchanged.  Appends the generation's telemetry record to ``records``;
+    unchanged.  Appends the generation's telemetry to ``trajectory``;
     ``clock`` accumulates the seconds of each phase.
     """
     clock = clock if clock is not None else _PhaseClock()
@@ -324,12 +327,12 @@ def classic_generation(pop: Population, params: ClassicDEParams, bchm: str, prob
     r1, r2, r3 = _distinct_indices(index_units, np.arange(m), m, m, m)
     mutants = rand1_mutant(x[r1], x[r2], x[r3], params.scale_factor)
     return _generation(pop, mutants, params.crossover_rate, x[pop.best_index], crossover_units, bchm, problem,
-                       rng, records, adaptive_state, budget, beta_epsilon, clock)
+                       rng, trajectory, adaptive_state, budget, beta_epsilon, clock)
 
 
-def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rng: RngStream, records: list,
-                      adaptive_state: AdaptiveState | None = None, budget: int | None = None,
-                      beta_epsilon: float = CorrectionContext.beta_epsilon,
+def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rng: RngStream,
+                      trajectory: telemetry.Trajectory, adaptive_state: AdaptiveState | None = None,
+                      budget: int | None = None, beta_epsilon: float = CorrectionContext.beta_epsilon,
                       clock: _PhaseClock | None = None) -> tuple[Population, ShadeState]:
     """One L-SHADE generation: current-to-pbest/1/bin with memories, archive
     and (optionally) linear population size reduction."""
@@ -364,7 +367,7 @@ def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rn
         return positions, new_fitness
 
     next_pop = _generation(pop, mutants, cr[:, None], pbest, units[6 * m:].reshape(m, 1 + n), bchm, problem,
-                           rng, records, adaptive_state, budget, beta_epsilon, clock, adapt)
+                           rng, trajectory, adaptive_state, budget, beta_epsilon, clock, adapt)
     return next_pop, state
 
 
@@ -425,8 +428,10 @@ class RunConfig:
     def resolved_budget(self) -> int:
         return self.budget if self.budget is not None else BUDGET_PER_DIMENSION * self.problem.dimension
 
-    def validation_errors(self) -> list[str]:
-        """One message per invalid field; the problem is not consulted."""
+    def validation_errors(self, dimension: int | None = None) -> list[str]:
+        """One message per invalid field; the problem is not consulted.  Given
+        the problem's ``dimension``, the budget must also exceed the size of
+        the initial population, which spends its first evaluations."""
         errors = []
         if self.engine not in ("classic", "lshade"):
             errors.append("engine (must be 'classic' or 'lshade')")
@@ -434,6 +439,11 @@ class RunConfig:
             errors.append(f"bchm (unknown method id {self.bchm!r})")
         if self.budget is not None and self.budget <= 0:
             errors.append("budget (budget must be positive)")
+        elif dimension is not None:
+            budget = self.budget if self.budget is not None else BUDGET_PER_DIMENSION * dimension
+            size = self.classic.population_size if self.engine == "classic" else self.shade.initial_size(dimension)
+            if budget <= size:
+                errors.append(f"budget (must exceed the initial population size {size}, got {budget})")
         if self.target_error is not None and self.target_error <= 0:
             errors.append("target_error (must be positive)")
         if self.seed < 0:
@@ -449,7 +459,7 @@ class RunConfig:
         return errors + self.classic.validation_errors() + self.shade.validation_errors()
 
     def validate(self) -> None:
-        errors = self.validation_errors()
+        errors = self.validation_errors(None if self.problem is None else self.problem.dimension)
         if self.problem is None:
             errors.insert(0, "problem (required)")
         elif self.target_error is not None and self.problem.optimum_value is None:
@@ -465,7 +475,7 @@ class RunResult:
     best_position: np.ndarray
     behaviour: telemetry.BehaviourClass | None
     classification_mode: str
-    records: list[telemetry.GenerationRecord]
+    records: telemetry.Trajectory
     evaluations_used: int
     generations: int
     final_stats: PopulationStats
@@ -499,7 +509,7 @@ def run(config: RunConfig) -> RunResult:
         update_period=config.adaptive_update_period, floor_probability=config.adaptive_floor)
 
     f_star = problem.optimum_value
-    records: list[telemetry.GenerationRecord] = []
+    trajectory = telemetry.Trajectory()
     started = time.perf_counter()
     clock = _PhaseClock()
     stalled = 0
@@ -510,15 +520,15 @@ def run(config: RunConfig) -> RunResult:
             break
         consumed_before = problem.budget_consumed
         if config.engine == "classic":
-            pop = classic_generation(pop, config.classic, config.bchm, problem, loop_rng, records,
+            pop = classic_generation(pop, config.classic, config.bchm, problem, loop_rng, trajectory,
                                      adaptive_state, budget, config.beta_epsilon, clock)
         else:
-            pop, shade_state = lshade_generation(pop, shade_state, config.bchm, problem, loop_rng, records,
-                                                 adaptive_state, budget, config.beta_epsilon, clock)
+            pop, shade_state = lshade_generation(pop, shade_state, config.bchm, problem, loop_rng,
+                                                 trajectory, adaptive_state, budget, config.beta_epsilon, clock)
         if adaptive_state is not None and pop.generation % adaptive_state.update_period == 0:
             adaptive_state = adaptive_update(adaptive_state)
             clock.lap(SELECTION)
-        if config.target_error is not None and records[-1].best_error <= config.target_error:
+        if config.target_error is not None and trajectory[-1].best_error <= config.target_error:
             stop_reason = "target"
             break
         # with dismiss and free infeasible evaluations a generation may consume
@@ -528,6 +538,7 @@ def run(config: RunConfig) -> RunResult:
             stop_reason = "stalled"
             break
     wall_time = time.perf_counter() - started
+    trajectory.trim()
 
     best_idx = pop.best_index
     best_fitness = float(pop.fitness[best_idx])
@@ -545,7 +556,7 @@ def run(config: RunConfig) -> RunResult:
         classification_mode = "variance_only"
     return RunResult(
         best_error=best_error, best_fitness=best_fitness, best_position=pop.positions[best_idx].copy(),
-        behaviour=behaviour, classification_mode=classification_mode, records=records,
+        behaviour=behaviour, classification_mode=classification_mode, records=trajectory,
         evaluations_used=problem.budget_consumed, generations=pop.generation, final_stats=final_stats,
         final_max_component_variance=final_variance, wall_time_seconds=wall_time,
         stop_reason=stop_reason, phase_seconds=dict(zip(PHASES, clock.seconds)),

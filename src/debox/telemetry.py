@@ -10,8 +10,10 @@ population variance place the run into one of four behaviour classes:
     PC  population converged away from the solution (premature convergence)
     BB  neither converged nor solved
 
-Trajectories are persisted as plain CSV (one row per generation, columns
-named exactly after the record fields) and runs are summarised as JSON.
+A run keeps its records as a :class:`Trajectory`, one numpy column per
+record field.  Trajectories are persisted as plain CSV (one row per
+generation, columns named exactly after the record fields), written and read
+column by column, and runs are summarised as JSON.
 Every file is written under a temporary name and then moved into place, so
 a reader never sees a half-written artifact.
 """
@@ -19,7 +21,6 @@ a reader never sees a half-written artifact.
 from __future__ import annotations
 
 import contextlib
-import csv
 import enum
 import json
 import os
@@ -33,6 +34,7 @@ __all__ = [
     "BehaviourClass",
     "ClassifierConfig",
     "GenerationRecord",
+    "Trajectory",
     "classify",
     "format_float",
     "open_atomic",
@@ -95,77 +97,116 @@ class GenerationRecord:
     adaptive_probabilities: list[float] | None = None
 
 
-def record_generation(
-    generation: int,
-    trials: np.ndarray,
-    population: Population,
-    problem,
-    corrections_applied: int = 0,
-    adaptive_probabilities=None,
-    stats=None,
-    outside=None,
-    infeasible=None,
-) -> GenerationRecord:
-    """Build the telemetry record for one completed generation.
+#: the CSV header: one column per GenerationRecord field, in field order
+_COLUMNS = [f.name for f in fields(GenerationRecord)]
+_INT_COLUMNS = {"generation", "feasible_evaluations", "population_size", "corrections_applied"}
+
+
+class Trajectory:
+    """One run's telemetry as columns: a numpy array per GenerationRecord
+    field with one entry per generation, int64 for the counts and float64
+    for the rest.  ``adaptive_probabilities`` is one (G, k) array in a run
+    of the adaptive BCHM and absent otherwise.
+
+    :func:`record_generation` appends a generation in place; the columns
+    grow geometrically, and :meth:`trim` cuts them to the generations held.
+    As a sequence of :class:`GenerationRecord` a trajectory has ``len``,
+    iteration, ``[i]`` (a record of Python numbers) and slices (a trajectory
+    of views).
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray] | None = None) -> None:
+        self._columns = dict(columns or {})
+        self._size = self._capacity = len(self._columns.get("generation", ()))
+
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The filled part of every column, as views of the trajectory's own arrays."""
+        return {name: column[:self._size] for name, column in self._columns.items()}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trajectory({name: column[index] for name, column in self.columns.items()})
+        index = range(self._size)[index]
+        return GenerationRecord(**{name: column[index].tolist() for name, column in self._columns.items()})
+
+    def __iter__(self):
+        columns = {name: column.tolist() for name, column in self.columns.items()}
+        return (GenerationRecord(**dict(zip(columns, row))) for row in zip(*columns.values()))
+
+    def _new_row(self, probabilities) -> int:
+        """The index of a row appended at the end; the columns double when full."""
+        if self._columns and (probabilities is None) == ("adaptive_probabilities" in self._columns):
+            raise ValueError("adaptive_probabilities must be recorded in every generation or in none")
+        size = self._size
+        if size == self._capacity:
+            self._capacity = max(2 * size, 64)
+            grown = {name: np.empty(self._capacity, np.int64 if name in _INT_COLUMNS else np.float64)
+                     for name in _COLUMNS[:-1]}  # every field but the last, adaptive_probabilities
+            if probabilities is not None:
+                grown["adaptive_probabilities"] = np.empty((self._capacity, len(probabilities)))
+            for name, column in self._columns.items():
+                grown[name][:size] = column[:size]
+            self._columns = grown
+        self._size = size + 1
+        return size
+
+    def trim(self) -> None:
+        """Cut every column to the generations held, releasing the spare rows."""
+        self._columns = {name: column[:self._size].copy() for name, column in self._columns.items()}
+        self._capacity = self._size
+
+
+def record_generation(trajectory: Trajectory, trials: np.ndarray, population: Population, problem,
+                      corrections_applied: int = 0, adaptive_probabilities=None, outside=None,
+                      infeasible=None) -> None:
+    """Append the telemetry of one completed generation to ``trajectory``.
 
     ``trials`` holds the raw (pre-correction) trial vectors of the
     generation, shape (M, n); the violation ratios are computed on them.  A
     component violates unless it lies in the closed box, so a NaN component
-    counts as violated.  ``outside`` is that (M, n) violation mask,
-    ``infeasible`` its rows with any violation and ``stats`` the population
-    statistics, when the caller has them already.
-    The population is the post-selection state.
+    counts as violated.  ``outside`` is that (M, n) violation mask and
+    ``infeasible`` its rows with any violation, when the caller has them
+    already.  ``population`` is the post-selection state: the record takes
+    its generation, its size and its ``stats`` (computed if it has none).
     """
     if outside is None:
         trials = np.atleast_2d(np.asarray(trials, dtype=float))
         outside = ~((trials >= problem.bounds.lower) & (trials <= problem.bounds.upper))
-    m = len(outside) if outside.size else 0
-    if m:
-        if infeasible is None:
-            infeasible = np.logical_or.reduce(outside, axis=1)
-        component_ratio = np.count_nonzero(outside) / outside.size
-        individual_ratio = np.count_nonzero(infeasible) / m
-    else:
-        component_ratio = 0.0
-        individual_ratio = 0.0
-    if stats is None:
-        stats = population_stats(population)
+    if infeasible is None:
+        infeasible = np.logical_or.reduce(outside, axis=1)
+    stats = population.stats if population.stats is not None else population_stats(population)
     f_star = problem.optimum_value
-    best_error = max(float(np.minimum.reduce(population.fitness)) - f_star, 0.0) if f_star is not None else np.nan
-    return GenerationRecord(
-        generation=generation,
-        feasible_evaluations=int(problem.feasible_evaluations),
-        population_size=population.size,
-        best_error=best_error,
-        infeasible_component_ratio=component_ratio,
-        infeasible_individual_ratio=individual_ratio,
-        max_component_variance=float(np.maximum.reduce(stats.variance)),
-        mean_component_variance=float(np.add.reduce(stats.variance) / stats.variance.size),  # bit-identical to mean()
-        corrections_applied=int(corrections_applied),
-        adaptive_probabilities=None if adaptive_probabilities is None else np.asarray(
-            adaptive_probabilities, dtype=float).tolist(),
-    )
+    row = trajectory._new_row(adaptive_probabilities)
+    columns = trajectory._columns
+    columns["generation"][row] = population.generation
+    columns["feasible_evaluations"][row] = problem.feasible_evaluations
+    columns["population_size"][row] = population.size
+    columns["best_error"][row] = (max(float(np.minimum.reduce(population.fitness)) - f_star, 0.0)
+                                  if f_star is not None else np.nan)
+    # a generation without trials has ratios 0
+    columns["infeasible_component_ratio"][row] = np.count_nonzero(outside) / max(outside.size, 1)
+    columns["infeasible_individual_ratio"][row] = np.count_nonzero(infeasible) / max(len(infeasible), 1)
+    columns["max_component_variance"][row] = np.maximum.reduce(stats.variance)
+    columns["mean_component_variance"][row] = np.add.reduce(stats.variance) / stats.variance.size  # as mean()
+    columns["corrections_applied"][row] = corrections_applied
+    if adaptive_probabilities is not None:
+        columns["adaptive_probabilities"][row] = adaptive_probabilities
 
 
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
 
+_FLOAT_FORMAT = ".17g"
+
+
 def format_float(x: float) -> str:
     """17 significant digits: round-trip exact for IEEE doubles."""
-    return format(float(x), ".17g")
-
-
-_COLUMNS = [f.name for f in fields(GenerationRecord)]
-_INT_COLUMNS = {"generation", "feasible_evaluations", "population_size", "corrections_applied"}
-
-
-def _cell(name: str, value) -> str:
-    if name == "adaptive_probabilities":
-        return "" if value is None else ";".join(format_float(p) for p in value)
-    if name in _INT_COLUMNS:
-        return str(int(value))
-    return format_float(value)
+    return format(float(x), _FLOAT_FORMAT)
 
 
 @contextlib.contextmanager
@@ -185,40 +226,64 @@ def open_atomic(path, newline: str | None = None):
         raise
 
 
-def trajectory_csv_text(records: list[GenerationRecord]) -> str:
+def trajectory_csv_text(trajectory: Trajectory) -> str:
+    """The trajectory as CSV text, one row per generation, built column by
+    column with each value formatted as :func:`format_float` formats it."""
+    columns, cells = trajectory.columns, []
+    for name in _COLUMNS:
+        column = columns.get(name)
+        if column is None:  # a run that is not adaptive
+            cells.append([""] * len(trajectory))
+        elif name in _INT_COLUMNS:
+            cells.append(list(map(str, column.tolist())))
+        elif column.ndim == 2:
+            cells.append([";".join([format(p, _FLOAT_FORMAT) for p in row]) for row in column.tolist()])
+        else:
+            cells.append([format(x, _FLOAT_FORMAT) for x in column.tolist()])
     # no field needs CSV quoting: each is a column name, a number or numbers joined by ";"
-    rows = [_COLUMNS] + [[_cell(name, getattr(rec, name)) for name in _COLUMNS] for rec in records]
-    return "".join(",".join(row) + "\n" for row in rows)
+    return "".join(",".join(row) + "\n" for row in [_COLUMNS, *zip(*cells)])
 
 
-def write_trajectory_csv(records: list[GenerationRecord], path) -> None:
+def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     with open_atomic(path, newline="") as fh:
-        fh.write(trajectory_csv_text(records))
+        fh.write(trajectory_csv_text(trajectory))
 
 
-def read_trajectory_csv(path) -> dict[str, list]:
-    """Read a trajectory back as a mapping column name -> list of values."""
+def read_trajectory_csv(path) -> dict[str, np.ndarray]:
+    """Read a trajectory back, column by column, as the columns of the run
+    that wrote it: column name -> array."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError("no header row")
-        columns: dict[str, list] = {name: [] for name in reader.fieldnames}
-        for row in reader:
-            if None in row or None in row.values():  # a cut or overlong line
-                raise ValueError(f"line {reader.line_num}: expected {len(reader.fieldnames)} fields")
-            for name, raw in row.items():
-                if name == "adaptive_probabilities":
-                    value = [float(p) for p in raw.split(";")] if raw else None
-                elif name in _INT_COLUMNS:
-                    value = int(raw)
-                else:
-                    value = float(raw)
-                columns[name].append(value)
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError("no header row")
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    if not rows:
+        raise ValueError("no generation rows")
+    if set(map(len, rows)) != {len(header)}:  # a cut or overlong line
+        number = next(number for number, row in enumerate(rows, 2) if len(row) != len(header))
+        raise ValueError(f"line {number}: expected {len(header)} fields")
+    columns = {}
+    for name, cells in zip(header, zip(*rows)):
+        if name != "adaptive_probabilities":
+            columns[name] = np.array(cells, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
+        elif any(cells):  # absent when every cell is empty, as in a run that is not adaptive
+            columns[name] = _probabilities(cells)
     return columns
 
 
-def records_to_columns(records: list[GenerationRecord]) -> dict[str, list]:
-    return {name: [getattr(rec, name) for rec in records] for name in _COLUMNS}
+def _probabilities(cells: tuple[str, ...]) -> np.ndarray:
+    """The (G, k) array of an adaptive_probabilities column: k values in every row."""
+    shapes = [(bool(cell), cell.count(";")) for cell in cells]
+    if shapes.count(shapes[0]) != len(shapes):
+        number = next(number for number, shape in enumerate(shapes, 2) if shape != shapes[0])
+        raise ValueError(f"line {number}: adaptive_probabilities differ from line 2's in presence or count")
+    return np.array(";".join(cells).split(";"), dtype=np.float64).reshape(len(cells), -1)
+
+
+def records_to_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
+    """The columns of ``trajectory``: views of its own arrays, with no work per row."""
+    return trajectory.columns
 
 
 def run_summary_text(summary: dict) -> str:

@@ -190,8 +190,8 @@ def test_c06_lpsr_schedule(lshade_ellipsoid_runs):
     n = 10
     budget = 100_000
     for result in lshade_ellipsoid_runs:
-        sizes = np.array([r.population_size for r in result.records])
-        evals = np.array([r.feasible_evaluations for r in result.records])
+        sizes = result.records.columns["population_size"]
+        evals = result.records.columns["feasible_evaluations"]
         assert np.all(np.diff(sizes) <= 0)
         assert sizes[-1] == 4
         first_drop = 18 * n - round((18 * n - 4) * evals[0] / budget)
@@ -219,7 +219,7 @@ def test_c07_violation_pattern_near_boundary():
             seed=seed, max_generations=50,
         )
         result = run(config)
-        return float(np.mean([r.infeasible_component_ratio for r in result.records[:50]]))
+        return float(result.records[:50].columns["infeasible_component_ratio"].mean())
 
     near = np.full(20, 5.0 - 0.01)
     centered = np.zeros(20)

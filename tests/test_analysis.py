@@ -9,6 +9,7 @@ from scipy.stats import rankdata
 from debox.analysis import (
     METRICS,
     Dendrogram,
+    TrajectoryMatrix,
     build_trajectory_matrix,
     complete_linkage_cluster,
     cosine_similarity,
@@ -117,6 +118,20 @@ class TestCompleteLinkage:
         np.fill_diagonal(sim, 1.0)
         dendrogram = complete_linkage_cluster(sim, tuple("ABCDE"))
         assert_allclose([step.height for step in dendrogram.merges], [0.6] * (k - 1))
+
+    def test_similarity_matrix_is_cosine_similarity_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            k = int(rng.integers(2, 13))
+            rows = rng.standard_normal((k, int(rng.integers(1, 30)))) * 10.0 ** rng.integers(-5, 5, (k, 1))
+            kinds = rng.integers(0, 4, k)
+            rows[kinds == 0] = 0.0  # zero rows
+            for i in np.flatnonzero(kinds == 1):  # rows parallel (or antiparallel) to the first
+                rows[i] = rows[0] * rng.choice([-3.0, 0.5, 1.0, 7.0])
+            sim = similarity_matrix(TrajectoryMatrix(tuple(map(str, range(k))), rows, "violation_probability"))
+            expected = np.array([[1.0 if i == j else cosine_similarity(rows[i], rows[j]) for j in range(k)]
+                                 for i in range(k)])
+            assert sim.tobytes() == expected.tobytes()
 
     def test_heights_non_decreasing_on_random_matrices(self):
         rng = RngStream(4)

@@ -27,7 +27,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
@@ -51,7 +50,7 @@ def observe(engine: str, bchm: str, setup: dict) -> dict[str, list[float]]:
         result = run(config)
         observed["best_error"].append(result.best_error)
         for ratio in RATIOS:
-            observed[ratio].append(float(np.mean([getattr(record, ratio) for record in result.records])))
+            observed[ratio].append(float(result.records.columns[ratio].mean()))
     return observed
 
 

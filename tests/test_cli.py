@@ -102,6 +102,14 @@ class TestRunCommand:
         assert [line for line in lines if line.startswith(f"config error: {field} ")] and len(lines) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("overrides, size", [({"budget": 10}, 10), ({"engine": "lshade", "budget": 36}, 36)])
+    def test_budget_the_initial_population_uses_up_exits_2(self, tmp_path, capsys, overrides, size):
+        config = write_json(tmp_path / "run.json", run_config(**overrides))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: budget (must exceed the initial population size {size}, got {overrides['budget']})"]
+        assert not (tmp_path / "o").exists()
+
     def test_every_dataclass_field_is_a_key_echoed_with_its_default(self, tmp_path):
         # drift guard: the run schema is read from RunConfig, ClassicDEParams and ShadeParams
         defaults = dataclasses.asdict(RunConfig(problem=None))
@@ -270,6 +278,15 @@ class TestSweepCommand:
         out = tmp_path / "out"
         assert main(["sweep", "--config", config, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == ["config error: classic.population_size (must be >= 4)"]
+        assert not out.exists()
+
+    def test_budget_the_initial_population_uses_up_starts_no_run(self, tmp_path, capsys):
+        # budget 5 x 2 = 10 against L-SHADE's initial population of 18 x 2 = 36
+        config = write_json(tmp_path / "sweep.json", sweep_config(engines=["classic", "lshade"], budget_multiplier=5))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: budget (must exceed the initial population size 36, got 10)"]
         assert not out.exists()
 
     def test_parallelism_does_not_change_outputs(self, tmp_path):
@@ -494,6 +511,15 @@ class TestAnalysisCommands:
             assert main([command, "--manifest", manifest, "--out", str(tmp_path / command)]) == 1
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: runs/{broken.name}: "), (command, err)
+
+    def test_header_only_trajectory_exits_1_naming_it(self, tmp_path, capsys):
+        config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=1))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        trajectory = sorted((out / "runs").glob("*.csv"))[0]
+        trajectory.write_text(trajectory.read_text().splitlines()[0] + "\n")
+        assert main(["cluster", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: runs/{trajectory.name}: no generation rows"]
 
     def test_missing_artifact_exits_1_naming_it(self, tmp_path, capsys):
         config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=1))

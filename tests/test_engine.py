@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import binomtest, cauchy, chi2, kstest, norm
 
 import hashlib
@@ -9,6 +9,7 @@ from collections import Counter
 from debox import engine
 from debox.benchmarks import BenchmarkProblem, ExternalProblem, make_instance
 from debox.core import Bounds, Population, RngStream
+from debox.telemetry import Trajectory
 from debox.engine import (
     PHASES,
     ClassicDEParams,
@@ -159,8 +160,7 @@ class TestShadeMemory:
         positions = rng.uniform(-5, 5, (10, 3))
         fitness = np.array([problem.evaluate(x) for x in positions])
         pop = Population(positions, fitness)
-        records = []
-        return lshade_generation(pop, state, "sat", problem, rng, records, budget=1000)
+        return lshade_generation(pop, state, "sat", problem, rng, Trajectory(), budget=1000)
 
     def test_no_success_leaves_memory_unchanged(self):
         problem = centered_problem(dimension=3)
@@ -170,9 +170,8 @@ class TestShadeMemory:
         # ties can still replace targets but never update the memory
         positions = np.zeros((10, 3))
         fitness = np.array([problem.evaluate(x) for x in positions])
-        records = []
         _, state = lshade_generation(
-            Population(positions, fitness), state, "sat", problem, RngStream(1), records, budget=1000
+            Population(positions, fitness), state, "sat", problem, RngStream(1), Trajectory(), budget=1000
         )
         assert_allclose(state.memory_f, before_f)
 
@@ -187,10 +186,11 @@ class TestShadeMemory:
         positions = rng.uniform(-5, 5, (12, 3))
         fitness = np.array([problem.evaluate(x) for x in positions])
         pop = Population(positions, fitness)
-        records = []
+        trajectory = Trajectory()
         for _ in range(20):
-            pop, state = lshade_generation(pop, state, "sat", problem, rng, records, budget=10_000)
+            pop, state = lshade_generation(pop, state, "sat", problem, rng, trajectory, budget=10_000)
             assert len(state.archive) <= state.current_archive_capacity(pop.size)
+        assert_array_equal(trajectory.columns["generation"], np.arange(1, 21))
 
 
 class CountingStream(RngStream):
@@ -269,7 +269,7 @@ class TestDrawBlock:
         positions = rng.uniform(-5, 5, (12, 3))
         pop = Population(positions, problem.evaluate_batch(positions))
         rng.log.clear()
-        classic_generation(pop, ClassicDEParams(population_size=12), "sat", problem, rng, [])
+        classic_generation(pop, ClassicDEParams(population_size=12), "sat", problem, rng, Trajectory())
         assert [(name, out.size) for name, out in rng.log] == [("random", 12 * (4 + 3))]
 
         m, with_rounds = 12, set()
@@ -278,7 +278,7 @@ class TestDrawBlock:
             # no archive trim, and sat draws nothing, so the log holds only the generation's draws
             state = ShadeState.create(3, 1000, ShadeParams(n_init=m, archive_capacity=100))
             rng.log.clear()
-            lshade_generation(pop, state, "sat", problem, rng, [])
+            lshade_generation(pop, state, "sat", problem, rng, Trajectory())
             (first, block), *rounds, (last, cr) = rng.log
             assert (first, block.size, last, cr.size) == ("random", m * (7 + 3), "normal", m)
             # memory F is 0.5 everywhere, so the first round redraws the F that start nonpositive
@@ -305,11 +305,12 @@ class TestClassicGeneration:
         # block order: r1, r2, r3 for all four rows, then per row i_rand and the units
         script = scripted(units=[0.0] * 12 + [0.0, 0.9, 0.9] * 4)
         params = ClassicDEParams(population_size=4, scale_factor=2.0, crossover_rate=0.5)
-        records = []
-        new_pop = classic_generation(pop, params, "dismiss", problem, script, records)
+        trajectory = Trajectory()
+        new_pop = classic_generation(pop, params, "dismiss", problem, script, trajectory)
         assert_allclose(new_pop.positions, positions)
-        assert records[0].corrections_applied == 4
-        assert records[0].infeasible_individual_ratio == 1.0
+        assert len(trajectory) == 1
+        assert trajectory[0].corrections_applied == 4
+        assert trajectory[0].infeasible_individual_ratio == 1.0
         assert problem.feasible_evaluations == 4  # only the initial evaluations
         assert problem.infeasible_evaluations == 4  # dismissed trials count as infeasible calls
 
@@ -336,8 +337,7 @@ class TestClassicGeneration:
             block += [unit(i_rand[row], 2)] + units[2 * row:2 * row + 2]
         script = scripted(units=block)
         params = ClassicDEParams(population_size=4, scale_factor=0.5, crossover_rate=0.5)
-        records = []
-        new_pop = classic_generation(pop, params, "sat", problem, script, records)
+        new_pop = classic_generation(pop, params, "sat", problem, script, Trajectory())
         assert script.units == [] and script.calls == [len(block)]
 
         mutants = positions[r1] + 0.5 * (positions[r2] - positions[r3])
@@ -354,7 +354,7 @@ class TestClassicGeneration:
         problem = centered_problem(dimension=2)
         pop = Population(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="at least 4"):
-            classic_generation(pop, ClassicDEParams(), "sat", problem, RngStream(0), [])
+            classic_generation(pop, ClassicDEParams(), "sat", problem, RngStream(0), Trajectory())
 
 
 class TestRun:
@@ -362,6 +362,19 @@ class TestRun:
         config = RunConfig(problem=centered_problem(), budget=0, seed=1)
         with pytest.raises(ValueError, match="budget must be positive"):
             run(config)
+
+    @pytest.mark.parametrize("engine,shade,size", [
+        ("classic", ShadeParams(), 50), ("lshade", ShadeParams(), 72), ("lshade", ShadeParams(n_init=10), 10)])
+    def test_budget_must_exceed_the_initial_population(self, engine, shade, size):
+        def config(budget):
+            return RunConfig(problem=centered_problem(), engine=engine, shade=shade, budget=budget, seed=1)
+
+        for budget in (1, size):
+            with pytest.raises(ValueError, match=rf"budget \(must exceed the initial population size {size}, "
+                                                 rf"got {budget}\)"):
+                run(config(budget))
+        result = run(config(size + 1))
+        assert result.evaluations_used == size + 1 and result.generations == len(result.records) == 1
 
     def test_invalid_fields_are_all_listed(self):
         config = RunConfig(
@@ -381,18 +394,18 @@ class TestRun:
             problem = centered_problem(dimension=3)
             config = RunConfig(problem=problem, engine="classic", bchm="mirror", budget=3000, seed=11)
             result = run(config)
-            return result.best_error, [r.best_error for r in result.records]
+            return result.best_error, result.records.columns["best_error"]
 
-        first, second = one(), one()
-        assert first == second
+        (first_error, first_errors), (second_error, second_errors) = one(), one()
+        assert first_error == second_error
+        assert_array_equal(first_errors, second_errors)
 
     def test_best_error_non_increasing(self):
         problem = centered_problem(dimension=4)
         result = run(RunConfig(problem=problem, engine="classic", bchm="sat", budget=4000, seed=2))
-        errors = [r.best_error for r in result.records]
-        assert all(a >= b for a, b in zip(errors, errors[1:]))
-        evals = [r.feasible_evaluations for r in result.records]
-        assert all(a <= b for a, b in zip(evals, evals[1:]))
+        columns = result.records.columns
+        assert (np.diff(columns["best_error"]) <= 0.0).all()
+        assert (np.diff(columns["feasible_evaluations"]) >= 0).all()
 
     def test_violation_measurement_is_pre_correction(self):
         # sat and dismiss draw nothing from the stream, so the measured
@@ -482,9 +495,9 @@ class TestRun:
     def test_lshade_population_schedule(self):
         problem = centered_problem(dimension=2)
         result = run(RunConfig(problem=problem, engine="lshade", bchm="sat", budget=4000, seed=7))
-        sizes = [r.population_size for r in result.records]
+        sizes = result.records.columns["population_size"]
         assert sizes[0] <= 36  # 18 * n before/after the first reduction
-        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+        assert (np.diff(sizes) <= 0).all()
         assert sizes[-1] == 4
         assert result.behaviour is not None
 
@@ -492,7 +505,9 @@ class TestRun:
         problem = make_instance("sphere", 1, 4, "SBOX")
         result = run(RunConfig(problem=problem, engine="lshade", bchm="adaptive", budget=5000, seed=8))
         assert result.records[0].adaptive_probabilities is not None
-        assert_allclose(sum(result.records[-1].adaptive_probabilities), 1.0, atol=1e-12)
+        probabilities = result.records.columns["adaptive_probabilities"]
+        assert probabilities.shape == (result.generations, 5)
+        assert_allclose(probabilities.sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("engine", ["classic", "lshade"])
     def test_nan_objective_values_never_win(self, engine):
@@ -511,10 +526,10 @@ class TestRun:
             config = RunConfig(problem=problem, engine="classic", bchm=bchm, budget=600, seed=13,
                                classic=params)
             result = run(config)
-            assert sum(r.corrections_applied for r in result.records) == 0
-            return [r.best_error for r in result.records]
+            assert not result.records.columns["corrections_applied"].any()
+            return result.records.columns["best_error"]
 
-        assert trajectory("dismiss") == trajectory("sat")
+        assert_array_equal(trajectory("dismiss"), trajectory("sat"))
 
 
 class TestStructuralBias:
@@ -534,11 +549,12 @@ class TestStructuralBias:
         pop = Population(positions, problem.evaluate_batch(positions))
         state = ShadeState.create(5, 10**6, ShadeParams(n_init=20, reduction_enabled=False))
         params = ClassicDEParams(population_size=20)
+        trajectory = Trajectory()
         for _ in range(40):
             if engine == "classic":
-                pop = classic_generation(pop, params, bchm, problem, rng, [])
+                pop = classic_generation(pop, params, bchm, problem, rng, trajectory)
             else:
-                pop, state = lshade_generation(pop, state, bchm, problem, rng, [])
+                pop, state = lshade_generation(pop, state, bchm, problem, rng, trajectory)
         return pop.positions
 
     @pytest.mark.parametrize("engine", ["classic", "lshade"])

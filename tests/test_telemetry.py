@@ -1,22 +1,31 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_array_equal
 
-from debox.benchmarks import BenchmarkProblem
+from debox.benchmarks import BenchmarkProblem, ExternalProblem, make_instance
 from debox.core import Bounds, Population
+from debox.engine import RunConfig, run
 from debox.telemetry import (
     BehaviourClass,
     ClassifierConfig,
     GenerationRecord,
+    Trajectory,
     classify,
     format_float,
     read_run_summary,
     read_trajectory_csv,
     record_generation,
     records_to_columns,
+    trajectory_csv_text,
     write_run_summary,
     write_trajectory_csv,
 )
+
+_FIELDS = [f.name for f in dataclasses.fields(GenerationRecord)]
+_INT_FIELDS = {"generation", "feasible_evaluations", "population_size", "corrections_applied"}
 
 
 def make_problem(n=3):
@@ -60,87 +69,184 @@ class TestClassifier:
             ClassifierConfig(error_threshold=0.0)
 
 
+def record(trials, pop, problem, **kwargs):
+    """The record that record_generation appends for one generation."""
+    trajectory = Trajectory()
+    record_generation(trajectory, trials, pop, problem, **kwargs)
+    assert len(trajectory) == 1
+    return trajectory[0]
+
+
 class TestRecordGeneration:
     def test_ratio_arithmetic(self):
         problem = make_problem(3)
         pop = Population(np.zeros((2, 3)), np.zeros(2))
         trials = np.array([[9.0, -9.0, 0.0], [1.0, 1.0, 1.0]])
-        record = record_generation(1, trials, pop, problem)
-        assert record.infeasible_component_ratio == pytest.approx(2 / 6)
-        assert record.infeasible_individual_ratio == pytest.approx(1 / 2)
+        rec = record(trials, pop, problem)
+        assert rec.infeasible_component_ratio == pytest.approx(2 / 6)
+        assert rec.infeasible_individual_ratio == pytest.approx(1 / 2)
 
     def test_all_feasible(self):
         problem = make_problem(3)
         pop = Population(np.zeros((2, 3)), np.zeros(2))
-        record = record_generation(1, np.ones((2, 3)), pop, problem)
-        assert record.infeasible_component_ratio == 0.0
-        assert record.infeasible_individual_ratio == 0.0
+        rec = record(np.ones((2, 3)), pop, problem)
+        assert rec.infeasible_component_ratio == 0.0
+        assert rec.infeasible_individual_ratio == 0.0
 
     def test_all_infeasible(self):
         problem = make_problem(3)
         pop = Population(np.zeros((2, 3)), np.zeros(2))
-        record = record_generation(1, np.full((2, 3), 9.0), pop, problem)
-        assert record.infeasible_component_ratio == 1.0
-        assert record.infeasible_individual_ratio == 1.0
+        rec = record(np.full((2, 3), 9.0), pop, problem)
+        assert rec.infeasible_component_ratio == 1.0
+        assert rec.infeasible_individual_ratio == 1.0
 
     def test_nan_component_counts_as_violated(self):
         problem = make_problem(3)
         pop = Population(np.zeros((2, 3)), np.zeros(2))
-        record = record_generation(1, np.array([[np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]]), pop, problem)
-        assert record.infeasible_component_ratio == pytest.approx(1 / 6)
-        assert record.infeasible_individual_ratio == pytest.approx(1 / 2)
+        rec = record(np.array([[np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]]), pop, problem)
+        assert rec.infeasible_component_ratio == pytest.approx(1 / 6)
+        assert rec.infeasible_individual_ratio == pytest.approx(1 / 2)
 
     def test_given_violation_mask_is_used(self):
         problem = make_problem(3)
         pop = Population(np.zeros((2, 3)), np.zeros(2))
         outside = np.array([[True, True, False], [False, False, False]])
-        record = record_generation(1, np.zeros((2, 3)), pop, problem, outside=outside)
-        assert record.infeasible_component_ratio == pytest.approx(2 / 6)
-        assert record.infeasible_individual_ratio == pytest.approx(1 / 2)
+        rec = record(np.zeros((2, 3)), pop, problem, outside=outside)
+        assert rec.infeasible_component_ratio == pytest.approx(2 / 6)
+        assert rec.infeasible_individual_ratio == pytest.approx(1 / 2)
 
     def test_component_ratio_never_exceeds_individual_ratio(self):
         problem = make_problem(4)
         rng = np.random.default_rng(5)
         pop = Population(np.zeros((6, 4)), np.zeros(6))
+        trajectory = Trajectory()
         for _ in range(100):
-            trials = rng.uniform(-8, 8, (6, 4))
-            record = record_generation(1, trials, pop, problem)
-            assert record.infeasible_component_ratio <= record.infeasible_individual_ratio + 1e-15
+            record_generation(trajectory, rng.uniform(-8, 8, (6, 4)), pop, problem)
+        columns = trajectory.columns
+        assert (columns["infeasible_component_ratio"] <= columns["infeasible_individual_ratio"] + 1e-15).all()
 
     def test_best_error_clamped_non_negative(self):
         problem = make_problem(2)
         pop = Population(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0]))
-        record = record_generation(1, np.zeros((3, 2)), pop, problem)
-        assert record.best_error == 0.0
+        rec = record(np.zeros((3, 2)), pop, problem)
+        assert rec.best_error == 0.0
 
     def test_variances_from_population(self):
         problem = make_problem(1)
         pop = Population(np.array([[-5.0], [5.0]]), np.zeros(2))
-        record = record_generation(1, np.zeros((2, 1)), pop, problem)
-        assert record.max_component_variance == 25.0
-        assert record.mean_component_variance == 25.0
+        rec = record(np.zeros((2, 1)), pop, problem)
+        assert rec.max_component_variance == 25.0
+        assert rec.mean_component_variance == 25.0
+
+    def test_adaptive_probabilities_in_every_row_or_none(self):
+        problem = make_problem(2)
+        pop = Population(np.zeros((3, 2)), np.zeros(3))
+        for first, second in ((None, [0.5, 0.5]), ([0.5, 0.5], None)):
+            trajectory = Trajectory()
+            record_generation(trajectory, np.zeros((3, 2)), pop, problem, adaptive_probabilities=first)
+            with pytest.raises(ValueError, match="adaptive_probabilities"):
+                record_generation(trajectory, np.zeros((3, 2)), pop, problem, adaptive_probabilities=second)
+            assert len(trajectory) == 1
+
+
+class TestTrajectory:
+    def filled(self, generations, adaptive=False):
+        problem = make_problem(2)
+        trajectory = Trajectory()
+        for g in range(1, generations + 1):
+            pop = Population(np.full((3, 2), float(g)), np.full(3, float(g)), generation=g)
+            record_generation(trajectory, np.zeros((3, 2)), pop, problem, corrections_applied=g % 3,
+                              adaptive_probabilities=[0.25, 0.75] if adaptive else None)
+        return trajectory
+
+    def test_columns_grow_past_their_first_capacity(self):
+        trajectory = self.filled(200)
+        columns = trajectory.columns
+        assert len(trajectory) == 200 and set(columns) == set(_FIELDS) - {"adaptive_probabilities"}
+        assert_array_equal(columns["generation"], np.arange(1, 201))
+        assert_array_equal(columns["best_error"], np.arange(1.0, 201.0))
+        assert all(column.shape == (200,) for column in columns.values())
+
+    def test_dtypes(self):
+        columns = self.filled(3, adaptive=True).columns
+        assert {name: column.dtype for name, column in columns.items()} == {
+            name: np.dtype(np.int64 if name in _INT_FIELDS else np.float64) for name in _FIELDS}
+        assert columns["adaptive_probabilities"].shape == (3, 2)
+
+    def test_trim_keeps_the_rows(self):
+        trajectory = self.filled(70, adaptive=True)
+        before = {name: column.copy() for name, column in trajectory.columns.items()}
+        trajectory.trim()
+        after = trajectory.columns
+        assert before.keys() == after.keys()
+        for name in before:
+            assert_array_equal(after[name], before[name])
+            assert after[name].base is None or after[name].base.shape[0] == 70
+
+    def test_a_row_is_a_record_of_python_numbers(self):
+        trajectory = self.filled(5, adaptive=True)
+        rec = trajectory[1]
+        assert isinstance(rec, GenerationRecord)
+        assert rec == GenerationRecord(2, 0, 3, 2.0, 0.0, 0.0, 0.0, 0.0, 2, [0.25, 0.75])
+        values = [getattr(rec, f.name) for f in dataclasses.fields(GenerationRecord)]
+        assert [type(v) for v in values] == [int] * 3 + [float] * 5 + [int, list]
+        assert all(type(p) is float for p in rec.adaptive_probabilities)
+        assert self.filled(2)[0].adaptive_probabilities is None
+        assert json.dumps(sum(r.corrections_applied for r in trajectory)) == "6"
+
+    def test_sequence_behaviour(self):
+        trajectory = self.filled(10)
+        assert trajectory[-1] == trajectory[9] and trajectory[-1].generation == 10
+        with pytest.raises(IndexError):
+            trajectory[10]
+        head = trajectory[:4]
+        assert isinstance(head, Trajectory) and len(head) == 4
+        assert [r.generation for r in head] == [1, 2, 3, 4]
+        assert [r.generation for r in trajectory[::3]] == [1, 4, 7, 10]
+        assert list(trajectory) == [trajectory[i] for i in range(10)]
+        assert len(Trajectory()) == 0 and list(Trajectory()) == []
+
+
+def sample_columns(adaptive):
+    columns = {
+        "generation": np.array([1, 2]),
+        "feasible_evaluations": np.array([40, 80]),
+        "population_size": np.array([20, 18]),
+        "best_error": np.array([0.5, 1e-17]),
+        "infeasible_component_ratio": np.array([0.25, 0.0]),
+        "infeasible_individual_ratio": np.array([0.5, 0.0]),
+        "max_component_variance": np.array([2.0, 1e-300]),
+        "mean_component_variance": np.array([1.5, 5e-301]),
+        "corrections_applied": np.array([3, 0]),
+    }
+    if adaptive:
+        columns["adaptive_probabilities"] = np.array([[0.2] * 5, [0.1, 0.2, 0.3, 0.2, 0.2]])
+    return columns
+
+
+def assert_columns_equal(actual, expected):
+    """Same names, and arrays equal in every value (NaN equal to NaN) and in dtype."""
+    assert actual.keys() == expected.keys()
+    for name in expected:
+        assert actual[name].dtype == expected[name].dtype, name
+        assert_array_equal(actual[name], expected[name], err_msg=name)
 
 
 class TestPersistence:
-    def sample_records(self):
-        return [
-            GenerationRecord(1, 40, 20, 0.5, 0.25, 0.5, 2.0, 1.5, 3, None),
-            GenerationRecord(2, 80, 18, 1e-17, 0.0, 0.0, 1e-300, 5e-301, 0, [0.2] * 5),
-        ]
+    def sample_trajectory(self, adaptive=False):
+        return Trajectory(sample_columns(adaptive))
 
     def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "trajectory.csv"
-        records = self.sample_records()
-        write_trajectory_csv(records, path)
-        columns = read_trajectory_csv(path)
-        assert columns["generation"] == [1, 2]
-        assert columns["best_error"] == [0.5, 1e-17]  # 17 significant digits round-trip
-        assert columns["max_component_variance"] == [2.0, 1e-300]
-        assert columns["adaptive_probabilities"] == [None, [0.2] * 5]
+        for adaptive in (False, True):  # one trajectory of each kind
+            path = tmp_path / f"trajectory_{adaptive}.csv"
+            write_trajectory_csv(self.sample_trajectory(adaptive), path)
+            columns = read_trajectory_csv(path)
+            assert_columns_equal(columns, sample_columns(adaptive))  # 17 significant digits round-trip
+            assert ("adaptive_probabilities" in columns) is adaptive
 
     def test_csv_header_and_line_endings(self, tmp_path):
         path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(self.sample_records(), path)
+        write_trajectory_csv(self.sample_trajectory(), path)
         raw = path.read_bytes()
         assert b"\r" not in raw
         header = raw.decode().splitlines()[0]
@@ -152,8 +258,36 @@ class TestPersistence:
         )
 
     def test_records_to_columns(self):
-        columns = records_to_columns(self.sample_records())
-        assert columns["feasible_evaluations"] == [40, 80]
+        trajectory = self.sample_trajectory()
+        columns = records_to_columns(trajectory)
+        assert_array_equal(columns["feasible_evaluations"], [40, 80])
+        assert all(np.shares_memory(columns[name], trajectory.columns[name]) for name in columns)
+
+    def test_reader_rejects_rows_with_and_without_adaptive_probabilities(self, tmp_path):
+        plain = trajectory_csv_text(self.sample_trajectory()).splitlines()
+        adaptive = trajectory_csv_text(self.sample_trajectory(adaptive=True)).splitlines()
+        for lines, bad in (([*plain, adaptive[2]], 4), ([*adaptive, plain[2]], 4),
+                           ([plain[0], plain[1], adaptive[2]], 3)):
+            path = tmp_path / "mixed.csv"
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=f"^line {bad}: adaptive_probabilities"):
+                read_trajectory_csv(path)
+
+    def test_reader_names_a_cut_line(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        text = trajectory_csv_text(self.sample_trajectory())
+        path.write_text(text[:-20])
+        with pytest.raises(ValueError, match="^line 3: expected 10 fields"):
+            read_trajectory_csv(path)
+
+    def test_reader_rejects_a_trajectory_without_generations(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        path.write_text(trajectory_csv_text(Trajectory()))
+        with pytest.raises(ValueError, match="no generation rows"):
+            read_trajectory_csv(path)
+        path.write_text("")
+        with pytest.raises(ValueError, match="no header row"):
+            read_trajectory_csv(path)
 
     def test_summary_round_trip(self, tmp_path):
         path = tmp_path / "summary.json"
@@ -163,16 +297,53 @@ class TestPersistence:
 
     def test_a_write_that_raises_midway_leaves_the_previous_file(self, tmp_path):
         csv_path, json_path = tmp_path / "trajectory.csv", tmp_path / "summary.json"
-        write_trajectory_csv(self.sample_records(), csv_path)
+        write_trajectory_csv(self.sample_trajectory(), csv_path)
         write_run_summary(json_path, {"final_error": 1.0})
         before = {path: path.read_bytes() for path in (csv_path, json_path)}
-        broken = self.sample_records() * 50 + [GenerationRecord(3, 90, 18, "not a number", 0, 0, 1, 1, 0, None)]
+        broken = sample_columns(adaptive=False)
+        broken["best_error"] = np.array([0.5, "not a number"], dtype=object)
         with pytest.raises(ValueError):
-            write_trajectory_csv(broken, csv_path)
+            write_trajectory_csv(Trajectory(broken), csv_path)
         with pytest.raises(TypeError):
             write_run_summary(json_path, {"config": {"seed": 3}, "z_last": object()})
         assert {path: path.read_bytes() for path in (csv_path, json_path)} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json", "trajectory.csv"]
+
+
+def reference_csv_text(trajectory):
+    """CSV text built row by row from trajectory[i], each cell formatted by format_float:
+    the row-wise writer the column-wise one must match byte for byte."""
+    def cell(name, value):
+        if name == "adaptive_probabilities":
+            return "" if value is None else ";".join(format_float(p) for p in value)
+        return str(int(value)) if name in _INT_FIELDS else format_float(value)
+
+    rows = [_FIELDS] + [[cell(name, getattr(rec, name)) for name in _FIELDS] for rec in trajectory]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def no_optimum_problem():
+    return ExternalProblem("bowl", 3, Bounds.symmetric(5.0, 3), lambda x: float(np.sum((x - 4.5) ** 2)))
+
+
+@pytest.mark.parametrize("engine,bchm,problem", [
+    ("classic", "mirror", lambda: make_instance("rastrigin", 2, 4, "SBOX")),
+    ("lshade", "adaptive", lambda: make_instance("linear_slope", 1, 5, "SBOX")),
+    ("lshade", "sat", no_optimum_problem),
+], ids=["classic", "lshade-adaptive", "no-optimum"])
+def test_column_writer_and_reader_match_the_row_reference(tmp_path, engine, bchm, problem):
+    result = run(RunConfig(problem=problem(), engine=engine, bchm=bchm, budget=3000, seed=4))
+    trajectory = result.records
+    assert len(trajectory) == result.generations > 1
+    assert ("adaptive_probabilities" in trajectory.columns) is (bchm == "adaptive")
+    if engine == "lshade" and bchm == "sat":
+        assert np.isnan(trajectory.columns["best_error"]).all()
+    text = trajectory_csv_text(trajectory)
+    assert text == reference_csv_text(trajectory)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(trajectory, path)
+    assert path.read_text() == text
+    assert_columns_equal(read_trajectory_csv(path), trajectory.columns)
 
 
 def test_format_float_round_trips_doubles():
