@@ -100,6 +100,8 @@ class GenerationRecord:
 #: the CSV header: one column per GenerationRecord field, in field order
 _COLUMNS = [f.name for f in fields(GenerationRecord)]
 _INT_COLUMNS = {"generation", "feasible_evaluations", "population_size", "corrections_applied"}
+#: the dtype of each column but the last, adaptive_probabilities, which is float64 of shape (G, k)
+_DTYPES = {name: np.int64 if name in _INT_COLUMNS else np.float64 for name in _COLUMNS[:-1]}
 
 
 class Trajectory:
@@ -144,8 +146,7 @@ class Trajectory:
         size = self._size
         if size == self._capacity:
             self._capacity = max(2 * size, 64)
-            grown = {name: np.empty(self._capacity, np.int64 if name in _INT_COLUMNS else np.float64)
-                     for name in _COLUMNS[:-1]}  # every field but the last, adaptive_probabilities
+            grown = {name: np.empty(self._capacity, dtype) for name, dtype in _DTYPES.items()}
             if probabilities is not None:
                 grown["adaptive_probabilities"] = np.empty((self._capacity, len(probabilities)))
             for name, column in self._columns.items():
@@ -266,7 +267,7 @@ def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     columns = {}
     for name, cells in zip(header, zip(*rows)):
         if name != "adaptive_probabilities":
-            columns[name] = np.array(cells, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
+            columns[name] = np.array(cells, dtype=_DTYPES.get(name, np.float64))
         elif any(cells):  # absent when every cell is empty, as in a run that is not adaptive
             columns[name] = _probabilities(cells)
     return columns
