@@ -297,7 +297,7 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     telemetry.record_generation(
         trajectory, trials, next_pop, problem, corrections_applied=corrections,
         adaptive_probabilities=None if adaptive_state is None else adaptive_state.probabilities,
-        outside=outside, infeasible=infeasible,
+        outside=outside, infeasible=corrections,
     )
     clock.lap(TELEMETRY)
     return next_pop

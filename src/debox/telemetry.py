@@ -163,22 +163,22 @@ class Trajectory:
 
 def record_generation(trajectory: Trajectory, trials: np.ndarray, population: Population, problem,
                       corrections_applied: int = 0, adaptive_probabilities=None, outside=None,
-                      infeasible=None) -> None:
+                      infeasible: int | None = None) -> None:
     """Append the telemetry of one completed generation to ``trajectory``.
 
     ``trials`` holds the raw (pre-correction) trial vectors of the
     generation, shape (M, n); the violation ratios are computed on them.  A
     component violates unless it lies in the closed box, so a NaN component
     counts as violated.  ``outside`` is that (M, n) violation mask and
-    ``infeasible`` its rows with any violation, when the caller has them
-    already.  ``population`` is the post-selection state: the record takes
+    ``infeasible`` the number of its rows with any violation, when the
+    caller has them already.  ``population`` is the post-selection state: the record takes
     its generation, its size and its ``stats`` (computed if it has none).
     """
     if outside is None:
         trials = np.atleast_2d(np.asarray(trials, dtype=float))
         outside = ~((trials >= problem.bounds.lower) & (trials <= problem.bounds.upper))
     if infeasible is None:
-        infeasible = np.logical_or.reduce(outside, axis=1)
+        infeasible = np.count_nonzero(np.logical_or.reduce(outside, axis=1))
     stats = population.stats if population.stats is not None else population_stats(population)
     f_star = problem.optimum_value
     row = trajectory._new_row(adaptive_probabilities)
@@ -190,7 +190,7 @@ def record_generation(trajectory: Trajectory, trials: np.ndarray, population: Po
                                   if f_star is not None else np.nan)
     # a generation without trials has ratios 0
     columns["infeasible_component_ratio"][row] = np.count_nonzero(outside) / max(outside.size, 1)
-    columns["infeasible_individual_ratio"][row] = np.count_nonzero(infeasible) / max(len(infeasible), 1)
+    columns["infeasible_individual_ratio"][row] = infeasible / max(len(outside), 1)
     columns["max_component_variance"][row] = np.maximum.reduce(stats.variance)
     columns["mean_component_variance"][row] = np.add.reduce(stats.variance) / stats.variance.size  # as mean()
     columns["corrections_applied"][row] = corrections_applied
