@@ -16,9 +16,8 @@ from debox import (
     RngStream,
     correct,
     population_stats,
-    vector_alpha,
 )
-from debox.bchm import CORRECTING_METHOD_IDS, adaptive_correct, dismiss
+from debox.bchm import CORRECTING_METHOD_IDS, adaptive_correct
 
 rng = RngStream(2024)
 bounds = Bounds.symmetric(5.0, 4)
@@ -53,12 +52,12 @@ for method in CORRECTING_METHOD_IDS:
     vec = np.array2string(outcome.vector, precision=3, suppress_small=True)
     print(f"{label:<16}{vec:<44}{outcome.components_corrected:>8}{alpha:>8}")
 
-outcome = dismiss(trial, bounds)
+outcome = correct("dismiss", trial, ctx, rng)
 print(f"{'dismiss':<16}{'(discarded, fitness treated as +inf)':<44}{'-':>8}")
 print()
 
 # the vector family lands exactly where the segment [R, y] crosses the box
-alpha = vector_alpha(trial, ctx.target, bounds)
+alpha = correct("vectorTarget", trial, ctx, rng).vector_alpha
 print(f"vectorTarget scaling: alpha = {alpha:.6f}")
 print("so the corrected point is  alpha*y + (1-alpha)*target, which keeps")
 print("the DE search direction: cos(y - x, c - x) = 1 when the reference is the target.")

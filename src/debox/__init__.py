@@ -28,15 +28,8 @@ from .bchm import (
     CorrectionOutcome,
     adaptive_select,
     adaptive_update,
-    beta_correct,
     correct,
-    dismiss,
-    exp_confined,
     fit_beta_params,
-    mirror,
-    saturate,
-    vector_alpha,
-    vector_correct,
 )
 from .benchmarks import (
     BenchmarkProblem,

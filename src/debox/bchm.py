@@ -3,15 +3,18 @@
 Each method maps an infeasible trial vector back into the closed box (or
 discards it).  Component-wise methods touch only the violated components;
 vector-wise methods rescale the whole vector toward a feasible reference
-point.  All corrections accept either a single vector of shape (n,) or a
-batch of shape (m, n); the engines hand a generation's whole trial block to
-one call, and a vector is repaired as a one-row batch would be.  A row with
-no violated component comes back bit-unchanged and consumes no draw, so a
-block repairs exactly as its infeasible rows alone would.
+point.  ``correct(method_id, y, ctx, rng)`` is the one entry that applies a
+method; ``adaptive_correct`` picks a pool method per vector and repairs each
+group through the same private path.  Both accept either a single vector of
+shape (n,) or a batch of shape (m, n); the engines hand a generation's whole
+trial block to one call, and a vector is repaired as a one-row batch would
+be.  A row with no violated component comes back bit-unchanged and consumes
+no draw, so a block repairs exactly as its infeasible rows alone would.
 
-Each public call validates its input once and gathers the violated entries
-once, in row-major order (row by row, and by component within a row); a
-method that draws consumes its draws in that order.  Input with a NaN or
+Each call validates its input once and gathers the violated entries once,
+in row-major order (row by row, and by component within a row); a method
+that draws consumes its draws in that order.  ``sat`` and ``dismiss`` need
+no gather: a clip of the whole block and a row mask.  Input with a NaN or
 infinite component raises ``ValueError``: such a trial has no defined repair.
 
 Method ids used in configs and CSV output:
@@ -41,15 +44,8 @@ __all__ = [
     "adaptive_correct",
     "adaptive_select",
     "adaptive_update",
-    "beta_correct",
     "correct",
-    "dismiss",
-    "exp_confined",
     "fit_beta_params",
-    "mirror",
-    "saturate",
-    "vector_alpha",
-    "vector_correct",
 ]
 
 METHOD_IDS = (
@@ -92,8 +88,10 @@ class CorrectionContext:
 class CorrectionOutcome:
     """Result of applying a BCHM: either a feasible vector or a dismissal.
 
-    For a batch, ``dismiss`` reports a per-row mask in ``dismissed`` and keeps
-    the input rows in ``vector``.
+    ``dismiss`` discards an infeasible vector (death penalty) as
+    ``vector=None``; for a batch it reports a per-row mask in ``dismissed``
+    and keeps the input rows in ``vector``.  A vector-wise method reports
+    each row's scaling factor in ``vector_alpha`` (1 on a feasible row).
     """
 
     vector: np.ndarray | None
@@ -123,23 +121,12 @@ class _Violations(NamedTuple):
     below: np.ndarray  # whether it lies below ``lo`` (else above ``hi``)
 
 
-def _violations(y, bounds: Bounds) -> _Violations:
-    y = _as_float_array(y)
-    return _gather(y, ((y < bounds.lower) | (y > bounds.upper)).ravel().nonzero()[0], bounds)
-
-
-def _gather(y: np.ndarray, at: np.ndarray, bounds: Bounds) -> _Violations:
-    """The entries of ``y`` at the flat indices ``at``, all of them violated."""
+def _violations(y: np.ndarray, bounds: Bounds) -> _Violations:
+    """The violated entries of the validated trial array ``y``."""
+    at = ((y < bounds.lower) | (y > bounds.upper)).ravel().nonzero()[0]
     cols = at % y.shape[-1]
     values, lo = y.ravel()[at], bounds.lower[cols]
     return _Violations(y, at, cols, values, lo, bounds.upper[cols], values < lo)
-
-
-def _repaired(v: _Violations, repairs) -> CorrectionOutcome:
-    """The trial array with its violated entries replaced by ``repairs``."""
-    corrected = v.y.copy()
-    corrected.ravel()[v.at] = repairs  # a view: the copy is C-contiguous
-    return CorrectionOutcome(corrected, components_corrected=v.at.size)
 
 
 def _clip(y, lower, upper) -> np.ndarray:
@@ -147,14 +134,13 @@ def _clip(y, lower, upper) -> np.ndarray:
     return np.minimum(np.maximum(y, lower), upper)
 
 
-#: reference name -> the CorrectionContext field holding the reference point
-_REFERENCE_FIELDS = {"target": "target", "pbest": "pbest", "midpoint": "population_mean"}
+#: an exp*/vector* id's suffix -> the CorrectionContext field holding its reference point
+_REFERENCES = {"Target": "target", "Best": "pbest", "Midpoint": "population_mean"}
 
 
-def resolve_reference(reference: str, ctx: CorrectionContext) -> np.ndarray:
-    if reference not in _REFERENCE_FIELDS:
-        raise ValueError(f"unknown reference {reference!r}, expected one of {tuple(_REFERENCE_FIELDS)}")
-    return np.asarray(getattr(ctx, _REFERENCE_FIELDS[reference]), dtype=float)
+def _reference(method_id: str, ctx: CorrectionContext) -> np.ndarray:
+    suffix = method_id.removeprefix("exp").removeprefix("vector")
+    return np.asarray(getattr(ctx, _REFERENCES[suffix]), dtype=float)
 
 
 def _reference_at(R: np.ndarray, v: _Violations) -> np.ndarray:
@@ -166,27 +152,13 @@ def _reference_at(R: np.ndarray, v: _Violations) -> np.ndarray:
 # component-wise corrections
 # ---------------------------------------------------------------------------
 
-def saturate(y, bounds: Bounds) -> CorrectionOutcome:
-    """Set each violated component on the violated bound."""
-    y = _as_float_array(y)
-    # the clip moves exactly the violated entries, each onto its bound
-    corrected = _clip(y, bounds.lower, bounds.upper)
-    return CorrectionOutcome(corrected, components_corrected=np.count_nonzero(corrected != y))
-
-
-def mirror(y, bounds: Bounds) -> CorrectionOutcome:
-    """Reflect violated components back into the box.
-
-    Uses the closed-form fold with period 2*(b-a), equivalent to applying
-    the reflections 2a-y / 2b-y repeatedly until the component is feasible
-    (a single reflection can itself land outside for violations larger than
-    the box width).
-    """
-    v = _violations(y, bounds)
-    return _repaired(v, _mirrored(v))
-
-
 def _mirrored(v: _Violations) -> np.ndarray:
+    """Reflect the violated entries back into the box.
+
+    The closed-form fold with period 2*(b-a) equals applying the reflections
+    2a-y / 2b-y until the entry is feasible (one reflection can itself land
+    outside when the violation exceeds the box width).
+    """
     width2 = 2.0 * (v.hi - v.lo)
     z = np.mod(v.values - v.lo, width2)
     return v.lo + np.minimum(z, width2 - z)
@@ -228,21 +200,13 @@ def fit_beta_params(stats: PopulationStats, bounds: Bounds,
     return BetaFitParams(alpha=alpha, beta=beta, m=m, v=v, epsilon=epsilon, fallback_mask=fallback)
 
 
-def beta_correct(
-    y, bounds: Bounds, stats: PopulationStats, rng: RngStream, epsilon: float = CorrectionContext.beta_epsilon
-) -> CorrectionOutcome:
-    """Replace violated components with draws from a_i + Beta(alpha_i, beta_i)*(b_i - a_i).
-
-    The shapes are moment-matched to the current population so the corrected
-    components have (approximately) the population mean and variance.
-    Fallback components follow uniform resampling.  Beta draws are consumed
-    first (row-major over violated positions), then uniform fallback draws.
-    """
-    v = _violations(y, bounds)
-    return _repaired(v, _beta_values(v, fit_beta_params(stats, bounds, epsilon), rng))
-
-
 def _beta_values(v: _Violations, params: BetaFitParams, rng: RngStream) -> np.ndarray:
+    """Draw each violated entry from a_i + Beta(alpha_i, beta_i)*(b_i - a_i).
+
+    The shapes are moment-matched to the population (:func:`fit_beta_params`),
+    so the corrected components have about its mean and variance.  Fallback
+    components are resampled uniformly, with their draws after the Beta draws.
+    """
     use_beta = ~params.fallback_mask[v.cols]
     fallback = ~use_beta
     values = np.empty(v.at.size)
@@ -254,25 +218,17 @@ def _beta_values(v: _Violations, params: BetaFitParams, rng: RngStream) -> np.nd
     return _clip(values, v.lo, v.hi)
 
 
-def exp_confined(
-    y, bounds: Bounds, reference: str, ctx: CorrectionContext, rng: RngStream
-) -> CorrectionOutcome:
-    """Exponentially confined correction between the violated bound and a reference.
+def _exp_values(v: _Violations, R: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Exponentially confined correction between the violated bound and R.
 
     For a lower violation the corrected component is
 
         c(y_i) = a_i - ln(1 + r * (exp(a_i - R_i) - 1)),    r ~ U[0, 1],
 
     and symmetrically c(y_i) = b_i + ln(1 + (1 - r) * (exp(R_i - b_i) - 1))
-    for an upper violation; r is drawn fresh per violated component
-    (row-major order).  The output lies in [a_i, R_i] resp. [R_i, b_i].
+    for an upper violation, with one fresh r per violated entry.  The
+    output lies in [a_i, R_i] resp. [R_i, b_i].
     """
-    R = resolve_reference(reference, ctx)
-    v = _violations(y, bounds)
-    return _repaired(v, _exp_values(v, R, rng))
-
-
-def _exp_values(v: _Violations, R: np.ndarray, rng: RngStream) -> np.ndarray:
     ref = _reference_at(R, v)
     r = rng.random(v.at.size)
     # log1p/expm1 keep the correction strictly inside the interval for small r
@@ -285,19 +241,16 @@ def _exp_values(v: _Violations, R: np.ndarray, rng: RngStream) -> np.ndarray:
 # vector-wise correction
 # ---------------------------------------------------------------------------
 
-def vector_alpha(y, R, bounds: Bounds) -> float | np.ndarray:
-    """Scaling factor moving y onto the box along the segment toward R.
+def _shrink(v: _Violations, R: np.ndarray, bounds: Bounds, out: np.ndarray):
+    """Shrink each row with a violated entry in ``v`` toward R: write
+    c = alpha*y + (1-alpha)*R into ``out``, and return every row's alpha.
 
     alpha = min_i alpha_i with alpha_i = (R_i - a_i)/(R_i - y_i) for lower
     violations, (b_i - R_i)/(y_i - R_i) for upper violations and 1 for
-    feasible components.  alpha is in [0, 1]; alpha = 1 means y is feasible.
+    feasible components, so alpha is in [0, 1] and 1 on a feasible row.
+    c is where the segment [R, y] crosses the box, so for R = target the
+    search direction y - x is preserved exactly.
     """
-    return _shrink(_violations(y, bounds), np.asarray(R, dtype=float), bounds)
-
-
-def _shrink(v: _Violations, R: np.ndarray, bounds: Bounds, out: np.ndarray | None = None):
-    """Every row's alpha; with ``out``, also write alpha*y + (1-alpha)*R into
-    it on each row with a violated entry in ``v``."""
     ref = _reference_at(R, v)
     if np.logical_or.reduce(ref == v.values):
         raise ValueError("degenerate reference")
@@ -306,41 +259,58 @@ def _shrink(v: _Violations, R: np.ndarray, bounds: Bounds, out: np.ndarray | Non
                                      (v.hi - ref) / (v.values - ref))
     row_min = np.asarray(np.minimum.reduce(alpha_i, axis=-1))
     alpha = _clip(row_min, 0.0, 1.0)
-    if out is not None:
-        a = alpha[..., np.newaxis]
-        # a*y + (1-a)*R can overshoot the binding bound by one ulp
-        shrunk = _clip(a * v.y + (1.0 - a) * R, bounds.lower, bounds.upper)
-        np.copyto(out, shrunk, where=(row_min < np.inf)[..., np.newaxis])
+    a = alpha[..., np.newaxis]
+    # a*y + (1-a)*R can overshoot the binding bound by one ulp
+    shrunk = _clip(a * v.y + (1.0 - a) * R, bounds.lower, bounds.upper)
+    np.copyto(out, shrunk, where=(row_min < np.inf)[..., np.newaxis])
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def vector_correct(y, reference: str, ctx: CorrectionContext) -> CorrectionOutcome:
-    """Shrink the whole vector toward the reference: c = alpha*y + (1-alpha)*R.
+# ---------------------------------------------------------------------------
+# repair
+# ---------------------------------------------------------------------------
 
-    The corrected point is where the segment [R, y] crosses the box, so for
-    reference = target the search direction y - x is preserved exactly.
-    Feasible rows (alpha = 1) come back untouched.
-    """
-    R = resolve_reference(reference, ctx)
-    v = _violations(y, ctx.bounds)
-    corrected = v.y.copy()
-    alpha = _shrink(v, R, ctx.bounds, corrected)
-    return CorrectionOutcome(corrected, components_corrected=np.count_nonzero(corrected != v.y), vector_alpha=alpha)
+def _repair(method_id: str, v: _Violations, ctx: CorrectionContext, rng: RngStream, out: np.ndarray):
+    """Write the repair of the violated entries ``v`` into ``out``, a C-ordered
+    copy of ``v.y``; return each row's alpha for a vector-wise method, else None."""
+    if method_id.startswith("vector"):
+        return _shrink(v, _reference(method_id, ctx), ctx.bounds, out)
+    if method_id == "sat":  # an adaptive group; correct clips the whole block instead
+        values = np.where(v.below, v.lo, v.hi)
+    elif method_id == "mirror":
+        values = _mirrored(v)
+    elif method_id == "uniform":
+        values = rng.uniform(v.lo, v.hi)
+    elif method_id == "beta":
+        if ctx.stats is None:
+            raise ValueError("beta correction requires population stats in the context")
+        values = _beta_values(v, fit_beta_params(ctx.stats, ctx.bounds, ctx.beta_epsilon), rng)
+    else:
+        values = _exp_values(v, _reference(method_id, ctx), rng)
+    out.ravel()[v.at] = values  # a view: ``out`` is C-contiguous
+    return None
 
 
-def dismiss(y, bounds: Bounds) -> CorrectionOutcome:
-    """Discard infeasible vectors (death penalty); feasible input passes through.
-
-    A single dismissed vector yields ``vector=None``; a batch yields its rows
-    unchanged and the mask of dismissed rows.
-    """
+def correct(method_id: str, y, ctx: CorrectionContext, rng: RngStream) -> CorrectionOutcome:
+    """Apply the method named by ``method_id`` to a trial vector (n,) or block (m, n)."""
+    if method_id not in METHOD_IDS:
+        raise ValueError(f"unknown method id {method_id!r}")
+    if method_id == "adaptive":
+        raise ValueError("the adaptive method needs state; use adaptive_correct")
     y = _as_float_array(y)
-    inside = bounds.contains(y)
-    if y.ndim == 2:
-        return CorrectionOutcome(y.copy(), dismissed=~inside)
-    if inside:
-        return CorrectionOutcome(y.copy())
-    return CorrectionOutcome(None, dismissed=True)
+    if method_id == "sat":  # the clip moves exactly the violated entries, each onto its bound
+        corrected = _clip(y, ctx.bounds.lower, ctx.bounds.upper)
+        return CorrectionOutcome(corrected, components_corrected=np.count_nonzero(corrected != y))
+    if method_id == "dismiss":
+        inside = ctx.bounds.contains(y)
+        if y.ndim == 2:
+            return CorrectionOutcome(y.copy(), dismissed=~inside)
+        return CorrectionOutcome(y.copy()) if inside else CorrectionOutcome(None, dismissed=True)
+    v = _violations(y, ctx.bounds)
+    corrected = y.copy()
+    alpha = _repair(method_id, v, ctx, rng, corrected)
+    changed = v.at.size if alpha is None else np.count_nonzero(corrected != y)
+    return CorrectionOutcome(corrected, components_corrected=changed, vector_alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -429,68 +399,22 @@ def adaptive_correct(
     vectors of shape (m, n) in ``ctx`` are read at each vector's own row.
     """
     batch = np.atleast_2d(_as_float_array(y))
-    outside = (batch < ctx.bounds.lower) | (batch > ctx.bounds.upper)
-    infeasible = np.logical_or.reduce(outside, axis=1)
+    v = _violations(batch, ctx.bounds)
     picks, corrected = np.full(len(batch), -1), batch.copy()
-    if np.logical_or.reduce(infeasible):
+    if v.at.size:
+        rows = v.at // batch.shape[1]
+        infeasible = np.zeros(len(batch), dtype=bool)
+        infeasible[rows] = True
         picks[infeasible] = adaptive_select(state, rng, size=np.count_nonzero(infeasible))
-        at = outside.ravel().nonzero()[0]
-        entry_picks = picks[at // batch.shape[1]]
-        # one gather, grouped by method; each group's entries stay in row-major order
-        v = _gather(batch, at[entry_picks.argsort(kind="stable")], ctx.bounds)
+        entry_picks = picks[rows]
+        # the entries grouped by method; each group's entries stay in row-major order
+        order = entry_picks.argsort(kind="stable")
+        grouped = [field[order] for field in v[1:]]
         stops = np.bincount(entry_picks, minlength=len(state.pool)).cumsum().tolist()
         for method, start, stop in zip(state.pool, [0] + stops, stops):
-            if stop == start:
-                continue
-            group = _Violations(batch, *(field[start:stop] for field in v[1:]))
-            if method.startswith("vector"):
-                _shrink(group, resolve_reference(_suffix_reference(method), ctx), ctx.bounds, corrected)
-            else:
-                corrected.ravel()[group.at] = _entry_repairs(method, group, ctx, rng)
+            if stop > start:
+                _repair(method, _Violations(batch, *(field[start:stop] for field in grouped)), ctx, rng, corrected)
     changed = np.count_nonzero(corrected != batch)
     if np.ndim(y) == 1:
         return CorrectionOutcome(corrected[0], components_corrected=changed), int(picks[0])
     return CorrectionOutcome(corrected, components_corrected=changed), picks
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def _entry_repairs(method_id: str, v: _Violations, ctx: CorrectionContext, rng: RngStream) -> np.ndarray:
-    """The violated entries ``v`` repaired by a component-wise method."""
-    if method_id == "sat":
-        return np.where(v.below, v.lo, v.hi)
-    if method_id == "mirror":
-        return _mirrored(v)
-    if method_id == "uniform":
-        return rng.uniform(v.lo, v.hi)
-    if method_id == "beta":
-        if ctx.stats is None:
-            raise ValueError("beta correction requires population stats in the context")
-        return _beta_values(v, fit_beta_params(ctx.stats, ctx.bounds, ctx.beta_epsilon), rng)
-    if method_id.startswith("exp"):
-        return _exp_values(v, resolve_reference(_suffix_reference(method_id), ctx), rng)
-    raise ValueError(f"{method_id!r} is not a repair")
-
-
-def _suffix_reference(method_id: str) -> str:
-    """The reference an exp*/vector* id names by suffix: expTarget, vectorBest (pbest), ..."""
-    reference = method_id.removeprefix("exp").removeprefix("vector").lower()
-    return "pbest" if reference == "best" else reference
-
-
-def correct(method_id: str, y, ctx: CorrectionContext, rng: RngStream) -> CorrectionOutcome:
-    """Apply the method named by ``method_id`` to the trial vector ``y``."""
-    if method_id not in METHOD_IDS:
-        raise ValueError(f"unknown method id {method_id!r}")
-    if method_id == "sat":
-        return saturate(y, ctx.bounds)
-    if method_id == "dismiss":
-        return dismiss(y, ctx.bounds)
-    if method_id == "adaptive":
-        raise ValueError("the adaptive method needs state; use adaptive_correct")
-    if method_id.startswith("vector"):
-        return vector_correct(y, _suffix_reference(method_id), ctx)
-    v = _violations(y, ctx.bounds)
-    return _repaired(v, _entry_repairs(method_id, v, ctx, rng))

@@ -403,7 +403,7 @@ def _read_artifact(read, base: str, relative: str):
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     import csv as _csv
 
-    with open(path, "w", newline="") as fh:
+    with telemetry.open_atomic(path, newline="") as fh:
         writer = _csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -471,7 +471,7 @@ def cmd_cluster(args) -> int:
         dendrogram = analysis.complete_linkage_cluster(sim, matrix.row_labels)
         stem = os.path.join(out_dir, f"dendrogram_{metric}_{args.label_by}")
         for extension, text in ((".json", dendrogram.to_json()), (".newick", dendrogram.to_newick())):
-            with open(stem + extension, "w") as fh:
+            with telemetry.open_atomic(stem + extension) as fh:
                 fh.write(text + "\n")
         print(stem + ".json")
     return 0

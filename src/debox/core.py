@@ -80,7 +80,6 @@ class Population:
     positions: np.ndarray
     fitness: np.ndarray
     generation: int = 0
-    evaluations_used: int = 0
     stats: PopulationStats | None = None
 
     def __post_init__(self) -> None:
@@ -90,8 +89,8 @@ class Population:
         self.fitness = np.asarray(self.fitness, dtype=float).ravel()
         if self.positions.shape[0] != self.fitness.size:
             raise ValueError("positions and fitness must have matching leading size")
-        if self.generation < 0 or self.evaluations_used < 0:
-            raise ValueError("generation and evaluations_used must be non-negative")
+        if self.generation < 0:
+            raise ValueError("generation must be non-negative")
 
     @property
     def size(self) -> int:

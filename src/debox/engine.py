@@ -290,8 +290,7 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     if adapt is not None:
         positions, new_fitness = adapt(trial_fitness, positions, new_fitness)
 
-    next_pop = Population(positions, new_fitness, generation=pop.generation + 1,
-                          evaluations_used=problem.budget_consumed)
+    next_pop = Population(positions, new_fitness, generation=pop.generation + 1)
     next_pop.stats = population_stats(next_pop)
     clock.lap(SELECTION)
     telemetry.record_generation(
@@ -503,7 +502,7 @@ def run(config: RunConfig) -> RunResult:
     n_init = config.classic.population_size if shade_state is None else shade_state.n_init
     positions = init_rng.uniform(problem.bounds.lower, problem.bounds.upper, (n_init, n))
     fitness = problem.evaluate_batch(positions)
-    pop = Population(positions, fitness, generation=0, evaluations_used=problem.budget_consumed)
+    pop = Population(positions, fitness, generation=0)
 
     adaptive_state = None if config.bchm != "adaptive" else AdaptiveState(
         update_period=config.adaptive_update_period, floor_probability=config.adaptive_floor)

@@ -18,11 +18,8 @@ from debox.bchm import (
     CorrectionContext,
     adaptive_select,
     adaptive_update,
-    beta_correct,
     correct,
-    exp_confined,
     fit_beta_params,
-    vector_correct,
 )
 from debox.benchmarks import BenchmarkProblem, make_instance
 from debox.cli import main as cli_main
@@ -105,14 +102,14 @@ def test_c03_exp_confined_limits_and_range():
         population_mean=np.array([2.0]),
     )
     y = np.array([-8.0])
-    at_zero = exp_confined(y, box, "target", ctx, ScriptedStream([0.0])).vector[0]
-    at_one = exp_confined(y, box, "target", ctx, ScriptedStream([1.0])).vector[0]
+    at_zero = correct("expTarget", y, ctx, ScriptedStream([0.0])).vector[0]
+    at_one = correct("expTarget", y, ctx, ScriptedStream([1.0])).vector[0]
     assert abs(at_zero - (-5.0)) < 1e-12
     assert abs(at_one - 2.0) < 1e-12
 
     rng = RngStream(1003)
     batch = np.full((100_000, 1), -8.0)
-    samples = exp_confined(batch, box, "target", ctx, rng).vector.ravel()
+    samples = correct("expTarget", batch, ctx, rng).vector.ravel()
     assert np.all(samples > -5.0) and np.all(samples < 2.0)
     report("C3", "r=0 -> bound, r=1 -> reference; 1e5 draws strictly inside (a, R)")
 
@@ -123,7 +120,7 @@ def test_c04_vector_correction_oracle_and_direction():
     ctx = CorrectionContext(
         bounds=box2, target=np.zeros(2), pbest=np.zeros(2), population_mean=np.zeros(2)
     )
-    outcome = vector_correct(np.array([10.0, 2.0]), "target", ctx)
+    outcome = correct("vectorTarget", np.array([10.0, 2.0]), ctx, ScriptedStream([]))
     assert np.all(np.abs(outcome.vector - np.array([5.0, 1.0])) < 1e-12)
     assert abs(outcome.vector_alpha - 0.5) < 1e-12
 
@@ -136,7 +133,7 @@ def test_c04_vector_correction_oracle_and_direction():
     ctx = CorrectionContext(
         bounds=BOX20, target=targets, pbest=targets, population_mean=targets
     )
-    corrected = vector_correct(trials, "target", ctx).vector
+    corrected = correct("vectorTarget", trials, ctx, ScriptedStream([])).vector
     u = trials - targets
     v = corrected - targets
     cos = np.einsum("ij,ij->i", u, v) / (
@@ -269,7 +266,10 @@ def test_c09_clustering_oracle():
 def test_c10_beta_moment_preservation():
     box = Bounds.symmetric(5.0, 1)
     stats = PopulationStats(mean=np.array([0.0]), variance=np.array([1.0]))
-    outcome = beta_correct(np.full((100_000, 1), 9.0), box, stats, RngStream(1010))
+    ctx = CorrectionContext(
+        bounds=box, target=np.zeros(1), pbest=np.zeros(1), population_mean=np.zeros(1), stats=stats
+    )
+    outcome = correct("beta", np.full((100_000, 1), 9.0), ctx, RngStream(1010))
     values = outcome.vector.ravel()
     mean = float(values.mean())
     variance = float(values.var())

@@ -11,17 +11,11 @@ from debox.bchm import (
     adaptive_correct,
     adaptive_select,
     adaptive_update,
-    beta_correct,
     correct,
-    dismiss,
-    exp_confined,
     fit_beta_params,
-    mirror,
-    saturate,
-    vector_alpha,
-    vector_correct,
 )
 from debox.core import Bounds, Population, PopulationStats, RngStream, population_stats, stable_key
+from conftest import ScriptedStream
 
 BOX1 = Bounds.symmetric(5.0, 1)
 BOX2 = Bounds.symmetric(5.0, 2)
@@ -39,40 +33,45 @@ def make_ctx(bounds, target=None, pbest=None, mean=None, stats=None):
     )
 
 
+def no_draws():
+    """A stream that fails the test if a method draws from it."""
+    return ScriptedStream([])
+
+
 class TestSaturate:
     def test_upper_violation_lands_on_bound(self):
-        outcome = saturate(np.array([7.0]), BOX1)
+        outcome = correct("sat", np.array([7.0]), make_ctx(BOX1), no_draws())
         assert_allclose(outcome.vector, [5.0])
         assert outcome.components_corrected == 1
 
     def test_feasible_untouched(self):
-        outcome = saturate(np.array([0.0]), BOX1)
+        outcome = correct("sat", np.array([0.0]), make_ctx(BOX1), no_draws())
         assert_allclose(outcome.vector, [0.0])
         assert outcome.components_corrected == 0
 
     def test_componentwise(self):
-        outcome = saturate(np.array([-9.0, 3.0]), BOX2)
+        outcome = correct("sat", np.array([-9.0, 3.0]), make_ctx(BOX2), no_draws())
         assert_allclose(outcome.vector, [-5.0, 3.0])
         assert outcome.components_corrected == 1
 
 
 class TestMirror:
     def test_single_reflection(self):
-        assert_allclose(mirror(np.array([6.2]), BOX1).vector, [3.8], atol=1e-12)
+        assert_allclose(correct("mirror", np.array([6.2]), make_ctx(BOX1), no_draws()).vector, [3.8], atol=1e-12)
 
     def test_feasible_untouched(self):
-        assert_allclose(mirror(np.array([2.0]), BOX1).vector, [2.0])
+        assert_allclose(correct("mirror", np.array([2.0]), make_ctx(BOX1), no_draws()).vector, [2.0])
 
     def test_iterated_reflection(self):
         # 17 -> 2*5-17 = -7 (still out) -> 2*(-5)+7 = -3
-        assert_allclose(mirror(np.array([17.0]), BOX1).vector, [-3.0], atol=1e-12)
+        assert_allclose(correct("mirror", np.array([17.0]), make_ctx(BOX1), no_draws()).vector, [-3.0], atol=1e-12)
 
     def test_involution_on_singly_reflected_points(self):
         rng = RngStream(1)
         for _ in range(200):
             p = rng.uniform(0.0, 5.0, 1)  # feasible point near the upper half
             image = 2.0 * 5.0 - p  # its mirror image above the box
-            assert_allclose(mirror(image, BOX1).vector, p, atol=1e-12)
+            assert_allclose(correct("mirror", image, make_ctx(BOX1), no_draws()).vector, p, atol=1e-12)
 
 
 class TestUniformResample:
@@ -119,19 +118,19 @@ class TestBetaCorrect:
     STATS = PopulationStats(mean=np.array([0.0]), variance=np.array([1.0]))
 
     def test_feasible_untouched(self):
-        outcome = beta_correct(np.array([2.0]), BOX1, self.STATS, RngStream(0))
+        outcome = correct("beta", np.array([2.0]), make_ctx(BOX1, stats=self.STATS), RngStream(0))
         assert_allclose(outcome.vector, [2.0])
         assert outcome.components_corrected == 0
 
     def test_moment_preservation(self):
-        outcome = beta_correct(np.full((100_000, 1), 9.0), BOX1, self.STATS, RngStream(8))
+        outcome = correct("beta", np.full((100_000, 1), 9.0), make_ctx(BOX1, stats=self.STATS), RngStream(8))
         values = outcome.vector.ravel()
         assert abs(values.mean()) < 0.05
         assert abs(values.var() - 1.0) < 0.1
 
     def test_fallback_behaves_like_uniform_resample(self, scripted):
         degenerate = PopulationStats(mean=np.array([0.0]), variance=np.array([25.0]))
-        a = beta_correct(np.array([9.0]), BOX1, degenerate, scripted([0.25]))
+        a = correct("beta", np.array([9.0]), make_ctx(BOX1, stats=degenerate), scripted([0.25]))
         b = correct("uniform", np.array([9.0]), make_ctx(BOX1), scripted([0.25]))
         assert_allclose(a.vector, b.vector)
 
@@ -142,25 +141,25 @@ class TestExpConfined:
 
     def test_r_zero_returns_violated_bound(self, scripted):
         ctx = make_ctx(BOX1, target=np.array([2.0]))
-        outcome = exp_confined(np.array([-8.0]), BOX1, "target", ctx, scripted([0.0]))
+        outcome = correct("expTarget", np.array([-8.0]), ctx, scripted([0.0]))
         assert_allclose(outcome.vector, [-5.0], atol=1e-12)
 
     def test_r_one_returns_reference(self, scripted):
         ctx = make_ctx(BOX1, target=np.array([2.0]))
-        outcome = exp_confined(np.array([-8.0]), BOX1, "target", ctx, scripted([1.0]))
+        outcome = correct("expTarget", np.array([-8.0]), ctx, scripted([1.0]))
         assert_allclose(outcome.vector, [2.0], atol=1e-12)
 
     def test_upper_branch_limits(self, scripted):
         ctx = make_ctx(BOX1, target=np.array([1.5]))
-        at_r0 = exp_confined(np.array([8.0]), BOX1, "target", ctx, scripted([0.0]))
-        at_r1 = exp_confined(np.array([8.0]), BOX1, "target", ctx, scripted([1.0]))
+        at_r0 = correct("expTarget", np.array([8.0]), ctx, scripted([0.0]))
+        at_r1 = correct("expTarget", np.array([8.0]), ctx, scripted([1.0]))
         assert_allclose(at_r0.vector, [1.5], atol=1e-12)  # reference
         assert_allclose(at_r1.vector, [5.0], atol=1e-12)  # violated bound
 
     def test_monotone_in_r_and_strictly_inside(self, scripted):
         ctx = make_ctx(BOX1, target=np.array([2.0]))
         values = [
-            float(exp_confined(np.array([-8.0]), BOX1, "target", ctx, scripted([r])).vector[0])
+            float(correct("expTarget", np.array([-8.0]), ctx, scripted([r])).vector[0])
             for r in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -169,15 +168,20 @@ class TestExpConfined:
     def test_upper_violation_strictly_inside(self):
         ctx = make_ctx(BOX1, target=np.array([1.5]))
         rng = RngStream(31)
-        samples = exp_confined(np.full((5000, 1), 8.0), BOX1, "target", ctx, rng).vector
+        samples = correct("expTarget", np.full((5000, 1), 8.0), ctx, rng).vector
         assert np.all(samples > 1.5) and np.all(samples < 5.0)
 
     def test_reference_choices(self, scripted):
         ctx = make_ctx(BOX2, target=[1.0, 0.0], pbest=[2.0, 0.0], mean=[3.0, 0.0])
         y = np.array([-8.0, 0.0])
-        for reference, expected in (("target", 1.0), ("pbest", 2.0), ("midpoint", 3.0)):
-            outcome = exp_confined(y, BOX2, reference, ctx, scripted([1.0]))
+        for method, expected in (("expTarget", 1.0), ("expBest", 2.0), ("expMidpoint", 3.0)):
+            outcome = correct(method, y, ctx, scripted([1.0]))
             assert_allclose(outcome.vector, [expected, 0.0], atol=1e-12)
+
+
+def vector_alpha(y, R, bounds):
+    """The scaling factor vectorTarget applies to y with the reference R."""
+    return correct("vectorTarget", y, make_ctx(bounds, target=R), no_draws()).vector_alpha
 
 
 class TestVectorAlpha:
@@ -198,14 +202,14 @@ class TestVectorAlpha:
 class TestVectorCorrect:
     def test_hand_evaluation(self):
         ctx = make_ctx(BOX2, target=np.zeros(2))
-        outcome = vector_correct(np.array([10.0, 2.0]), "target", ctx)
+        outcome = correct("vectorTarget", np.array([10.0, 2.0]), ctx, no_draws())
         assert_allclose(outcome.vector, [5.0, 1.0], atol=1e-12)
         assert outcome.vector_alpha == pytest.approx(0.5, abs=1e-12)
 
     def test_feasible_unchanged(self):
         ctx = make_ctx(BOX2, target=np.zeros(2))
         y = np.array([1.0, 2.0])
-        outcome = vector_correct(y, "target", ctx)
+        outcome = correct("vectorTarget", y, ctx, no_draws())
         assert_allclose(outcome.vector, y)
         assert outcome.vector_alpha == 1.0
 
@@ -216,7 +220,7 @@ class TestVectorCorrect:
             y = rng.uniform(-12, 12, 4)
             if bool(BOX_4.contains(y)):
                 continue
-            outcome = vector_correct(y, "target", make_ctx(BOX_4, target=x))
+            outcome = correct("vectorTarget", y, make_ctx(BOX_4, target=x), no_draws())
             c = outcome.vector
             cos = np.dot(y - x, c - x) / (np.linalg.norm(y - x) * np.linalg.norm(c - x))
             assert cos >= 1.0 - 1e-9
@@ -229,7 +233,7 @@ class TestVectorCorrect:
             box = Bounds.symmetric(5.0, 3)
             if bool(box.contains(y)):
                 continue
-            outcome = vector_correct(y, "target", make_ctx(box, target=r))
+            outcome = correct("vectorTarget", y, make_ctx(box, target=r), no_draws())
             alpha = outcome.vector_alpha
             assert_allclose(
                 np.linalg.norm(outcome.vector - r), alpha * np.linalg.norm(y - r), atol=1e-9
@@ -237,7 +241,7 @@ class TestVectorCorrect:
 
     def test_binding_component_on_bound(self):
         ctx = make_ctx(BOX2, target=np.zeros(2))
-        outcome = vector_correct(np.array([10.0, 2.0]), "target", ctx)
+        outcome = correct("vectorTarget", np.array([10.0, 2.0]), ctx, no_draws())
         assert np.min(np.abs(np.abs(outcome.vector) - 5.0)) < 1e-9
 
 
@@ -246,18 +250,18 @@ BOX_4 = Bounds.symmetric(5.0, 4)
 
 class TestDismiss:
     def test_infeasible_dismissed(self):
-        outcome = dismiss(np.array([9.0, 0.0]), BOX2)
+        outcome = correct("dismiss", np.array([9.0, 0.0]), make_ctx(BOX2), no_draws())
         assert outcome.dismissed
         assert outcome.vector is None
 
     def test_feasible_passes_through(self):
-        outcome = dismiss(np.array([1.0, 0.0]), BOX2)
+        outcome = correct("dismiss", np.array([1.0, 0.0]), make_ctx(BOX2), no_draws())
         assert not outcome.dismissed
         assert_allclose(outcome.vector, [1.0, 0.0])
 
     def test_batch_masks_dismissed_rows(self):
         batch = np.array([[9.0, 0.0], [1.0, 0.0], [0.0, -7.0]])
-        outcome = dismiss(batch, BOX2)
+        outcome = correct("dismiss", batch, make_ctx(BOX2), no_draws())
         assert outcome.dismissed.tolist() == [True, False, True]
         assert_allclose(outcome.vector, batch)
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import json
 import os
@@ -467,6 +468,30 @@ class TestAnalysisCommands:
         summary = (tmp_path / "classes_summary.csv").read_text().splitlines()
         assert len(summary) == 5  # header + 4 cells
         assert summary[0].endswith("GB,SF,PC,BB,median_run_class")
+
+    def test_a_classify_write_that_raises_leaves_the_previous_classes(self, sweep_output, tmp_path,
+                                                                     monkeypatch, capsys):
+        manifest = str(sweep_output / "manifest.json")
+        assert main(["classify", "--manifest", manifest, "--out", str(tmp_path)]) == 0
+        before = (tmp_path / "classes.csv").read_bytes()
+        real = csv.writer
+
+        class HalfWriter:
+            """A csv writer that raises after writing the first rows of a block."""
+
+            def __init__(self, fh, **kwargs):
+                self.inner = real(fh, **kwargs)
+                self.writerow = self.inner.writerow
+
+            def writerows(self, rows):
+                self.inner.writerows(rows[:3])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(csv, "writer", HalfWriter)
+        assert main(["classify", "--manifest", manifest, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.strip().endswith("disk full")
+        assert (tmp_path / "classes.csv").read_bytes() == before
+        assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
 
     def test_cluster(self, sweep_output, tmp_path):
         manifest = str(sweep_output / "manifest.json")

@@ -1,20 +1,23 @@
 """No public name exists only for the tests.
 
-Every name in a module's ``__all__`` needs a whole-word reference outside
-the tests: a line of ``src/`` other than its own ``def``/``class`` line, its
-``__all__`` entry and its ``__init__`` re-export; a demo; the benchmark; or
-the acceptance contract in ``tests/test_acceptance.py``.
+Every name in a module's ``__all__`` needs a reference outside the tests: a
+code token (a ``tokenize`` NAME, not a string or a comment) in ``src/``
+other than its own ``def``/``class`` name, its ``__all__`` entry and its
+``__init__`` re-export; in a demo; in the benchmark; or in the acceptance
+contract in ``tests/test_acceptance.py``.
 """
 
 import ast
-import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "debox"
 
-#: public names that are entry points for user code rather than for the package itself
-ENTRY_POINTS = {"register_problem"}  # called by the modules named in ``plugin_modules``
+#: public names that are entry points for user code rather than for the package itself:
+#: the modules named in ``plugin_modules`` build their problems with ``ExternalProblem``
+#: and hand them to ``register_problem``
+ENTRY_POINTS = {"ExternalProblem", "register_problem"}
 
 
 def _statement_lines(tree: ast.Module, keep) -> set[int]:
@@ -36,33 +39,37 @@ def _public_names() -> dict[str, str]:
     return names
 
 
-def _source_lines() -> list[str]:
-    """The lines of ``src/`` that may reference a public name: not ``__all__``
-    and not the ``__init__`` re-exports."""
-    lines = []
+def _references(path: Path, skip=frozenset()) -> set[str]:
+    """The names ``path`` uses as code: its NAME tokens outside the ``skip``
+    lines, less the name each ``def`` or ``class`` statement defines."""
+    names, previous = set(), None
+    with tokenize.open(path) as f:
+        for token in tokenize.generate_tokens(f.readline):
+            if token.type == tokenize.NAME and token.start[0] not in skip and previous not in ("def", "class"):
+                names.add(token.string)
+            previous = token.string
+    return names
+
+
+def _source_references() -> set[str]:
+    """The names ``src/`` uses, outside ``__all__`` and the ``__init__`` re-exports."""
+    names = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text()
-        tree = ast.parse(text)
+        tree = ast.parse(path.read_text())
         skip = _statement_lines(tree, _is_all)
         if path.name == "__init__.py":
             skip |= _statement_lines(tree, lambda node: isinstance(node, ast.ImportFrom) and node.level == 1)
-        lines += [line for number, line in enumerate(text.splitlines(), 1) if number not in skip]
-    return lines
+        names |= _references(path, skip)
+    return names
 
 
-def _outside_lines() -> list[str]:
+def _outside_references() -> set[str]:
     paths = [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
              ROOT / "tests" / "test_acceptance.py"]
-    return [line for path in paths for line in path.read_text().splitlines()]
+    return set().union(*map(_references, paths))
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    source, outside = _source_lines(), _outside_lines()
-    unreferenced = []
-    for name, module in sorted(_public_names().items()):
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
-        used = any(word.search(line) and not own.match(line) for line in source)
-        if not (used or name in ENTRY_POINTS or any(word.search(line) for line in outside)):
-            unreferenced.append(f"{module}: {name}")
+    referenced = _source_references() | _outside_references() | ENTRY_POINTS
+    unreferenced = [f"{module}: {name}" for name, module in sorted(_public_names().items()) if name not in referenced]
     assert not unreferenced, "public names that only tests use:\n" + "\n".join(unreferenced)
