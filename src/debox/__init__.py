@@ -51,7 +51,6 @@ from .engine import (
     ClassicDEParams,
     RunConfig,
     RunResult,
-    ShadeParams,
     ShadeState,
     classic_generation,
     lpsr_target_size,
@@ -60,7 +59,6 @@ from .engine import (
 )
 from .telemetry import (
     BehaviourClass,
-    ClassifierConfig,
     GenerationRecord,
     Trajectory,
     classify,

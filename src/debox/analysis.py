@@ -86,6 +86,8 @@ def build_trajectory_matrix(
         raise ValueError(f"unknown metric {metric!r}, expected one of {sorted(METRICS)}")
     if aggregate not in ("mean", "concat"):
         raise ValueError("aggregate must be 'mean' or 'concat'")
+    if grid_points < 2:  # one point or none aligns nothing: every row would be similar to every other
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     labels = tuple(sorted(runs_by_label))
     rows = []
     for label in labels:

@@ -81,7 +81,6 @@ class CorrectionContext:
     pbest: np.ndarray
     population_mean: np.ndarray
     stats: PopulationStats | None = None
-    beta_epsilon: float = 0.1
 
 
 @dataclass(eq=False)
@@ -181,8 +180,11 @@ class BetaFitParams:
     fallback_mask: np.ndarray
 
 
-def fit_beta_params(stats: PopulationStats, bounds: Bounds,
-                    epsilon: float = CorrectionContext.beta_epsilon) -> BetaFitParams:
+#: how far the Beta correction keeps the population mean, rescaled to [0, 1], from 0 and 1
+BETA_EPSILON = 0.1
+
+
+def fit_beta_params(stats: PopulationStats, bounds: Bounds, epsilon: float = BETA_EPSILON) -> BetaFitParams:
     """Moment-match Beta shapes to the population mean and variance.
 
     With the box rescaled to [0, 1]:  m_i = (Mean_i - a_i)/(b_i - a_i)
@@ -284,7 +286,7 @@ def _repair(method_id: str, v: _Violations, ctx: CorrectionContext, rng: RngStre
     elif method_id == "beta":
         if ctx.stats is None:
             raise ValueError("beta correction requires population stats in the context")
-        values = _beta_values(v, fit_beta_params(ctx.stats, ctx.bounds, ctx.beta_epsilon), rng)
+        values = _beta_values(v, fit_beta_params(ctx.stats, ctx.bounds), rng)
     else:
         values = _exp_values(v, _reference(method_id, ctx), rng)
     out.ravel()[v.at] = values  # a view: ``out`` is C-contiguous

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__, analysis, benchmarks, telemetry
 from .bchm import METHOD_IDS
 from .core import stable_key
-from .engine import BUDGET_PER_DIMENSION, ClassicDEParams, RunConfig, ShadeParams, run
+from .engine import BUDGET_PER_DIMENSION, ClassicDEParams, RunConfig, run
 
 __all__ = ["main"]
 
@@ -90,8 +90,7 @@ _GRID = {"functions": "function", "instances": "instance", "dimensions": "dimens
          "modes": "mode", "engines": "engine", "bchms": "bchm"}
 
 #: run keys a sweep sets once for all its cells
-_SHARED = ("budget_multiplier", "count_infeasible_evals", "target_error", "classic", "shade",
-           "plugin_modules")
+_SHARED = ("budget_multiplier", "count_infeasible_evals", "target_error", "classic", "plugin_modules")
 
 _SWEEP_SCHEMA = {
     **{key: (list[_RUN_SCHEMA[cell_key][0]], _REQUIRED) for key, cell_key in _GRID.items()},
@@ -151,14 +150,13 @@ def _import_plugins(modules: list[str]) -> None:
         importlib.import_module(module)
 
 
-_RUN_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.name not in ("problem", "classic", "shade")]
+_RUN_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.name not in ("problem", "classic")]
 
 
 def _run_config(resolved: dict, problem) -> RunConfig:
     """The RunConfig a resolved run config describes, around ``problem``."""
     fields = {key: resolved[key] for key in _RUN_FIELDS}
-    return RunConfig(problem=problem, **fields, classic=ClassicDEParams(**resolved["classic"]),
-                     shade=ShadeParams(**resolved["shade"]))
+    return RunConfig(problem=problem, **fields, classic=ClassicDEParams(**resolved["classic"]))
 
 
 def _resolve_run(data, schema: dict = _RUN_SCHEMA) -> dict:

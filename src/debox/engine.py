@@ -56,7 +56,7 @@ from .benchmarks import BenchmarkProblem
 from .core import Population, PopulationStats, RngStream, population_stats
 
 __all__ = [
-    "ClassicDEParams", "PHASES", "RunConfig", "RunResult", "ShadeParams", "ShadeState",
+    "ClassicDEParams", "PHASES", "RunConfig", "RunResult", "ShadeState",
     "binomial_crossover", "classic_generation", "lehmer_mean", "lpsr_target_size", "lshade_generation",
     "rand1_mutant", "run", "sample_crossover_rate", "sample_scale_factor",
 ]
@@ -81,33 +81,17 @@ class ClassicDEParams:
         return errors
 
 
-@dataclass
-class ShadeParams:
-    """Static L-SHADE configuration; the initial population is 18*n unless set."""
-
-    memory_size: int = 6
-    n_init: int | None = None
-    n_min: int = 4
-    p_max: float = 0.2
-    reduction_enabled: bool = True
-    archive_capacity: int | None = None  # None: capacity tracks the population size
-
-    def validation_errors(self) -> list[str]:
-        errors = []
-        if self.memory_size < 1:
-            errors.append("shade.memory_size (must be >= 1)")
-        if self.n_init is not None and self.n_init < 4:
-            errors.append("shade.n_init (must be >= 4)")
-        if self.n_min < 4:
-            errors.append("shade.n_min (must be >= 4)")
-        if not 0.0 < self.p_max <= 1.0:
-            errors.append("shade.p_max (must be in (0, 1])")
-        if self.archive_capacity is not None and self.archive_capacity < 0:
-            errors.append("shade.archive_capacity (must be >= 0)")
-        return errors
-
-    def initial_size(self, dimension: int) -> int:
-        return self.n_init if self.n_init is not None else 18 * dimension
+#: L-SHADE's constants.  From L-SHADE (Tanabe & Fukunaga, CEC 2014): H = 6
+#: memory slots and an initial population of 18*n that LPSR shrinks to 4.
+#: From SHADE (Tanabe & Fukunaga, CEC 2013): p drawn from U[2/N, 0.2], and an
+#: archive that holds at most as many parents as the population.  From both:
+#: F ~ Cauchy(M_F, 0.1) and CR ~ N(M_CR, 0.1).
+MEMORY_SIZE = 6
+INIT_SIZE_PER_DIMENSION = 18
+MIN_POPULATION_SIZE = 4
+P_MAX = 0.2
+F_SCALE = 0.1
+CR_SCALE = 0.1
 
 
 @dataclass(eq=False)
@@ -118,21 +102,13 @@ class ShadeState:
     memory_cr: np.ndarray  # NaN entries mark the terminal CR value
     memory_index: int
     archive: np.ndarray  # defeated parents, shape (A, n)
-    params: ShadeParams
     n_init: int
     n_fe_max: int
 
     @classmethod
-    def create(cls, dimension: int, budget: int, params: ShadeParams) -> "ShadeState":
-        n_init = params.initial_size(dimension)
-        return cls(
-            memory_f=np.full(params.memory_size, 0.5), memory_cr=np.full(params.memory_size, 0.5),
-            memory_index=0, archive=np.empty((0, dimension)), params=params, n_init=n_init, n_fe_max=budget,
-        )
-
-    def current_archive_capacity(self, population_size: int) -> int:
-        capacity = self.params.archive_capacity
-        return capacity if capacity is not None else population_size
+    def create(cls, dimension: int, budget: int, n_init: int) -> "ShadeState":
+        return cls(memory_f=np.full(MEMORY_SIZE, 0.5), memory_cr=np.full(MEMORY_SIZE, 0.5), memory_index=0,
+                   archive=np.empty((0, dimension)), n_init=n_init, n_fe_max=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +131,25 @@ def binomial_crossover(units: np.ndarray, targets: np.ndarray, mutants: np.ndarr
     return np.where(mask, mutants, targets)
 
 
-def sample_scale_factor(rng: RngStream, loc: np.ndarray, units: np.ndarray, scale: float = 0.1) -> np.ndarray:
-    """Cauchy(loc_i, scale) variates by the inverse CDF, one per entry of
+def sample_scale_factor(rng: RngStream, loc: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Cauchy(loc_i, F_SCALE) variates by the inverse CDF, one per entry of
     ``loc`` from the matching entry of ``units``; nonpositive entries are
     redrawn in rounds of further unit draws until positive, then all are
     truncated at 1."""
-    f = loc + scale * np.tan(np.pi * (units - 0.5))
+    f = loc + F_SCALE * np.tan(np.pi * (units - 0.5))
     redraw = (f <= 0.0).nonzero()[0]
     while redraw.size:
-        redrawn = loc[redraw] + scale * np.tan(np.pi * (rng.random(redraw.size) - 0.5))
+        redrawn = loc[redraw] + F_SCALE * np.tan(np.pi * (rng.random(redraw.size) - 0.5))
         f[redraw] = redrawn
         redraw = redraw[redrawn <= 0.0]
     return np.minimum(f, 1.0)
 
 
-def sample_crossover_rate(rng: RngStream, memory_cr: np.ndarray, scale: float = 0.1) -> np.ndarray:
-    """Normal(M_CR_i, scale) draws clipped to [0, 1], one per entry of
+def sample_crossover_rate(rng: RngStream, memory_cr: np.ndarray) -> np.ndarray:
+    """Normal(M_CR_i, CR_SCALE) draws clipped to [0, 1], one per entry of
     ``memory_cr``, in one ``normal`` call; the terminal marker (NaN) pins CR
     to 0 (its draw is still consumed)."""
-    cr = np.minimum(np.maximum(rng.normal(memory_cr, scale, size=memory_cr.shape), 0.0), 1.0)
+    cr = np.minimum(np.maximum(rng.normal(memory_cr, CR_SCALE, size=memory_cr.shape), 0.0), 1.0)
     return np.where(np.isnan(memory_cr), 0.0, cr)
 
 
@@ -185,11 +161,10 @@ def lehmer_mean(values, weights) -> float:
 
 
 def lpsr_target_size(state: ShadeState, evaluations_used: int) -> int:
-    """Linear population size schedule from n_init down to n_min over the budget."""
+    """Linear population size schedule from n_init down to MIN_POPULATION_SIZE over the budget."""
     frac = min(evaluations_used / state.n_fe_max, 1.0)
-    n_min = state.params.n_min
-    target = round(state.n_init + (n_min - state.n_init) * frac)
-    return int(min(max(target, n_min), state.n_init))
+    target = round(state.n_init + (MIN_POPULATION_SIZE - state.n_init) * frac)
+    return int(min(max(target, MIN_POPULATION_SIZE), state.n_init))
 
 
 def _distinct_indices(units: np.ndarray, j: np.ndarray, *limits: int) -> list[np.ndarray]:
@@ -238,7 +213,7 @@ class _PhaseClock:
 
 def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, units: np.ndarray, bchm: str,
                 problem, rng: RngStream, trajectory: telemetry.Trajectory, adaptive_state: AdaptiveState | None,
-                budget: int | None, beta_epsilon: float, clock: _PhaseClock, adapt=None) -> Population:
+                budget: int | None, clock: _PhaseClock, adapt=None) -> Population:
     """Crossover, budget prefix, batch repair, batch evaluation, greedy
     selection and the telemetry of one generation, appended to ``trajectory``.
 
@@ -267,7 +242,7 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     if corrections:  # the whole block goes to the BCHM, which leaves feasible rows as they are
         stats = pop.stats if pop.stats is not None else population_stats(pop)
         ctx = CorrectionContext(bounds=bounds, target=x[:kept], population_mean=stats.mean, stats=stats,
-                                pbest=pbest[:kept] if pbest.ndim == 2 else pbest, beta_epsilon=beta_epsilon)
+                                pbest=pbest[:kept] if pbest.ndim == 2 else pbest)
         if adaptive_state is None:
             outcome = correct(bchm, trials, ctx, rng)
         else:
@@ -308,8 +283,7 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
 
 def classic_generation(pop: Population, params: ClassicDEParams, bchm: str, problem, rng: RngStream,
                        trajectory: telemetry.Trajectory, adaptive_state: AdaptiveState | None = None,
-                       budget: int | None = None, beta_epsilon: float = CorrectionContext.beta_epsilon,
-                       clock: _PhaseClock | None = None) -> Population:
+                       budget: int | None = None, clock: _PhaseClock | None = None) -> Population:
     """One synchronous DE/rand/1/bin generation.
 
     If the budget runs out mid-generation the remaining targets carry over
@@ -326,15 +300,14 @@ def classic_generation(pop: Population, params: ClassicDEParams, bchm: str, prob
     r1, r2, r3 = _distinct_indices(index_units, np.arange(m), m, m, m)
     mutants = rand1_mutant(x[r1], x[r2], x[r3], params.scale_factor)
     return _generation(pop, mutants, params.crossover_rate, x[pop.best_index], crossover_units, bchm, problem,
-                       rng, trajectory, adaptive_state, budget, beta_epsilon, clock)
+                       rng, trajectory, adaptive_state, budget, clock)
 
 
 def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rng: RngStream,
                       trajectory: telemetry.Trajectory, adaptive_state: AdaptiveState | None = None,
-                      budget: int | None = None, beta_epsilon: float = CorrectionContext.beta_epsilon,
-                      clock: _PhaseClock | None = None) -> tuple[Population, ShadeState]:
+                      budget: int | None = None, clock: _PhaseClock | None = None) -> tuple[Population, ShadeState]:
     """One L-SHADE generation: current-to-pbest/1/bin with memories, archive
-    and (optionally) linear population size reduction."""
+    and linear population size reduction."""
     clock = clock if clock is not None else _PhaseClock()
     x, fitness = pop.positions, pop.fitness
     m, n = x.shape
@@ -344,7 +317,7 @@ def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rn
     f = sample_scale_factor(rng, state.memory_f[slots], f_u)
     cr = sample_crossover_rate(rng, state.memory_cr[slots])
     p_lo = 2.0 / m
-    p = p_lo + (max(p_lo, state.params.p_max) - p_lo) * p_u  # Generator.uniform, bit for bit
+    p = p_lo + (max(p_lo, P_MAX) - p_lo) * p_u  # Generator.uniform, bit for bit
     rank = (rank_u * np.ceil(p * m)).astype(np.intp)  # p >= 2/m, so ceil(p m) >= 2
     donors = np.concatenate([x, state.archive]) if len(state.archive) else x
     r1, r2 = _distinct_indices(units[4 * m:6 * m].reshape(2, m), np.arange(m), m, len(donors))
@@ -356,23 +329,22 @@ def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rn
         if better.size:
             state.archive = np.concatenate([state.archive, x[better]])
             _update_memories(state, f[better], cr[better], fitness[better] - trial_fitness[better])
-        if state.params.reduction_enabled:
-            target_size = lpsr_target_size(state, problem.budget_consumed)
-            if target_size < m:
-                keep = new_fitness.argsort(kind="stable")[:target_size]
-                keep.sort()
-                positions, new_fitness = positions[keep], new_fitness[keep]
+        target_size = lpsr_target_size(state, problem.budget_consumed)
+        if target_size < m:
+            keep = new_fitness.argsort(kind="stable")[:target_size]
+            keep.sort()
+            positions, new_fitness = positions[keep], new_fitness[keep]
         _trim_archive(state, len(positions), rng)
         return positions, new_fitness
 
     next_pop = _generation(pop, mutants, cr[:, None], pbest, units[6 * m:].reshape(m, 1 + n), bchm, problem,
-                           rng, trajectory, adaptive_state, budget, beta_epsilon, clock, adapt)
+                           rng, trajectory, adaptive_state, budget, clock, adapt)
     return next_pop, state
 
 
 def _trim_archive(state: ShadeState, population_size: int, rng: RngStream) -> None:
-    """Drop uniformly chosen archive entries down to the capacity; the survivors keep no order."""
-    excess = len(state.archive) - state.current_archive_capacity(population_size)
+    """Drop uniformly chosen archive entries down to the population size; the survivors keep no order."""
+    excess = len(state.archive) - population_size
     if excess > 0:
         state.archive = state.archive[rng.random(len(state.archive)).argsort()[excess:]]
 
@@ -419,13 +391,13 @@ class RunConfig:
     seed: int = 0
     max_generations: int | None = None
     classic: ClassicDEParams = field(default_factory=ClassicDEParams)
-    shade: ShadeParams = field(default_factory=ShadeParams)
-    beta_epsilon: float = CorrectionContext.beta_epsilon
-    adaptive_update_period: int = AdaptiveState.update_period
-    adaptive_floor: float = AdaptiveState.floor_probability
 
-    def resolved_budget(self) -> int:
-        return self.budget if self.budget is not None else BUDGET_PER_DIMENSION * self.problem.dimension
+    def resolved_budget(self, dimension: int) -> int:
+        return self.budget if self.budget is not None else BUDGET_PER_DIMENSION * dimension
+
+    def initial_size(self, dimension: int) -> int:
+        """The size of the initial population, which spends the first evaluations."""
+        return self.classic.population_size if self.engine == "classic" else INIT_SIZE_PER_DIMENSION * dimension
 
     def validation_errors(self, dimension: int | None = None) -> list[str]:
         """One message per invalid field; the problem is not consulted.  Given
@@ -439,8 +411,7 @@ class RunConfig:
         if self.budget is not None and self.budget <= 0:
             errors.append("budget (budget must be positive)")
         elif dimension is not None:
-            budget = self.budget if self.budget is not None else BUDGET_PER_DIMENSION * dimension
-            size = self.classic.population_size if self.engine == "classic" else self.shade.initial_size(dimension)
+            budget, size = self.resolved_budget(dimension), self.initial_size(dimension)
             if budget <= size:
                 errors.append(f"budget (must exceed the initial population size {size}, got {budget})")
         if self.target_error is not None and self.target_error <= 0:
@@ -449,13 +420,7 @@ class RunConfig:
             errors.append("seed (must be >= 0)")
         if self.max_generations is not None and self.max_generations <= 0:
             errors.append("max_generations (must be positive)")
-        if not 0.0 < self.beta_epsilon < 0.5:
-            errors.append("beta_epsilon (must be in (0, 0.5))")
-        if self.adaptive_update_period < 1:
-            errors.append("adaptive_update_period (must be >= 1)")
-        if not 0.0 <= self.adaptive_floor < 0.2:
-            errors.append("adaptive_floor (must be in [0, 0.2))")
-        return errors + self.classic.validation_errors() + self.shade.validation_errors()
+        return errors + self.classic.validation_errors()
 
     def validate(self) -> None:
         errors = self.validation_errors(None if self.problem is None else self.problem.dimension)
@@ -493,19 +458,16 @@ def run(config: RunConfig) -> RunResult:
     config.validate()
     problem = config.problem
     problem.reset_counters()
-    budget = config.resolved_budget()
-
     n = problem.dimension
+    budget, n_init = config.resolved_budget(n), config.initial_size(n)
     init_rng, loop_rng = RngStream(config.seed, (0,)), RngStream(config.seed, (1,))
 
-    shade_state = ShadeState.create(n, budget, config.shade) if config.engine == "lshade" else None
-    n_init = config.classic.population_size if shade_state is None else shade_state.n_init
+    shade_state = ShadeState.create(n, budget, n_init) if config.engine == "lshade" else None
     positions = init_rng.uniform(problem.bounds.lower, problem.bounds.upper, (n_init, n))
     fitness = problem.evaluate_batch(positions)
     pop = Population(positions, fitness, generation=0)
 
-    adaptive_state = None if config.bchm != "adaptive" else AdaptiveState(
-        update_period=config.adaptive_update_period, floor_probability=config.adaptive_floor)
+    adaptive_state = AdaptiveState() if config.bchm == "adaptive" else None
 
     f_star = problem.optimum_value
     trajectory = telemetry.Trajectory()
@@ -520,10 +482,10 @@ def run(config: RunConfig) -> RunResult:
         consumed_before = problem.budget_consumed
         if config.engine == "classic":
             pop = classic_generation(pop, config.classic, config.bchm, problem, loop_rng, trajectory,
-                                     adaptive_state, budget, config.beta_epsilon, clock)
+                                     adaptive_state, budget, clock)
         else:
             pop, shade_state = lshade_generation(pop, shade_state, config.bchm, problem, loop_rng,
-                                                 trajectory, adaptive_state, budget, config.beta_epsilon, clock)
+                                                 trajectory, adaptive_state, budget, clock)
         if adaptive_state is not None and pop.generation % adaptive_state.update_period == 0:
             adaptive_state = adaptive_update(adaptive_state)
             clock.lap(SELECTION)
@@ -550,7 +512,7 @@ def run(config: RunConfig) -> RunResult:
     else:
         best_error = np.nan
         # without a known optimum only premature convergence is decidable
-        converged = final_variance < telemetry.ClassifierConfig().variance_threshold
+        converged = final_variance < telemetry.VARIANCE_THRESHOLD
         behaviour = telemetry.BehaviourClass.PC if converged else None
         classification_mode = "variance_only"
     return RunResult(

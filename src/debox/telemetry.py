@@ -32,7 +32,6 @@ from .core import Population, population_stats
 
 __all__ = [
     "BehaviourClass",
-    "ClassifierConfig",
     "GenerationRecord",
     "Trajectory",
     "classify",
@@ -56,28 +55,19 @@ class BehaviourClass(enum.Enum):
     BB = "BB"
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    error_threshold: float = 1e-6
-    variance_threshold: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.error_threshold <= 0 or self.variance_threshold <= 0:
-            raise ValueError("classifier thresholds must be strictly positive")
+#: a run is solved below this final error, and converged below this maximum per-component variance
+ERROR_THRESHOLD = 1e-6
+VARIANCE_THRESHOLD = 1e-8
 
 
-def classify(
-    final_error: float,
-    final_max_component_variance: float,
-    cfg: ClassifierConfig = ClassifierConfig(),
-) -> BehaviourClass:
-    """Map (final error, final per-component variance) to a behaviour class.
+def classify(error: float, variance: float) -> BehaviourClass:
+    """Map (final error, final maximum per-component variance) to a behaviour class.
 
     The variance threshold is applied to the maximum over components, i.e.
     "variance per component is small" means every component is small.
     """
-    solved = final_error < cfg.error_threshold
-    converged = final_max_component_variance < cfg.variance_threshold
+    solved = error < ERROR_THRESHOLD
+    converged = variance < VARIANCE_THRESHOLD
     if solved:
         return BehaviourClass.GB if converged else BehaviourClass.SF
     return BehaviourClass.PC if converged else BehaviourClass.BB

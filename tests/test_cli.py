@@ -71,9 +71,15 @@ class TestRunCommand:
         assert "bchm" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        config = write_json(tmp_path / "run.json", run_config(bchn="sat"))
-        assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
-        assert "bchn" in capsys.readouterr().err
+        # a typo, and the settings that became constants of the engine, BCHM and classifier
+        unknown = {"bchn": "sat", "shade": {"p_max": 0.2}, "beta_epsilon": 0.1,
+                   "adaptive_update_period": 25, "adaptive_floor": 0.05}
+        for key, value in unknown.items():
+            for command, payload in (("run", run_config()), ("sweep", sweep_config())):
+                config = write_json(tmp_path / f"{command}.json", dict(payload, **{key: value}))
+                assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2, (command, key)
+                assert capsys.readouterr().err.splitlines() == [f"config error: {key} (unknown key)"]
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_method_id_exits_2(self, tmp_path, capsys):
         config = write_json(tmp_path / "run.json", run_config(bchm="clip"))
@@ -86,9 +92,7 @@ class TestRunCommand:
         ("classic.population_size", "ten"),
         ("mode", "BOX"),
         ("engine", "jade"),
-        ("beta_epsilon", 0.7),
         ("dimension", 1),
-        ("shade.p_max", 0),
     ])
     def test_range_and_type_errors_exit_2_naming_the_field(self, tmp_path, capsys, field, value):
         payload = run_config()
@@ -112,7 +116,7 @@ class TestRunCommand:
         assert not (tmp_path / "o").exists()
 
     def test_every_dataclass_field_is_a_key_echoed_with_its_default(self, tmp_path):
-        # drift guard: the run schema is read from RunConfig, ClassicDEParams and ShadeParams
+        # drift guard: the run schema is read from RunConfig and ClassicDEParams
         defaults = dataclasses.asdict(RunConfig(problem=None))
         del defaults["problem"]
         payload = {"function": "sphere", "dimension": 2, "budget_multiplier": 50, **defaults}
@@ -505,6 +509,14 @@ class TestAnalysisCommands:
             assert "height" in dendrogram or "label" in dendrogram
             assert (tmp_path / f"dendrogram_{metric}_bchm.newick").read_text().strip().endswith(";")
 
+    @pytest.mark.parametrize("grid_points", ["-3", "0", "1"])
+    def test_cluster_below_two_grid_points_exits_1(self, sweep_output, tmp_path, capsys, grid_points):
+        out = tmp_path / "out"
+        manifest = str(sweep_output / "manifest.json")
+        assert main(["cluster", "--manifest", manifest, "--out", str(out), "--grid-points", grid_points]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: grid_points must be >= 2, got {grid_points}"]
+        assert list(out.iterdir()) == []
+
     def test_cluster_by_function(self, sweep_output, tmp_path):
         manifest = str(sweep_output / "manifest.json")
         code = main(
@@ -600,6 +612,23 @@ class TestAnalysisCommands:
         os.symlink(sweep_output / "runs", tmp_path / "runs")
         assert main(["classify", "--manifest", str(manifest_path)]) == 1
         assert "not_there.csv" in capsys.readouterr().err
+
+
+def _readme_json(heading):
+    """The first JSON block after ``heading`` in the README."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split(f"\n{heading}\n", 1)[1].split("```json\n", 1)[1]
+    return json.loads(block.split("```", 1)[0])
+
+
+def test_readme_configs_resolve():
+    # the documented examples use no key the CLI has dropped; resolving them runs nothing
+    run = cli._resolve_run(_readme_json("### Run config"), {**cli._RUN_SCHEMA, **cli._OUTPUT_SCHEMA})
+    assert (run["engine"], run["budget"]) == ("lshade", 100_000)
+    sweep, errors = cli._fill(_readme_json("### Sweep config"), cli._SWEEP_SCHEMA)
+    assert errors == []
+    assert len(cli._sweep_cells(sweep)) == 2 * 3 * 4 * 5  # functions x instances x bchms x runs
 
 
 def test_list_command(capsys):

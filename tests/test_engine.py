@@ -14,7 +14,6 @@ from debox.engine import (
     PHASES,
     ClassicDEParams,
     RunConfig,
-    ShadeParams,
     ShadeState,
     binomial_crossover,
     classic_generation,
@@ -136,7 +135,7 @@ class TestBuildingBlocks:
 
 class TestLpsrSchedule:
     def make_state(self, n_init=100, budget=1000):
-        return ShadeState.create(2, budget, ShadeParams(n_init=n_init))
+        return ShadeState.create(2, budget, n_init)
 
     def test_half_budget(self):
         state = self.make_state()
@@ -155,7 +154,7 @@ class TestLpsrSchedule:
 class TestShadeMemory:
     def drive_one_generation(self, seed=3):
         problem = centered_problem(dimension=3)
-        state = ShadeState.create(3, 1000, ShadeParams(n_init=10))
+        state = ShadeState.create(3, 1000, 10)
         rng = RngStream(seed)
         positions = rng.uniform(-5, 5, (10, 3))
         fitness = np.array([problem.evaluate(x) for x in positions])
@@ -164,7 +163,7 @@ class TestShadeMemory:
 
     def test_no_success_leaves_memory_unchanged(self):
         problem = centered_problem(dimension=3)
-        state = ShadeState.create(3, 1000, ShadeParams(n_init=10))
+        state = ShadeState.create(3, 1000, 10)
         before_f = state.memory_f.copy()
         # population already optimal (all zero): improvements are impossible,
         # ties can still replace targets but never update the memory
@@ -181,7 +180,7 @@ class TestShadeMemory:
 
     def test_archive_capacity_respected(self):
         problem = centered_problem(dimension=3)
-        state = ShadeState.create(3, 10_000, ShadeParams(n_init=12))
+        state = ShadeState.create(3, 10_000, 12)
         rng = RngStream(9)
         positions = rng.uniform(-5, 5, (12, 3))
         fitness = np.array([problem.evaluate(x) for x in positions])
@@ -189,7 +188,7 @@ class TestShadeMemory:
         trajectory = Trajectory()
         for _ in range(20):
             pop, state = lshade_generation(pop, state, "sat", problem, rng, trajectory, budget=10_000)
-            assert len(state.archive) <= state.current_archive_capacity(pop.size)
+            assert len(state.archive) <= pop.size
         assert_array_equal(trajectory.columns["generation"], np.arange(1, 21))
 
 
@@ -275,8 +274,10 @@ class TestDrawBlock:
         m, with_rounds = 12, set()
         for seed in range(20):
             rng = CountingStream(seed)
-            # no archive trim, and sat draws nothing, so the log holds only the generation's draws
-            state = ShadeState.create(3, 1000, ShadeParams(n_init=m, archive_capacity=100))
+            # the budget is too large for the population to shrink, so the archive, which starts
+            # empty, never outgrows it: no archive trim, and sat draws nothing, so the log holds
+            # only the generation's draws
+            state = ShadeState.create(3, 10**9, m)
             rng.log.clear()
             lshade_generation(pop, state, "sat", problem, rng, Trajectory())
             (first, block), *rounds, (last, cr) = rng.log
@@ -363,11 +364,10 @@ class TestRun:
         with pytest.raises(ValueError, match="budget must be positive"):
             run(config)
 
-    @pytest.mark.parametrize("engine,shade,size", [
-        ("classic", ShadeParams(), 50), ("lshade", ShadeParams(), 72), ("lshade", ShadeParams(n_init=10), 10)])
-    def test_budget_must_exceed_the_initial_population(self, engine, shade, size):
+    @pytest.mark.parametrize("engine,size", [("classic", 50), ("lshade", 72)])
+    def test_budget_must_exceed_the_initial_population(self, engine, size):
         def config(budget):
-            return RunConfig(problem=centered_problem(), engine=engine, shade=shade, budget=budget, seed=1)
+            return RunConfig(problem=centered_problem(), engine=engine, budget=budget, seed=1)
 
         for budget in (1, size):
             with pytest.raises(ValueError, match=rf"budget \(must exceed the initial population size {size}, "
@@ -547,7 +547,8 @@ class TestStructuralBias:
         rng = RngStream(21)
         positions = rng.uniform(-5, 5, (20, 5))
         pop = Population(positions, problem.evaluate_batch(positions))
-        state = ShadeState.create(5, 10**6, ShadeParams(n_init=20, reduction_enabled=False))
+        # 40 generations of 20 trials spend under 0.1% of the budget: LPSR keeps all 20
+        state = ShadeState.create(5, 10**6, 20)
         params = ClassicDEParams(population_size=20)
         trajectory = Trajectory()
         for _ in range(40):

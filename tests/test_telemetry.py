@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from debox import telemetry
 from debox.benchmarks import BenchmarkProblem, ExternalProblem, make_instance
 from debox.core import Bounds, Population
 from debox.engine import RunConfig, run
 from debox.telemetry import (
     BehaviourClass,
-    ClassifierConfig,
     GenerationRecord,
     Trajectory,
     classify,
@@ -60,13 +60,11 @@ class TestClassifier:
             }[(error < 1e-6, variance < 1e-8)]
             assert label is expected
 
-    def test_thresholds_configurable(self):
-        cfg = ClassifierConfig(error_threshold=1e-2, variance_threshold=1e-3)
-        assert classify(1e-3, 1e-4, cfg) is BehaviourClass.GB
-
-    def test_thresholds_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ClassifierConfig(error_threshold=0.0)
+    def test_thresholds_configurable(self, monkeypatch):
+        # the thresholds are module constants, read at every call
+        monkeypatch.setattr(telemetry, "ERROR_THRESHOLD", 1e-2)
+        monkeypatch.setattr(telemetry, "VARIANCE_THRESHOLD", 1e-3)
+        assert classify(1e-3, 1e-4) is BehaviourClass.GB
 
 
 def record(trials, pop, problem, **kwargs):
