@@ -9,6 +9,7 @@ onto the box.
 import numpy as np
 
 from debox import (
+    ADAPTIVE_POOL,
     AdaptiveState,
     Bounds,
     CorrectionContext,
@@ -45,7 +46,7 @@ print(f"{'method':<16}{'corrected vector':<44}{'touched':>8}{'alpha':>8}")
 for method in CORRECTING_METHOD_IDS:
     if method == "adaptive":
         outcome, index = adaptive_correct(trial, ctx, rng, AdaptiveState())
-        label = f"adaptive->{AdaptiveState().pool[index]}"
+        label = f"adaptive->{ADAPTIVE_POOL[index]}"
     else:
         outcome, label = correct(method, trial, ctx, rng), method
     alpha = "" if outcome.vector_alpha is None else f"{outcome.vector_alpha:.3f}"

@@ -73,19 +73,14 @@ def build_trajectory_matrix(
     runs_by_label: Mapping[str, Sequence[Mapping[str, Sequence[float]]]],
     metric: str,
     grid_points: int = 200,
-    aggregate: str = "mean",
 ) -> TrajectoryMatrix:
-    """One row per label, aligned and aggregated across that label's runs.
+    """One row per label: the mean of that label's runs, each resampled onto the grid.
 
     Each run is a column mapping as ``read_trajectory_csv`` returns it;
-    best-so-far rows are log10 errors, guarded at 1e-12.  ``aggregate="mean"``
-    averages the resampled runs; ``"concat"`` concatenates them instead (all
-    labels must then have the same run count).
+    best-so-far rows are log10 errors, guarded at 1e-12.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {sorted(METRICS)}")
-    if aggregate not in ("mean", "concat"):
-        raise ValueError("aggregate must be 'mean' or 'concat'")
     if grid_points < 2:  # one point or none aligns nothing: every row would be similar to every other
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     labels = tuple(sorted(runs_by_label))
@@ -95,14 +90,11 @@ def build_trajectory_matrix(
         if not runs:
             raise ValueError(f"empty run set for label {label!r}")
         resampled = [resample_series(*_metric_series(run, metric), grid_points) for run in runs]
-        row = np.mean(resampled, axis=0) if aggregate == "mean" else np.concatenate(resampled)
+        row = np.mean(resampled, axis=0)
         if np.isnan(row).any():
             raise ValueError(f"{metric} of label {label!r} holds NaN "
                              "(runs without a known optimum have no best_so_far)")
         rows.append(row)
-    lengths = {row.size for row in rows}
-    if len(lengths) > 1:
-        raise ValueError("labels have differing run counts; concat aggregation needs equal counts")
     return TrajectoryMatrix(row_labels=labels, rows=np.vstack(rows), metric=metric)
 
 

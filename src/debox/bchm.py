@@ -25,7 +25,6 @@ Method ids used in configs and CSV output:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +33,9 @@ import numpy as np
 from .core import Bounds, PopulationStats, RngStream
 
 __all__ = [
+    "ADAPTIVE_FLOOR",
     "ADAPTIVE_POOL",
+    "ADAPTIVE_UPDATE_PERIOD",
     "AdaptiveState",
     "BetaFitParams",
     "CORRECTING_METHOD_IDS",
@@ -321,25 +322,26 @@ def correct(method_id: str, y, ctx: CorrectionContext, rng: RngStream) -> Correc
 
 #: pool of methods available to the adaptive selector, in selection order
 ADAPTIVE_POOL = ("vectorBest", "expBest", "sat", "vectorTarget", "beta")
+#: generations between two updates of the selection probabilities
+ADAPTIVE_UPDATE_PERIOD = 25
+#: the least selection probability of a pool method
+ADAPTIVE_FLOOR = 0.05
 
 
 @dataclass(eq=False)
 class AdaptiveState:
-    """Selection probabilities plus use/success counters for the method pool.
+    """Selection probabilities plus use/success counters for ``ADAPTIVE_POOL``.
 
-    The probabilities are adjusted every ``update_period`` generations from
-    the per-method success ratios and never drop below ``floor_probability``.
+    The probabilities are adjusted every ``ADAPTIVE_UPDATE_PERIOD`` generations
+    from the per-method success ratios and never drop below ``ADAPTIVE_FLOOR``.
     """
 
-    pool: tuple[str, ...] = ADAPTIVE_POOL
     probabilities: np.ndarray = None
     uses: np.ndarray = None
     successes: np.ndarray = None
-    update_period: int = 25
-    floor_probability: float = 0.05
 
     def __post_init__(self) -> None:
-        k = len(self.pool)
+        k = len(ADAPTIVE_POOL)
         if self.probabilities is None:
             self.probabilities = np.full(k, 1.0 / k)
         self.probabilities = np.asarray(self.probabilities, dtype=float)
@@ -356,9 +358,9 @@ def adaptive_select(state: AdaptiveState, rng: RngStream, size: int | None = Non
     (one unit draw each).
     """
     u = rng.random(size)
-    k = np.minimum(np.searchsorted(np.cumsum(state.probabilities), u, side="right"), len(state.pool) - 1)
-    state.uses += np.bincount(np.ravel(k), minlength=len(state.pool))
-    return state.pool[int(k)] if size is None else k
+    k = np.minimum(np.searchsorted(np.cumsum(state.probabilities), u, side="right"), len(ADAPTIVE_POOL) - 1)
+    state.uses += np.bincount(np.ravel(k), minlength=len(ADAPTIVE_POOL))
+    return ADAPTIVE_POOL[int(k)] if size is None else k
 
 
 def _floor_and_normalize(p: np.ndarray, floor: float) -> np.ndarray:
@@ -381,12 +383,12 @@ def adaptive_update(state: AdaptiveState) -> AdaptiveState:
     """Refresh selection probabilities from the observed success ratios.
 
     Laplace-smoothed scores (successes+1)/(uses+2) are normalized into a
-    distribution, floored at ``floor_probability`` and renormalized; the
+    distribution, floored at ``ADAPTIVE_FLOOR`` and renormalized; the
     counters restart from zero for the next learning period.
     """
     scores = (state.successes + 1.0) / (state.uses + 2.0)
-    probabilities = _floor_and_normalize(scores / scores.sum(), state.floor_probability)
-    return dataclasses.replace(state, probabilities=probabilities, uses=None, successes=None)
+    probabilities = _floor_and_normalize(scores / scores.sum(), ADAPTIVE_FLOOR)
+    return AdaptiveState(probabilities)
 
 
 def adaptive_correct(
@@ -412,8 +414,8 @@ def adaptive_correct(
         # the entries grouped by method; each group's entries stay in row-major order
         order = entry_picks.argsort(kind="stable")
         grouped = [field[order] for field in v[1:]]
-        stops = np.bincount(entry_picks, minlength=len(state.pool)).cumsum().tolist()
-        for method, start, stop in zip(state.pool, [0] + stops, stops):
+        stops = np.bincount(entry_picks, minlength=len(ADAPTIVE_POOL)).cumsum().tolist()
+        for method, start, stop in zip(ADAPTIVE_POOL, [0] + stops, stops):
             if stop > start:
                 _repair(method, _Violations(batch, *(field[start:stop] for field in grouped)), ctx, rng, corrected)
     changed = np.count_nonzero(corrected != batch)

@@ -202,15 +202,17 @@ class BenchmarkProblem:
 
 
 def ExternalProblem(name: str, dimension: int, bounds: Bounds, objective: Callable[[np.ndarray], float],
-                    optimum_value: float | None = None, count_infeasible_evals: bool = False) -> BenchmarkProblem:
+                    optimum_value: float | None = None) -> BenchmarkProblem:
     """Strict-box semantics for a user-supplied ``objective`` of one point.
 
     Only (name, dimension, bounds, objective) are required; the objective
     sees one in-box point at a time and its values are used as they are.
+    Whether infeasible evaluations count is a run setting: :func:`create_problem`
+    sets it on the problem a plugin factory returns.
     """
     return BenchmarkProblem(function_id=name, instance_id=0, dimension=dimension, bounds=bounds,
                             optimum_location=None, optimum_value=optimum_value, mode="external",
-                            count_infeasible_evals=count_infeasible_evals, objective=objective)
+                            objective=objective)
 
 
 def make_instance(

@@ -82,9 +82,6 @@ _RUN_SCHEMA = {
 # a run names its engine, BCHM and seed itself
 _RUN_SCHEMA.update({key: (_RUN_SCHEMA[key][0], _REQUIRED) for key in ("engine", "bchm", "seed")})
 
-#: keys of ``debox run`` that place its output and are not part of the run
-_OUTPUT_SCHEMA = {"out": (str, "."), "name": (str | None, None)}
-
 #: sweep list key -> the run key each of its values sets
 _GRID = {"functions": "function", "instances": "instance", "dimensions": "dimension",
          "modes": "mode", "engines": "engine", "bchms": "bchm"}
@@ -97,8 +94,6 @@ _SWEEP_SCHEMA = {
     "modes": (list[str], [_RUN_SCHEMA["mode"][1]]),
     "runs_per_cell": (int, _REQUIRED),
     "base_seed": (int, _REQUIRED),
-    "output_directory": (str, "."),
-    "parallelism": (int, 1),
     **{key: _RUN_SCHEMA[key] for key in _SHARED},
 }
 
@@ -159,14 +154,14 @@ def _run_config(resolved: dict, problem) -> RunConfig:
     return RunConfig(problem=problem, **fields, classic=ClassicDEParams(**resolved["classic"]))
 
 
-def _resolve_run(data, schema: dict = _RUN_SCHEMA) -> dict:
+def _resolve_run(data) -> dict:
     """A run config with every default filled in and every field checked.
 
     This dict is the one form of a run config: the summary echoes it, and
     :func:`_run_config` turns it into the :class:`RunConfig` that runs.
     Raises :class:`ConfigError` with one message per offending field.
     """
-    resolved, errors = _fill(data, schema)
+    resolved, errors = _fill(data, _RUN_SCHEMA)
     if errors:
         raise ConfigError(errors)
     try:
@@ -234,16 +229,14 @@ def _run_stem(resolved: dict) -> str:
 
 
 def cmd_run(args) -> int:
-    resolved = _resolve_run(_load_config(args), {**_RUN_SCHEMA, **_OUTPUT_SCHEMA})
-    out, name = resolved.pop("out"), resolved.pop("name")
-    out_dir = args.out or out
-    stem = name or _run_stem(resolved)
+    resolved = _resolve_run(_load_config(args))
+    stem = os.path.join(args.out, _run_stem(resolved))
     trajectory, summary = _execute_run(resolved)
-    os.makedirs(out_dir, exist_ok=True)
-    telemetry.write_trajectory_csv(trajectory, os.path.join(out_dir, stem + ".csv"))
-    telemetry.write_run_summary(os.path.join(out_dir, stem + ".json"), summary)
-    print(os.path.join(out_dir, stem + ".csv"))
-    print(os.path.join(out_dir, stem + ".json"))
+    os.makedirs(args.out, exist_ok=True)
+    telemetry.write_trajectory_csv(trajectory, stem + ".csv")
+    telemetry.write_run_summary(stem + ".json", summary)
+    print(stem + ".csv")
+    print(stem + ".json")
     return 0
 
 
@@ -325,21 +318,20 @@ def _failed_cells(entries: list[dict]) -> list[str]:
 
 def cmd_sweep(args) -> int:
     config, errors = _fill(_load_config(args), _SWEEP_SCHEMA)
-    if args.parallelism is not None:
-        config["parallelism"] = args.parallelism
     errors += [f"{key} (must be non-empty)" for key in _GRID if config.get(key) == []]
-    errors += [f"{key} (must be >= 1)" for key in ("runs_per_cell", "parallelism")
-               if isinstance(config.get(key), int) and config[key] < 1]
+    if config.get("runs_per_cell", 1) < 1:
+        errors.append("runs_per_cell (must be >= 1)")
+    if args.parallelism < 1:
+        errors.append("parallelism (must be >= 1)")
     if errors:
         raise ConfigError(errors)
     cells = _sweep_cells(config)
-    out_dir = args.out or config["output_directory"]
+    out_dir, parallelism = args.out, args.parallelism
     os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
     done = [_reusable(out_dir, cell) for cell in cells]  # resume is decided before any cell runs
     entries = [dict(_entry(cell), status="ok") for cell, reused in zip(cells, done) if reused]
     todo = [cell for cell, reused in zip(cells, done) if not reused]
     # workers only compute: files created in one directory by several processes block each other
-    parallelism = config["parallelism"]
     with ProcessPoolExecutor(parallelism) if parallelism > 1 and todo else contextlib.nullcontext() as pool:
         results = (pool.map(_run_cell, todo, chunksize=math.ceil(len(todo) / (4 * parallelism)))
                    if pool else map(_run_cell, todo))
@@ -372,8 +364,9 @@ def cmd_sweep(args) -> int:
 
 def _open_manifest(args) -> tuple[dict, str, str]:
     """The manifest named by an analysis command, its directory and the
-    output directory, which is created; every cell it lists must have
-    succeeded and every run artifact it lists must exist."""
+    output directory; every cell it lists must have succeeded and every run
+    artifact it lists must exist.  The command creates the output directory
+    only before its first write, so a command that fails leaves none."""
     with open(args.manifest) as fh:
         manifest = json.load(fh)
     failed = _failed_cells(manifest["cells"])
@@ -384,9 +377,7 @@ def _open_manifest(args) -> tuple[dict, str, str]:
                if not os.path.exists(os.path.join(base, entry[key]))]
     if missing:
         raise FileNotFoundError("missing run artifacts:\n" + "\n".join(f"  {path}" for path in missing))
-    out_dir = args.out or base
-    os.makedirs(out_dir, exist_ok=True)
-    return manifest, base, out_dir
+    return manifest, base, args.out or base
 
 
 def _read_artifact(read, base: str, relative: str):
@@ -419,12 +410,6 @@ def cmd_classify(args) -> int:
                      "" if error is None else telemetry.format_float(error),
                      telemetry.format_float(summary["final_max_component_variance"])])
         groups.setdefault(key, []).append((error, behaviour))
-    _write_csv(
-        os.path.join(out_dir, "classes.csv"),
-        ["function", "mode", "dimension", "engine", "bchm", "instance", "run_index",
-         "class", "final_error", "final_max_component_variance"],
-        rows,
-    )
 
     summary_rows = []
     for key in sorted(groups):
@@ -433,6 +418,13 @@ def cmd_classify(args) -> int:
         ranked = sorted((run for run in groups[key] if run[0] is not None), key=lambda run: run[0])
         median_class = ranked[(len(ranked) - 1) // 2][1] if ranked else ""
         summary_rows.append([*key, *(counts[name] for name in ("GB", "SF", "PC", "BB")), median_class])
+    os.makedirs(out_dir, exist_ok=True)
+    _write_csv(
+        os.path.join(out_dir, "classes.csv"),
+        ["function", "mode", "dimension", "engine", "bchm", "instance", "run_index",
+         "class", "final_error", "final_max_component_variance"],
+        rows,
+    )
     _write_csv(
         os.path.join(out_dir, "classes_summary.csv"),
         ["function", "mode", "dimension", "engine", "bchm", "GB", "SF", "PC", "BB", "median_run_class"],
@@ -452,21 +444,18 @@ def cmd_cluster(args) -> int:
         columns = _read_artifact(telemetry.read_trajectory_csv, base, entry["trajectory_csv"])
         runs_by_label.setdefault(str(entry[args.label_by]), []).append(columns)
 
+    clusterings = []
     for metric in metrics:
-        matrix = analysis.build_trajectory_matrix(
-            runs_by_label, metric, grid_points=args.grid_points, aggregate=args.aggregate
-        )
+        matrix = analysis.build_trajectory_matrix(runs_by_label, metric, grid_points=args.grid_points)
         sim = analysis.similarity_matrix(matrix)
-        sim_rows = [
-            [label] + [telemetry.format_float(x) for x in sim[i]]
-            for i, label in enumerate(matrix.row_labels)
-        ]
-        _write_csv(
-            os.path.join(out_dir, f"similarity_{metric}_{args.label_by}.csv"),
-            ["label"] + list(matrix.row_labels),
-            sim_rows,
-        )
         dendrogram = analysis.complete_linkage_cluster(sim, matrix.row_labels)
+        clusterings.append((metric, matrix.row_labels, sim, dendrogram))
+
+    os.makedirs(out_dir, exist_ok=True)
+    for metric, labels, sim, dendrogram in clusterings:
+        sim_rows = [[label] + [telemetry.format_float(x) for x in sim[i]] for i, label in enumerate(labels)]
+        _write_csv(os.path.join(out_dir, f"similarity_{metric}_{args.label_by}.csv"), ["label", *labels],
+                   sim_rows)
         stem = os.path.join(out_dir, f"dendrogram_{metric}_{args.label_by}")
         for extension, text in ((".json", dendrogram.to_json()), (".newick", dendrogram.to_newick())):
             with telemetry.open_atomic(stem + extension) as fh:
@@ -496,6 +485,7 @@ def cmd_rank(args) -> int:
         + [telemetry.format_float(table.ranks[f, m]) for f in range(len(table.functions))]
         for m in order
     ]
+    os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "ranking.csv"),
         ["method", "mean_rank"] + [f"rank_{fn}" for fn in table.functions],
@@ -530,13 +520,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a single run from a config file")
     p_run.add_argument("--config", required=True, help="path to the JSON run config")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", default=".", help="output directory")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="execute a grid of runs")
     p_sweep.add_argument("--config", required=True, help="path to the JSON sweep config")
-    p_sweep.add_argument("--out", default=None, help="output directory")
-    p_sweep.add_argument("--parallelism", type=int, default=None, help="worker process count")
+    p_sweep.add_argument("--out", default=".", help="output directory")
+    p_sweep.add_argument("--parallelism", type=int, default=1, help="worker process count (>= 1)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_classify = sub.add_parser("classify", help="behaviour-class tables from a manifest")
@@ -551,7 +541,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            choices=["all"] + sorted(analysis.METRICS))
     p_cluster.add_argument("--label-by", default="bchm", choices=["bchm", "function"])
     p_cluster.add_argument("--grid-points", type=int, default=200)
-    p_cluster.add_argument("--aggregate", default="mean", choices=["mean", "concat"])
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_rank = sub.add_parser("rank", help="mean-rank table from a manifest")

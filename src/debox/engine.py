@@ -51,9 +51,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import telemetry
-from .bchm import METHOD_IDS, AdaptiveState, CorrectionContext, adaptive_correct, adaptive_update, correct
+from .bchm import (ADAPTIVE_POOL, ADAPTIVE_UPDATE_PERIOD, METHOD_IDS, AdaptiveState, CorrectionContext,
+                   adaptive_correct, adaptive_update, correct)
 from .benchmarks import BenchmarkProblem
-from .core import Population, PopulationStats, RngStream, population_stats
+from .core import Population, RngStream, population_stats
 
 __all__ = [
     "ClassicDEParams", "PHASES", "RunConfig", "RunResult", "ShadeState",
@@ -261,7 +262,7 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     np.copyto(positions[:kept], repaired, where=wins[:, None])
     np.copyto(new_fitness[:kept], trial_fitness, where=wins)
     if picks is not None:  # a feasible trial has no pick (-1)
-        adaptive_state.successes += np.bincount(picks[wins & (picks >= 0)], minlength=len(adaptive_state.pool))
+        adaptive_state.successes += np.bincount(picks[wins & (picks >= 0)], minlength=len(ADAPTIVE_POOL))
     if adapt is not None:
         positions, new_fitness = adapt(trial_fitness, positions, new_fitness)
 
@@ -305,9 +306,9 @@ def classic_generation(pop: Population, params: ClassicDEParams, bchm: str, prob
 
 def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rng: RngStream,
                       trajectory: telemetry.Trajectory, adaptive_state: AdaptiveState | None = None,
-                      budget: int | None = None, clock: _PhaseClock | None = None) -> tuple[Population, ShadeState]:
+                      budget: int | None = None, clock: _PhaseClock | None = None) -> Population:
     """One L-SHADE generation: current-to-pbest/1/bin with memories, archive
-    and linear population size reduction."""
+    and linear population size reduction; ``state`` is updated in place."""
     clock = clock if clock is not None else _PhaseClock()
     x, fitness = pop.positions, pop.fitness
     m, n = x.shape
@@ -337,9 +338,8 @@ def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rn
         _trim_archive(state, len(positions), rng)
         return positions, new_fitness
 
-    next_pop = _generation(pop, mutants, cr[:, None], pbest, units[6 * m:].reshape(m, 1 + n), bchm, problem,
-                           rng, trajectory, adaptive_state, budget, clock, adapt)
-    return next_pop, state
+    return _generation(pop, mutants, cr[:, None], pbest, units[6 * m:].reshape(m, 1 + n), bchm, problem,
+                       rng, trajectory, adaptive_state, budget, clock, adapt)
 
 
 def _trim_archive(state: ShadeState, population_size: int, rng: RngStream) -> None:
@@ -442,7 +442,6 @@ class RunResult:
     records: telemetry.Trajectory
     evaluations_used: int
     generations: int
-    final_stats: PopulationStats
     final_max_component_variance: float
     wall_time_seconds: float
     stop_reason: str  # "budget", "target", "max_generations" or "stalled"
@@ -484,9 +483,9 @@ def run(config: RunConfig) -> RunResult:
             pop = classic_generation(pop, config.classic, config.bchm, problem, loop_rng, trajectory,
                                      adaptive_state, budget, clock)
         else:
-            pop, shade_state = lshade_generation(pop, shade_state, config.bchm, problem, loop_rng,
-                                                 trajectory, adaptive_state, budget, clock)
-        if adaptive_state is not None and pop.generation % adaptive_state.update_period == 0:
+            pop = lshade_generation(pop, shade_state, config.bchm, problem, loop_rng, trajectory,
+                                    adaptive_state, budget, clock)
+        if adaptive_state is not None and pop.generation % ADAPTIVE_UPDATE_PERIOD == 0:
             adaptive_state = adaptive_update(adaptive_state)
             clock.lap(SELECTION)
         if config.target_error is not None and trajectory[-1].best_error <= config.target_error:
@@ -518,7 +517,7 @@ def run(config: RunConfig) -> RunResult:
     return RunResult(
         best_error=best_error, best_fitness=best_fitness, best_position=pop.positions[best_idx].copy(),
         behaviour=behaviour, classification_mode=classification_mode, records=trajectory,
-        evaluations_used=problem.budget_consumed, generations=pop.generation, final_stats=final_stats,
+        evaluations_used=problem.budget_consumed, generations=pop.generation,
         final_max_component_variance=final_variance, wall_time_seconds=wall_time,
         stop_reason=stop_reason, phase_seconds=dict(zip(PHASES, clock.seconds)),
     )

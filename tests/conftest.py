@@ -1,5 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# A failing @given test makes Hypothesis import this module to write a patch
+# of its failing examples.  Where libcst is installed, that import warns (a
+# deprecated mypy_extensions name), and under ``-W error`` the warning turns
+# into an INTERNALERROR that loses the falsifying example and stops the
+# session.  Importing it here first, with that warning ignored, avoids both.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: Hypothesis skips the patch
+        pass
 
 
 class ScriptedStream:

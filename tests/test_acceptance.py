@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from debox.analysis import complete_linkage_cluster, cosine_similarity, cut_dendrogram
 from debox.bchm import (
     ADAPTIVE_POOL,
+    ADAPTIVE_UPDATE_PERIOD,
     CORRECTING_METHOD_IDS,
     AdaptiveState,
     CorrectionContext,
@@ -63,9 +64,9 @@ def test_c01_correction_feasibility():
                 # per-individual categorical selection, applied group-wise
                 u = np.asarray(rng.random(chunk))
                 selected = np.searchsorted(np.cumsum(state.probabilities), u, side="right")
-                selected = np.minimum(selected, len(state.pool) - 1)
+                selected = np.minimum(selected, len(ADAPTIVE_POOL) - 1)
                 corrected = np.empty_like(batch)
-                for k, pool_method in enumerate(state.pool):
+                for k, pool_method in enumerate(ADAPTIVE_POOL):
                     rows = selected == k
                     if rows.any():
                         corrected[rows] = correct(pool_method, batch[rows], ctx, rng).vector
@@ -318,11 +319,11 @@ def test_c12_adaptive_probabilities_track_the_winning_method():
     state = AdaptiveState()
     trials_per_generation = 20
     for _ in range(4):  # four update periods
-        for _ in range(state.update_period):
+        for _ in range(ADAPTIVE_UPDATE_PERIOD):
             for _ in range(trials_per_generation):
                 method = adaptive_select(state, rng)
                 if method == winner:  # stub objective: only the winner's trials survive
-                    state.successes[state.pool.index(method)] += 1
+                    state.successes[ADAPTIVE_POOL.index(method)] += 1
         state = adaptive_update(state)
     winner_index = ADAPTIVE_POOL.index(winner)
     assert state.probabilities[winner_index] > 0.5

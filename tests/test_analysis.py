@@ -259,14 +259,6 @@ class TestTrajectoryMatrix:
         assert_allclose(matrix.rows[0], np.full(4, 0.3))
         assert_allclose(matrix.rows[1], [1.0, 2 / 3, 1 / 3, 0.0])
 
-    def test_concat_aggregation(self):
-        runs = {
-            "a": [run_columns([0, 10], [0.0, 0.0]), run_columns([0, 10], [1.0, 1.0])],
-            "b": [run_columns([0, 10], [0.5, 0.5]), run_columns([0, 10], [0.5, 0.5])],
-        }
-        matrix = build_trajectory_matrix(runs, "violation_probability", grid_points=3, aggregate="concat")
-        assert matrix.rows.shape == (2, 6)
-
     def test_nan_best_so_far_names_metric_and_label(self):
         # a run of a problem without a known optimum records best_error as NaN
         runs = {

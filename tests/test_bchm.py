@@ -270,7 +270,7 @@ class TestAdaptiveSelection:
     def test_fresh_state_uniform(self):
         state = AdaptiveState()
         assert_allclose(state.probabilities, np.full(5, 0.2))
-        assert state.pool == ADAPTIVE_POOL
+        assert len(state.uses) == len(state.successes) == len(ADAPTIVE_POOL)
 
     def test_zero_draw_selects_first_method(self, scripted):
         state = AdaptiveState()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from debox.bchm import (
+    ADAPTIVE_POOL,
     CORRECTING_METHOD_IDS,
     METHOD_IDS,
     AdaptiveState,
@@ -163,10 +164,10 @@ def _adaptive_by_groups(y, ctx, rng, state):
     one selection draw per row, then ``correct`` on each method's rows, in
     pool order, with per-row references split with the groups."""
     u = np.asarray(rng.random(len(y)))
-    picks = np.minimum(np.searchsorted(np.cumsum(state.probabilities), u, side="right"), len(state.pool) - 1)
-    state.uses += np.bincount(picks, minlength=len(state.pool))
+    picks = np.minimum(np.searchsorted(np.cumsum(state.probabilities), u, side="right"), len(ADAPTIVE_POOL) - 1)
+    state.uses += np.bincount(picks, minlength=len(ADAPTIVE_POOL))
     corrected = np.empty_like(y)
-    for k, method in enumerate(state.pool):
+    for k, method in enumerate(ADAPTIVE_POOL):
         rows = (picks == k).nonzero()[0]
         if rows.size:
             corrected[rows] = correct(method, y[rows], _rows_context(ctx, rows), rng).vector

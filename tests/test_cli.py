@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -71,11 +73,14 @@ class TestRunCommand:
         assert "bchm" in capsys.readouterr().err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        # a typo, and the settings that became constants of the engine, BCHM and classifier
-        unknown = {"bchn": "sat", "shade": {"p_max": 0.2}, "beta_epsilon": 0.1,
-                   "adaptive_update_period": 25, "adaptive_floor": 0.05}
-        for key, value in unknown.items():
-            for command, payload in (("run", run_config()), ("sweep", sweep_config())):
+        # a typo, the settings that became constants of the engine, BCHM and classifier,
+        # and the former keys of the output settings, which only the command line sets
+        shared = {"bchn": "sat", "shade": {"p_max": 0.2}, "beta_epsilon": 0.1,
+                  "adaptive_update_period": 25, "adaptive_floor": 0.05}
+        unknown = {"run": {"out": str(tmp_path / "o"), "name": "stem"},
+                   "sweep": {"output_directory": str(tmp_path / "o"), "parallelism": 2}}
+        for command, payload in (("run", run_config()), ("sweep", sweep_config())):
+            for key, value in {**shared, **unknown[command]}.items():
                 config = write_json(tmp_path / f"{command}.json", dict(payload, **{key: value}))
                 assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2, (command, key)
                 assert capsys.readouterr().err.splitlines() == [f"config error: {key} (unknown key)"]
@@ -515,7 +520,7 @@ class TestAnalysisCommands:
         manifest = str(sweep_output / "manifest.json")
         assert main(["cluster", "--manifest", manifest, "--out", str(out), "--grid-points", grid_points]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: grid_points must be >= 2, got {grid_points}"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_cluster_by_function(self, sweep_output, tmp_path):
         manifest = str(sweep_output / "manifest.json")
@@ -548,6 +553,7 @@ class TestAnalysisCommands:
             assert main([command, "--manifest", manifest, "--out", str(tmp_path / command)]) == 1
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: runs/{broken.name}: "), (command, err)
+            assert not (tmp_path / command).exists()
 
     def test_header_only_trajectory_exits_1_naming_it(self, tmp_path, capsys):
         config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=1))
@@ -614,21 +620,43 @@ class TestAnalysisCommands:
         assert "not_there.csv" in capsys.readouterr().err
 
 
-def _readme_json(heading):
-    """The first JSON block after ``heading`` in the README."""
+def _readme_section(heading):
+    """The README text under ``heading``, up to the next section heading."""
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         readme = fh.read()
-    block = readme.split(f"\n{heading}\n", 1)[1].split("```json\n", 1)[1]
+    return re.split(r"\n#{2,} ", readme.split(f"\n{heading}\n", 1)[1], maxsplit=1)[0]
+
+
+def _readme_json(heading):
+    """The first JSON block under ``heading`` in the README."""
+    block = _readme_section(heading).split("```json\n", 1)[1]
     return json.loads(block.split("```", 1)[0])
 
 
 def test_readme_configs_resolve():
     # the documented examples use no key the CLI has dropped; resolving them runs nothing
-    run = cli._resolve_run(_readme_json("### Run config"), {**cli._RUN_SCHEMA, **cli._OUTPUT_SCHEMA})
+    run = cli._resolve_run(_readme_json("### Run config"))
     assert (run["engine"], run["budget"]) == ("lshade", 100_000)
     sweep, errors = cli._fill(_readme_json("### Sweep config"), cli._SWEEP_SCHEMA)
     assert errors == []
     assert len(cli._sweep_cells(sweep)) == 2 * 3 * 4 * 5  # functions x instances x bchms x runs
+
+
+def test_readme_documents_every_flag_and_key():
+    # drift guard: the CLI synopsis lists each subcommand's flags, and the config sections every key
+    synopsis = _readme_section("## CLI").split("```\n", 2)[1]
+    documented = {}
+    for line in synopsis.splitlines():
+        if line.startswith("debox "):
+            flags = documented.setdefault(line.split()[1], set())
+        flags |= set(re.findall(r"--[a-z-]+", line))
+    subcommands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+               for name, parser in subcommands.choices.items()}
+    assert documented == defined
+    for heading, schema in (("### Run config", cli._RUN_SCHEMA), ("### Sweep config", cli._SWEEP_SCHEMA)):
+        section = _readme_section(heading)
+        assert [key for key in schema if f"`{key}`" not in section] == [], heading
 
 
 def test_list_command(capsys):
