@@ -123,7 +123,7 @@ class _Violations(NamedTuple):
 
 def _violations(y: np.ndarray, bounds: Bounds) -> _Violations:
     """The violated entries of the validated trial array ``y``."""
-    at = ((y < bounds.lower) | (y > bounds.upper)).ravel().nonzero()[0]
+    at = bounds.outside(y).ravel().nonzero()[0]
     cols = at % y.shape[-1]
     values, lo = y.ravel()[at], bounds.lower[cols]
     return _Violations(y, at, cols, values, lo, bounds.upper[cols], values < lo)

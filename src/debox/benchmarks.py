@@ -119,9 +119,10 @@ class BenchmarkProblem:
     """A problem under strict-box semantics: a seeded catalogue instance, or a
     user-supplied ``objective`` (see :func:`ExternalProblem`).
 
-    The evaluation counters are the only mutable state; a problem instance
-    is owned by a single run.  Without ``optimum_value`` a run cannot report
-    an error, and behaviour classification degrades to the variance-only form.
+    The evaluation counters and ``count_infeasible_evals`` (set by each run
+    from its config) are the only mutable state; a problem instance is owned
+    by a single run.  Without ``optimum_value`` a run cannot report an
+    error, and behaviour classification degrades to the variance-only form.
     """
 
     function_id: str
@@ -131,10 +132,10 @@ class BenchmarkProblem:
     optimum_location: np.ndarray | None
     optimum_value: float | None
     mode: str = "SBOX"
-    count_infeasible_evals: bool = False
     objective: Callable[[np.ndarray], float] | None = None  # one point to a float; None: the catalogue
     feasible_evaluations: int = field(default=0, compare=False)
     infeasible_evaluations: int = field(default=0, compare=False)
+    count_infeasible_evals: bool = field(default=False, init=False)
     _slope_weights: np.ndarray | None = field(default=None, init=False, repr=False)  # corner optimum only
 
     def __post_init__(self) -> None:
@@ -207,8 +208,6 @@ def ExternalProblem(name: str, dimension: int, bounds: Bounds, objective: Callab
 
     Only (name, dimension, bounds, objective) are required; the objective
     sees one in-box point at a time and its values are used as they are.
-    Whether infeasible evaluations count is a run setting: :func:`create_problem`
-    sets it on the problem a plugin factory returns.
     """
     return BenchmarkProblem(function_id=name, instance_id=0, dimension=dimension, bounds=bounds,
                             optimum_location=None, optimum_value=optimum_value, mode="external",
@@ -220,7 +219,6 @@ def make_instance(
     instance_id: int,
     dimension: int,
     mode: str = "SBOX",
-    count_infeasible_evals: bool = False,
 ) -> BenchmarkProblem:
     """Instantiate a catalogue function; a pure function of its arguments."""
     if function_id not in _CATALOG:
@@ -247,7 +245,6 @@ def make_instance(
         optimum_location=x_star,
         optimum_value=float(offset),
         mode=mode,
-        count_infeasible_evals=count_infeasible_evals,
     )
 
 
@@ -277,16 +274,14 @@ def create_problem(
     instance_id: int,
     dimension: int,
     mode: str = "SBOX",
-    count_infeasible_evals: bool = False,
 ) -> BenchmarkProblem:
     """Resolve a function id against the catalogue, then the plugin registry."""
     if function_id in _CATALOG:
-        return make_instance(function_id, instance_id, dimension, mode, count_infeasible_evals)
+        return make_instance(function_id, instance_id, dimension, mode)
     if function_id in _PROBLEM_REGISTRY:
         problem = _PROBLEM_REGISTRY[function_id](instance_id, dimension)
         if not isinstance(problem, BenchmarkProblem):
             raise TypeError(f"plugin problem {function_id!r} returned {type(problem).__name__}, "
                             "not a BenchmarkProblem")
-        problem.count_infeasible_evals = count_infeasible_evals
         return problem
     raise ValueError(f"unknown function {function_id!r}")

@@ -74,7 +74,6 @@ _RUN_SCHEMA = {
     "instance": (int, 1),
     "dimension": (int, _REQUIRED),
     "mode": (str, "SBOX"),
-    "count_infeasible_evals": (bool, False),
     **_dataclass_schema(RunConfig),
     "budget_multiplier": (int, BUDGET_PER_DIMENSION),
     "plugin_modules": (list[str], []),
@@ -198,7 +197,7 @@ def _resolve_run(data) -> dict:
 def _execute_run(resolved: dict) -> tuple[telemetry.Trajectory, dict]:
     """Run one resolved configuration; its trajectory and its summary."""
     problem = benchmarks.create_problem(resolved["function"], resolved["instance"], resolved["dimension"],
-                                        resolved["mode"], resolved["count_infeasible_evals"])
+                                        resolved["mode"])
     result = run(_run_config(resolved, problem))
     summary = {
         "config": resolved,

@@ -59,10 +59,15 @@ class Bounds:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
+    def outside(self, x: np.ndarray) -> np.ndarray:
+        """The closed-box violation mask of the array ``x``, one entry per
+        component: a component violates unless it lies in the closed box, so
+        NaN violates."""
+        return ~((x >= self.lower) & (x <= self.upper))
+
     def contains(self, x: np.ndarray) -> np.ndarray | bool:
         """Closed-box membership; reduces over the last (component) axis."""
-        x = np.asarray(x, dtype=float)
-        inside = np.logical_and.reduce((x >= self.lower) & (x <= self.upper), axis=-1)
+        inside = ~np.logical_or.reduce(self.outside(np.asarray(x, dtype=float)), axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
 

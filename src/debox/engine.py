@@ -228,8 +228,7 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     trials = binomial_crossover(units, x, mutants, cr)
     clock.lap(VARIATION)
     bounds = problem.bounds
-    # the one violation mask of the generation, with Bounds.contains semantics
-    outside = ~((trials >= bounds.lower) & (trials <= bounds.upper))
+    outside = bounds.outside(trials)  # the one violation mask of the generation
     infeasible = np.logical_or.reduce(outside, axis=1)
     kept = len(trials)
     if budget is not None and budget - problem.budget_consumed < kept:
@@ -270,9 +269,8 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     next_pop.stats = population_stats(next_pop)
     clock.lap(SELECTION)
     telemetry.record_generation(
-        trajectory, trials, next_pop, problem, corrections_applied=corrections,
+        trajectory, outside, corrections, next_pop, problem,
         adaptive_probabilities=None if adaptive_state is None else adaptive_state.probabilities,
-        outside=outside, infeasible=corrections,
     )
     clock.lap(TELEMETRY)
     return next_pop
@@ -384,6 +382,7 @@ class RunConfig:
     """Everything needed to reproduce one optimization run."""
 
     problem: BenchmarkProblem | None  # None only while a front-end validates the other fields
+    count_infeasible_evals: bool = False  # whether infeasible evaluations are charged against the budget
     engine: str = "lshade"
     bchm: str = "sat"
     budget: int | None = None  # default: BUDGET_PER_DIMENSION * dimension
@@ -457,6 +456,7 @@ def run(config: RunConfig) -> RunResult:
     config.validate()
     problem = config.problem
     problem.reset_counters()
+    problem.count_infeasible_evals = config.count_infeasible_evals
     n = problem.dimension
     budget, n_init = config.resolved_budget(n), config.initial_size(n)
     init_rng, loop_rng = RngStream(config.seed, (0,)), RngStream(config.seed, (1,))
@@ -468,7 +468,6 @@ def run(config: RunConfig) -> RunResult:
 
     adaptive_state = AdaptiveState() if config.bchm == "adaptive" else None
 
-    f_star = problem.optimum_value
     trajectory = telemetry.Trajectory()
     started = time.perf_counter()
     clock = _PhaseClock()
@@ -500,24 +499,13 @@ def run(config: RunConfig) -> RunResult:
     wall_time = time.perf_counter() - started
     trajectory.trim()
 
-    best_idx = pop.best_index
-    best_fitness = float(pop.fitness[best_idx])
-    final_stats = pop.stats if pop.stats is not None else population_stats(pop)
-    final_variance = float(final_stats.variance.max())
-    if f_star is not None:
-        best_error = max(best_fitness - f_star, 0.0)
-        behaviour = telemetry.classify(best_error, final_variance)
-        classification_mode = "error_and_variance"
-    else:
-        best_error = np.nan
-        # without a known optimum only premature convergence is decidable
-        converged = final_variance < telemetry.VARIANCE_THRESHOLD
-        behaviour = telemetry.BehaviourClass.PC if converged else None
-        classification_mode = "variance_only"
+    best_idx, final = pop.best_index, trajectory[-1]  # the record of the final population
     return RunResult(
-        best_error=best_error, best_fitness=best_fitness, best_position=pop.positions[best_idx].copy(),
-        behaviour=behaviour, classification_mode=classification_mode, records=trajectory,
-        evaluations_used=problem.budget_consumed, generations=pop.generation,
-        final_max_component_variance=final_variance, wall_time_seconds=wall_time,
+        best_error=final.best_error, best_fitness=float(pop.fitness[best_idx]),
+        best_position=pop.positions[best_idx].copy(),
+        behaviour=telemetry.classify(final.best_error, final.max_component_variance),
+        classification_mode="variance_only" if problem.optimum_value is None else "error_and_variance",
+        records=trajectory, evaluations_used=problem.budget_consumed, generations=pop.generation,
+        final_max_component_variance=final.max_component_variance, wall_time_seconds=wall_time,
         stop_reason=stop_reason, phase_seconds=dict(zip(PHASES, clock.seconds)),
     )

@@ -60,15 +60,18 @@ ERROR_THRESHOLD = 1e-6
 VARIANCE_THRESHOLD = 1e-8
 
 
-def classify(error: float, variance: float) -> BehaviourClass:
+def classify(error: float, variance: float) -> BehaviourClass | None:
     """Map (final error, final maximum per-component variance) to a behaviour class.
 
     The variance threshold is applied to the maximum over components, i.e.
-    "variance per component is small" means every component is small.
+    "variance per component is small" means every component is small.  An
+    unknown (NaN) error, as without a known optimum, decides only premature
+    convergence: PC, or None when the population has not converged.
     """
-    solved = error < ERROR_THRESHOLD
     converged = variance < VARIANCE_THRESHOLD
-    if solved:
+    if np.isnan(error):
+        return BehaviourClass.PC if converged else None
+    if error < ERROR_THRESHOLD:
         return BehaviourClass.GB if converged else BehaviourClass.SF
     return BehaviourClass.PC if converged else BehaviourClass.BB
 
@@ -151,39 +154,31 @@ class Trajectory:
         self._capacity = self._size
 
 
-def record_generation(trajectory: Trajectory, trials: np.ndarray, population: Population, problem,
-                      corrections_applied: int = 0, adaptive_probabilities=None, outside=None,
-                      infeasible: int | None = None) -> None:
+def record_generation(trajectory: Trajectory, outside: np.ndarray, infeasible: int, population: Population,
+                      problem, adaptive_probabilities=None) -> None:
     """Append the telemetry of one completed generation to ``trajectory``.
 
-    ``trials`` holds the raw (pre-correction) trial vectors of the
-    generation, shape (M, n); the violation ratios are computed on them.  A
-    component violates unless it lies in the closed box, so a NaN component
-    counts as violated.  ``outside`` is that (M, n) violation mask and
-    ``infeasible`` the number of its rows with any violation, when the
-    caller has them already.  ``population`` is the post-selection state: the record takes
-    its generation, its size and its ``stats`` (computed if it has none).
+    ``outside`` is the ``Bounds.outside`` mask of the generation's raw
+    (pre-correction) trials, shape (M, n), and ``infeasible`` the number of
+    its rows with any violation.  ``population`` is the post-selection
+    state: the record takes its generation, its size, its ``stats``
+    (computed if it has none) and its best error, best fitness minus the
+    stated optimum clipped at 0 (NaN without one).
     """
-    if outside is None:
-        trials = np.atleast_2d(np.asarray(trials, dtype=float))
-        outside = ~((trials >= problem.bounds.lower) & (trials <= problem.bounds.upper))
-    if infeasible is None:
-        infeasible = np.count_nonzero(np.logical_or.reduce(outside, axis=1))
     stats = population.stats if population.stats is not None else population_stats(population)
-    f_star = problem.optimum_value
+    f_star, best_fitness = problem.optimum_value, float(np.minimum.reduce(population.fitness))
     row = trajectory._new_row(adaptive_probabilities)
     columns = trajectory._columns
     columns["generation"][row] = population.generation
     columns["feasible_evaluations"][row] = problem.feasible_evaluations
     columns["population_size"][row] = population.size
-    columns["best_error"][row] = (max(float(np.minimum.reduce(population.fitness)) - f_star, 0.0)
-                                  if f_star is not None else np.nan)
+    columns["best_error"][row] = max(best_fitness - f_star, 0.0) if f_star is not None else np.nan
     # a generation without trials has ratios 0
     columns["infeasible_component_ratio"][row] = np.count_nonzero(outside) / max(outside.size, 1)
     columns["infeasible_individual_ratio"][row] = infeasible / max(len(outside), 1)
     columns["max_component_variance"][row] = np.maximum.reduce(stats.variance)
     columns["mean_component_variance"][row] = np.add.reduce(stats.variance) / stats.variance.size  # as mean()
-    columns["corrections_applied"][row] = corrections_applied
+    columns["corrections_applied"][row] = infeasible
     if adaptive_probabilities is not None:
         columns["adaptive_probabilities"][row] = adaptive_probabilities
 

@@ -34,6 +34,19 @@ class TestBounds:
         mask = b.contains(np.array([[0.0, 0.0], [6.0, 0.0]]))
         assert list(mask) == [True, False]
 
+    def test_outside_marks_each_violated_component(self):
+        b = Bounds(np.array([-1.0, 0.0, 2.0]), np.array([1.0, 3.0, 4.0]))
+        on_bounds = np.array([[-1.0, 3.0, 2.0], [1.0, 0.0, 4.0]])
+        assert not b.outside(on_bounds).any()
+        beyond = np.array([[-1.0000001, 1.0, 4.0000001], [0.0, np.nextafter(0.0, -1.0), 3.0]])
+        assert b.outside(beyond).tolist() == [[True, False, True], [False, True, False]]
+
+    def test_nan_component_is_outside(self):
+        b = Bounds.symmetric(5.0, 3)
+        trials = np.array([[np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert b.outside(trials).tolist() == [[True, False, False], [False, False, False]]
+        assert b.contains(trials).tolist() == [False, True]
+
 
 class TestPopulationStats:
     def test_two_member_1d(self):

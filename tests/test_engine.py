@@ -6,7 +6,7 @@ from scipy.stats import binomtest, cauchy, chi2, kstest, norm
 import hashlib
 from collections import Counter
 
-from debox import engine
+from debox import engine, telemetry
 from debox.benchmarks import BenchmarkProblem, ExternalProblem, make_instance
 from debox.core import Bounds, Population, RngStream
 from debox.telemetry import Trajectory
@@ -28,7 +28,7 @@ from debox.engine import (
 )
 
 
-def centered_problem(function="sphere", dimension=4, count_infeasible=False):
+def centered_problem(function="sphere", dimension=4):
     return BenchmarkProblem(
         function_id=function,
         instance_id=0,
@@ -36,7 +36,6 @@ def centered_problem(function="sphere", dimension=4, count_infeasible=False):
         bounds=Bounds.symmetric(5.0, dimension),
         optimum_location=np.zeros(dimension),
         optimum_value=0.0,
-        count_infeasible_evals=count_infeasible,
     )
 
 
@@ -517,6 +516,36 @@ class TestRun:
         assert np.isfinite(result.best_fitness)
         assert result.best_position[0] <= 0.0
         assert problem.infeasible_evaluations == 0  # no NaN leaked into F, CR or the trials
+
+    @pytest.mark.parametrize("make_problem", [
+        lambda: make_instance("linear_slope", 1, 3, "SBOX"),
+        lambda: ExternalProblem("corner_bowl", 3, Bounds.symmetric(5.0, 3),
+                                lambda x: float(np.sum((x - 5.0) ** 2)), optimum_value=0.0),
+    ], ids=["catalogue", "plugin"])
+    def test_each_run_charges_infeasible_evaluations_as_its_config_says(self, make_problem):
+        problem = make_problem()  # one object, run twice: each run sets the charging from its own config
+        for charged in (True, False):
+            config = RunConfig(problem=problem, count_infeasible_evals=charged, engine="classic",
+                               bchm="dismiss", budget=600, seed=2, classic=ClassicDEParams(population_size=10))
+            result = run(config)
+            assert problem.infeasible_evaluations > 0
+            spent = problem.feasible_evaluations + (problem.infeasible_evaluations if charged else 0)
+            assert result.evaluations_used == spent == 600
+
+    @pytest.mark.parametrize("make_problem", [centered_problem, half_nan_problem,
+                                              lambda: ExternalProblem("bowl", 3, Bounds.symmetric(5.0, 3),
+                                                                      lambda x: float(np.sum((x - 4.5) ** 2)))])
+    def test_final_error_and_class_are_the_last_record(self, make_problem):
+        problem = make_problem()
+        result = run(RunConfig(problem=problem, engine="lshade", bchm="mirror", budget=2000, seed=9))
+        last = result.records[-1]
+        f_star = problem.optimum_value
+        expected_error = np.nan if f_star is None else result.best_fitness - f_star
+        assert_array_equal(result.best_error, expected_error)
+        assert_array_equal(last.best_error, expected_error)
+        assert result.final_max_component_variance == last.max_component_variance
+        assert result.behaviour is telemetry.classify(last.best_error, last.max_component_variance)
+        assert result.classification_mode == ("variance_only" if f_star is None else "error_and_variance")
 
     def test_bchm_is_noop_when_never_activated(self):
         # with a tiny scale factor and centered optimum no trial ever leaves

@@ -46,6 +46,10 @@ class TestClassifier:
         assert classify(1.0, 1e-9) is BehaviourClass.PC
         assert classify(1.0, 1.0) is BehaviourClass.BB
 
+    def test_unknown_error_decides_only_premature_convergence(self):
+        assert classify(np.nan, 1e-9) is BehaviourClass.PC
+        assert classify(np.nan, 1.0) is None
+
     def test_partition_of_the_quadrant(self):
         rng = np.random.default_rng(1)
         for _ in range(500):
@@ -67,10 +71,16 @@ class TestClassifier:
         assert classify(1e-3, 1e-4) is BehaviourClass.GB
 
 
+def violations(trials, problem):
+    """The violation mask of ``trials`` and its number of infeasible rows, as the kernel passes them."""
+    outside = problem.bounds.outside(trials)
+    return outside, np.count_nonzero(outside.any(axis=1))
+
+
 def record(trials, pop, problem, **kwargs):
-    """The record that record_generation appends for one generation."""
+    """The record that record_generation appends for one generation of ``trials``."""
     trajectory = Trajectory()
-    record_generation(trajectory, trials, pop, problem, **kwargs)
+    record_generation(trajectory, *violations(trials, problem), pop, problem, **kwargs)
     assert len(trajectory) == 1
     return trajectory[0]
 
@@ -98,20 +108,16 @@ class TestRecordGeneration:
         assert rec.infeasible_component_ratio == 1.0
         assert rec.infeasible_individual_ratio == 1.0
 
-    def test_nan_component_counts_as_violated(self):
-        problem = make_problem(3)
-        pop = Population(np.zeros((2, 3)), np.zeros(2))
-        rec = record(np.array([[np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]]), pop, problem)
-        assert rec.infeasible_component_ratio == pytest.approx(1 / 6)
-        assert rec.infeasible_individual_ratio == pytest.approx(1 / 2)
-
     def test_given_violation_mask_is_used(self):
         problem = make_problem(3)
         pop = Population(np.zeros((2, 3)), np.zeros(2))
         outside = np.array([[True, True, False], [False, False, False]])
-        rec = record(np.zeros((2, 3)), pop, problem, outside=outside)
+        trajectory = Trajectory()
+        record_generation(trajectory, outside, 1, pop, problem)
+        rec = trajectory[0]
         assert rec.infeasible_component_ratio == pytest.approx(2 / 6)
         assert rec.infeasible_individual_ratio == pytest.approx(1 / 2)
+        assert rec.corrections_applied == 1
 
     def test_component_ratio_never_exceeds_individual_ratio(self):
         problem = make_problem(4)
@@ -119,7 +125,7 @@ class TestRecordGeneration:
         pop = Population(np.zeros((6, 4)), np.zeros(6))
         trajectory = Trajectory()
         for _ in range(100):
-            record_generation(trajectory, rng.uniform(-8, 8, (6, 4)), pop, problem)
+            record_generation(trajectory, *violations(rng.uniform(-8, 8, (6, 4)), problem), pop, problem)
         columns = trajectory.columns
         assert (columns["infeasible_component_ratio"] <= columns["infeasible_individual_ratio"] + 1e-15).all()
 
@@ -141,9 +147,10 @@ class TestRecordGeneration:
         pop = Population(np.zeros((3, 2)), np.zeros(3))
         for first, second in ((None, [0.5, 0.5]), ([0.5, 0.5], None)):
             trajectory = Trajectory()
-            record_generation(trajectory, np.zeros((3, 2)), pop, problem, adaptive_probabilities=first)
+            feasible = np.zeros((3, 2), dtype=bool), 0
+            record_generation(trajectory, *feasible, pop, problem, adaptive_probabilities=first)
             with pytest.raises(ValueError, match="adaptive_probabilities"):
-                record_generation(trajectory, np.zeros((3, 2)), pop, problem, adaptive_probabilities=second)
+                record_generation(trajectory, *feasible, pop, problem, adaptive_probabilities=second)
             assert len(trajectory) == 1
 
 
@@ -153,7 +160,9 @@ class TestTrajectory:
         trajectory = Trajectory()
         for g in range(1, generations + 1):
             pop = Population(np.full((3, 2), float(g)), np.full(3, float(g)), generation=g)
-            record_generation(trajectory, np.zeros((3, 2)), pop, problem, corrections_applied=g % 3,
+            outside = np.zeros((3, 2), dtype=bool)
+            outside[:g % 3] = True  # g % 3 infeasible rows, each corrected
+            record_generation(trajectory, outside, g % 3, pop, problem,
                               adaptive_probabilities=[0.25, 0.75] if adaptive else None)
         return trajectory
 
@@ -185,7 +194,7 @@ class TestTrajectory:
         trajectory = self.filled(5, adaptive=True)
         rec = trajectory[1]
         assert isinstance(rec, GenerationRecord)
-        assert rec == GenerationRecord(2, 0, 3, 2.0, 0.0, 0.0, 0.0, 0.0, 2, [0.25, 0.75])
+        assert rec == GenerationRecord(2, 0, 3, 2.0, 2 / 3, 2 / 3, 0.0, 0.0, 2, [0.25, 0.75])
         values = [getattr(rec, f.name) for f in dataclasses.fields(GenerationRecord)]
         assert [type(v) for v in values] == [int] * 3 + [float] * 5 + [int, list]
         assert all(type(p) is float for p in rec.adaptive_probabilities)
