@@ -23,6 +23,7 @@ __all__ = [
     "TrajectoryMatrix",
     "METRICS",
     "build_trajectory_matrix",
+    "check_grid_points",
     "complete_linkage_cluster",
     "cosine_similarity",
     "cut_dendrogram",
@@ -69,6 +70,12 @@ class TrajectoryMatrix:
     metric: str
 
 
+def check_grid_points(grid_points: int) -> None:
+    """Reject fewer than 2 grid points: they align nothing, so every row would be similar to every other."""
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+
+
 def build_trajectory_matrix(
     runs_by_label: Mapping[str, Sequence[Mapping[str, Sequence[float]]]],
     metric: str,
@@ -81,8 +88,7 @@ def build_trajectory_matrix(
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {sorted(METRICS)}")
-    if grid_points < 2:  # one point or none aligns nothing: every row would be similar to every other
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    check_grid_points(grid_points)
     labels = tuple(sorted(runs_by_label))
     rows = []
     for label in labels:

@@ -174,7 +174,8 @@ class BenchmarkProblem:
         Rows outside the closed box score +inf without reaching the landscape
         and count as infeasible evaluations; the others count as feasible.  A
         NaN objective value scores +inf, so minimum searches and greedy
-        selection never pick it.
+        selection never pick it; an objective value of -inf raises
+        ``ValueError``, since no error can be measured from it.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dimension:
@@ -190,6 +191,8 @@ class BenchmarkProblem:
             if feasible:
                 values[inside] = self._landscape(xs[inside])
         values[np.isnan(values)] = np.inf
+        if np.logical_or.reduce(values == -np.inf):
+            raise ValueError(f"problem {self.function_id!r}: the objective returned -inf")
         return values
 
     def _landscape(self, xs: np.ndarray) -> np.ndarray:

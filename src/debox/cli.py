@@ -435,6 +435,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    analysis.check_grid_points(args.grid_points)  # before any artifact is read
     manifest, base, out_dir = _open_manifest(args)
 
     metrics = sorted(analysis.METRICS) if args.metric == "all" else [args.metric]

@@ -163,16 +163,20 @@ def record_generation(trajectory: Trajectory, outside: np.ndarray, infeasible: i
     its rows with any violation.  ``population`` is the post-selection
     state: the record takes its generation, its size, its ``stats``
     (computed if it has none) and its best error, best fitness minus the
-    stated optimum clipped at 0 (NaN without one).
+    stated optimum (NaN without one); a best fitness below that optimum
+    raises ``ValueError`` rather than claim a solve.
     """
     stats = population.stats if population.stats is not None else population_stats(population)
     f_star, best_fitness = problem.optimum_value, float(np.minimum.reduce(population.fitness))
+    if f_star is not None and best_fitness < f_star:
+        raise ValueError(f"problem {problem.function_id!r}: best fitness {best_fitness!r} lies below "
+                         f"its stated optimum value {f_star!r}")
     row = trajectory._new_row(adaptive_probabilities)
     columns = trajectory._columns
     columns["generation"][row] = population.generation
     columns["feasible_evaluations"][row] = problem.feasible_evaluations
     columns["population_size"][row] = population.size
-    columns["best_error"][row] = max(best_fitness - f_star, 0.0) if f_star is not None else np.nan
+    columns["best_error"][row] = best_fitness - f_star if f_star is not None else np.nan
     # a generation without trials has ratios 0
     columns["infeasible_component_ratio"][row] = np.count_nonzero(outside) / max(outside.size, 1)
     columns["infeasible_individual_ratio"][row] = infeasible / max(len(outside), 1)

@@ -217,6 +217,35 @@ class TestRunCommand:
         summary = json.loads(next(p for p in out.iterdir() if p.suffix == ".json").read_text())
         assert summary["config"]["function"] == "shifted_abs"
 
+    def test_a_plugin_run_that_would_claim_a_solve_fails(self, tmp_path, monkeypatch, capsys):
+        module = tmp_path / "unsolved_problems.py"
+        module.write_text(
+            "import numpy as np\n"
+            "from debox.benchmarks import ExternalProblem, register_problem\n"
+            "from debox.core import Bounds\n"
+            "objectives = {'minus_inf': lambda x: -np.inf if x[0] > 4.0 else float(np.sum(x * x)),\n"
+            "              'below_optimum': lambda x: float(np.sum(x * x)) - 1.0}\n"
+            "for name, objective in objectives.items():\n"
+            "    register_problem(name, lambda instance, dimension, name=name, objective=objective: ExternalProblem(\n"
+            "        name=name, dimension=dimension, bounds=Bounds.symmetric(5.0, dimension),\n"
+            "        objective=objective, optimum_value=0.0))\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        config = write_json(tmp_path / "run.json", run_config(
+            function="minus_inf", dimension=5, engine="lshade", budget=1000, plugin_modules=["unsolved_problems"]))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "run_out")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: problem 'minus_inf': the objective returned -inf"]
+        sweep = write_json(tmp_path / "sweep.json", sweep_config(
+            functions=["minus_inf", "below_optimum"], dimensions=[5], engines=["lshade"], bchms=["sat"],
+            runs_per_cell=1, plugin_modules=["unsolved_problems"]))
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep_out")]) == 1
+        cells = json.loads((tmp_path / "sweep_out" / "manifest.json").read_text())["cells"]
+        assert [(cell["function"], cell["status"]) for cell in cells] == [
+            ("below_optimum", "failed"), ("minus_inf", "failed")]
+        assert re.fullmatch(r"ValueError: problem 'below_optimum': best fitness -\S+ lies below its stated "
+                            r"optimum value 0\.0", cells[0]["error"])
+        assert cells[1]["error"] == "ValueError: problem 'minus_inf': the objective returned -inf"
+
     def test_plugin_returning_other_than_a_problem_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
         module = tmp_path / "duck_problems.py"
         module.write_text(
@@ -521,6 +550,15 @@ class TestAnalysisCommands:
         assert main(["cluster", "--manifest", manifest, "--out", str(out), "--grid-points", grid_points]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: grid_points must be >= 2, got {grid_points}"]
         assert not out.exists()
+
+    def test_cluster_rejects_grid_points_before_reading_any_trajectory(self, tmp_path, capsys):
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "runs" / "r.csv").write_text("not a trajectory\n")
+        (tmp_path / "runs" / "r.json").write_text("{}\n")
+        manifest = write_json(tmp_path / "manifest.json", {"cells": [
+            {"bchm": "sat", "trajectory_csv": "runs/r.csv", "summary_json": "runs/r.json", "status": "ok"}]})
+        assert main(["cluster", "--manifest", manifest, "--out", str(tmp_path / "c"), "--grid-points", "0"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: grid_points must be >= 2, got 0"]
 
     def test_cluster_by_function(self, sweep_output, tmp_path):
         manifest = str(sweep_output / "manifest.json")

@@ -532,6 +532,16 @@ class TestRun:
             spent = problem.feasible_evaluations + (problem.infeasible_evaluations if charged else 0)
             assert result.evaluations_used == spent == 600
 
+    @pytest.mark.parametrize("objective,message", [
+        (lambda x: -np.inf if x[0] > 4.0 else float(np.sum(x * x)), "'unsolved': the objective returned -inf"),
+        (lambda x: float(np.sum(x * x)) - 1.0, "'unsolved': best fitness -.* lies below its stated optimum value 0.0"),
+    ], ids=["minus-inf", "below-optimum"])
+    @pytest.mark.parametrize("engine", ["classic", "lshade"])
+    def test_a_run_cannot_claim_a_solve_it_did_not_make(self, engine, objective, message):
+        problem = ExternalProblem("unsolved", 5, Bounds.symmetric(5.0, 5), objective, optimum_value=0.0)
+        with pytest.raises(ValueError, match=message):
+            run(RunConfig(problem=problem, engine=engine, bchm="sat", budget=5000, seed=1))
+
     @pytest.mark.parametrize("make_problem", [centered_problem, half_nan_problem,
                                               lambda: ExternalProblem("bowl", 3, Bounds.symmetric(5.0, 3),
                                                                       lambda x: float(np.sum((x - 4.5) ** 2)))])

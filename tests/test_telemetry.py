@@ -135,6 +135,14 @@ class TestRecordGeneration:
         rec = record(np.zeros((3, 2)), pop, problem)
         assert rec.best_error == 0.0
 
+    def test_best_fitness_below_the_stated_optimum_raises(self):
+        problem = make_problem(2)
+        pop = Population(np.zeros((3, 2)), np.array([0.5, -1e-300, 2.0]))
+        trajectory = Trajectory()
+        with pytest.raises(ValueError, match="'sphere': best fitness -1e-300 lies below its stated optimum value 0.0"):
+            record_generation(trajectory, *violations(np.zeros((3, 2)), problem), pop, problem)
+        assert len(trajectory) == 0
+
     def test_variances_from_population(self):
         problem = make_problem(1)
         pop = Population(np.array([[-5.0], [5.0]]), np.zeros(2))
