@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -43,14 +45,31 @@ LOG_GUARD = 1e-12  # added before log10 so zero errors stay finite
 
 
 def resample_series(x: Sequence[float], y: Sequence[float], grid_points: int) -> np.ndarray:
-    """Linear interpolation of (x, y) onto a uniform grid spanning [x0, x_last]."""
+    """Linear interpolation of (x, y) onto a uniform grid spanning [x0, x_last].
+
+    The grid is ``np.linspace(x[0], x[-1], grid_points)``, built by its own
+    float arithmetic, so it has the same bits without its wrapper's cost.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size == 0:
         raise ValueError("empty series")
     if x.size == 1:
         return np.full(grid_points, y[0])
-    grid = np.linspace(x[0], x[-1], grid_points)
+    points = operator.index(grid_points)
+    if points < 0:
+        raise ValueError(f"grid_points must be >= 0, got {points}")
+    grid = np.arange(points, dtype=float)
+    div, delta = points - 1, x[-1] - x[0]
+    if div > 0 and delta / div != 0:
+        grid *= delta / div
+    else:  # linspace's branch for a zero or denormal step, and for fewer than two points
+        if div > 0:
+            grid /= div
+        grid *= delta
+    grid += x[0]
+    if points > 1:
+        grid[-1] = x[-1]
     return np.interp(grid, x, y)
 
 
@@ -96,7 +115,7 @@ def build_trajectory_matrix(
         if not runs:
             raise ValueError(f"empty run set for label {label!r}")
         resampled = [resample_series(*_metric_series(run, metric), grid_points) for run in runs]
-        row = np.mean(resampled, axis=0)
+        row = np.add.reduce(resampled, axis=0) / len(resampled)  # np.mean's own arithmetic
         if np.isnan(row).any():
             raise ValueError(f"{metric} of label {label!r} holds NaN "
                              "(runs without a known optimum have no best_so_far)")
@@ -126,8 +145,8 @@ def _cosine(u: np.ndarray, v: np.ndarray, nu: float, nv: float) -> float:
 
 def similarity_matrix(matrix: TrajectoryMatrix) -> np.ndarray:
     """Pairwise :func:`cosine_similarity` of the rows, each row's norm computed once."""
-    rows = matrix.rows
-    norms = [float(np.linalg.norm(row)) for row in rows]
+    rows = list(matrix.rows)
+    norms = [math.sqrt(row.dot(row)) for row in rows]  # what np.linalg.norm computes for a float row
     sim = np.eye(len(rows))
     for i, j in itertools.combinations(range(len(rows)), 2):
         sim[i, j] = sim[j, i] = _cosine(rows[i], rows[j], norms[i], norms[j])
@@ -182,46 +201,58 @@ class Dendrogram:
         return json.dumps(self.to_nested(), indent=2, sort_keys=True)
 
 
+def _allclose(x: np.ndarray, y, atol: float) -> bool:
+    """``np.allclose(x, y, atol=atol)`` by its own formula (rtol 1e-5), without its wrappers."""
+    with np.errstate(invalid="ignore"):
+        return bool(((abs(x - y) <= atol + 1e-5 * abs(y)) & np.isfinite(y) | (x == y)).all())
+
+
 def complete_linkage_cluster(similarity: np.ndarray, labels: Sequence[str]) -> Dendrogram:
     """Agglomerative clustering with complete linkage on distance 1 - similarity.
 
     At each step the two clusters with minimal complete-linkage distance
     (maximum pairwise leaf distance) are merged; ties are broken by
     lexicographic cluster label order, so the merge tree is deterministic.
+    A merge of a and b links the new cluster to each other cluster c by
+    Lance & Williams' update max(d(a, c), d(b, c)), which is exact, so no
+    leaf pair is read twice.
     """
     similarity = np.asarray(similarity, dtype=float)
     k = similarity.shape[0]
     if similarity.shape != (k, k):
         raise ValueError("similarity matrix must be square")
-    if not np.allclose(similarity, similarity.T, atol=1e-12):
+    if not _allclose(similarity, similarity.T, atol=1e-12):
         raise ValueError("similarity matrix must be symmetric")
-    if not np.allclose(np.diag(similarity), 1.0, atol=1e-9):
+    if not _allclose(similarity.diagonal(), 1.0, atol=1e-9):
         raise ValueError("similarity matrix must have a unit diagonal")
     labels = tuple(str(l) for l in labels)
     if len(labels) != k or len(set(labels)) != k:
         raise ValueError("labels must be unique and match the matrix size")
 
-    distance = 1.0 - similarity
-    index = {label: i for i, label in enumerate(labels)}
-    clusters: list[tuple[str, ...]] = [(label,) for label in sorted(labels)]
+    members = [(label,) for label in labels]  # cluster id -> its sorted labels; each merge adds an id
+    # link[i][j]: the largest distance from a leaf of cluster i to a leaf of cluster j, read in that
+    # order, since a matrix symmetric only within the tolerance links a < b by its distance[a, b]
+    link = [row + [0.0] * (k - 1) for row in (1.0 - similarity).tolist()]
+    link += [[0.0] * (2 * k - 1) for _ in range(k - 1)]
+    live = list(range(k))
+    # (distance, left, right, left id, right id) for each pair of live clusters, left < right
+    table = [(link[i][j], members[i], members[j], i, j) if members[i] < members[j]
+             else (link[j][i], members[j], members[i], j, i) for i, j in itertools.combinations(live, 2)]
     merges: list[MergeStep] = []
-
-    def linkage(a: tuple[str, ...], b: tuple[str, ...]) -> float:
-        return max(distance[index[x], index[y]] for x in a for y in b)
-
-    while len(clusters) > 1:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                a, b = sorted((clusters[i], clusters[j]))
-                candidate = (linkage(a, b), a, b)
-                if best is None or candidate < best:
-                    best = candidate
-        height, a, b = best
-        clusters = [c for c in clusters if c not in (a, b)]
-        clusters.append(tuple(sorted(a + b)))
-        clusters.sort()
-        merges.append(MergeStep(left=a, right=b, height=float(height)))
+    while table:
+        height, a, b, i, j = min(table)  # the least distance, ties broken by label order
+        merges.append(MergeStep(left=a, right=b, height=height))
+        live.remove(i)
+        live.remove(j)
+        m = len(members)
+        members.append(tuple(sorted(a + b)))
+        for c in live:
+            link[m][c] = max(link[i][c], link[j][c])
+            link[c][m] = max(link[c][i], link[c][j])
+        table = [t for t in table if t[3] not in (i, j) and t[4] not in (i, j)]
+        table += [(link[m][c], members[m], members[c], m, c) if members[m] < members[c]
+                  else (link[c][m], members[c], members[m], c, m) for c in live]
+        live.append(m)
     return Dendrogram(leaf_labels=labels, merges=tuple(merges))
 
 
@@ -254,14 +285,24 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     a half, so the result is exact.  Any NaN makes every rank NaN."""
     if np.isnan(values).any():
         return np.full(values.size, np.nan)
-    order = np.argsort(values)
+    order = values.argsort()
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
     ordered = values[order]
-    starts = np.r_[True, ordered[1:] != ordered[:-1]]
-    dense = np.cumsum(starts)[inverse]
-    count = np.r_[np.flatnonzero(starts), starts.size]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    dense = starts.cumsum()[inverse]
+    count = np.concatenate((starts.nonzero()[0], [starts.size]))
     return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
+def _median(values: Sequence[float]) -> float:
+    """``np.median`` by its own rule: the middle value, or the mean of the
+    middle two; NaN if any value is NaN or there is none."""
+    ordered = np.sort(values)  # NaN sorts last
+    n = ordered.size
+    if n == 0 or np.isnan(ordered[-1]):
+        return np.nan
+    return ordered[n // 2] if n % 2 else (ordered[n // 2 - 1] + ordered[n // 2]) / 2
 
 
 def rank_methods(errors: Mapping[tuple[str, str], Sequence[float]]) -> RankingTable:
@@ -276,8 +317,7 @@ def rank_methods(errors: Mapping[tuple[str, str], Sequence[float]]) -> RankingTa
         raise ValueError("ranking needs at least two methods")
     ranks = np.zeros((len(functions), len(methods)))
     for i, function in enumerate(functions):
-        medians = np.array([np.median(errors[(function, method)]) for method in methods])
-        ranks[i] = _average_ranks(medians)
+        ranks[i] = _average_ranks(np.array([_median(errors[(function, method)]) for method in methods]))
     return RankingTable(
         methods=methods,
         functions=functions,

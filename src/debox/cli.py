@@ -199,6 +199,9 @@ def _execute_run(resolved: dict) -> tuple[telemetry.Trajectory, dict]:
     problem = benchmarks.create_problem(resolved["function"], resolved["instance"], resolved["dimension"],
                                         resolved["mode"])
     result = run(_run_config(resolved, problem))
+    if not math.isfinite(result.best_fitness):  # a summary holds finite numbers only
+        raise ValueError(f"problem {problem.function_id!r}: no evaluated point scored a finite value "
+                         f"(best fitness {result.best_fitness!r})")
     summary = {
         "config": resolved,
         "behaviour_class": result.behaviour.value if result.behaviour else None,

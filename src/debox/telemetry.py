@@ -277,7 +277,9 @@ def records_to_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
 
 
 def run_summary_text(summary: dict) -> str:
-    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    """The summary as JSON text; a NaN or infinite number raises ``ValueError``
+    (RFC 8259 JSON has no token for it)."""
+    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_run_summary(path, summary: dict) -> None:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -50,6 +51,18 @@ class TestResampling:
         assert row[0] == pytest.approx(np.log10(1.0 + 1e-12))
         assert row[1] == pytest.approx(-12.0)
 
+    def test_grid_is_numpys_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for trial in range(600):
+            m = int(rng.integers(2, 20))
+            span = (0.0, 5e-324, 1e-310, 1e-300, 1.0, 1e6)[trial % 6]
+            # a zero span, and spans whose step is denormal or rounds to zero (linspace's own branch)
+            x = (rng.uniform(0.0, 1e4) if span in (0.0, 1e6) else 0.0) + np.sort(rng.uniform(0.0, span, m))
+            y = rng.standard_normal(m)
+            grid_points = int(rng.integers(0, 260))
+            expected = np.interp(np.linspace(x[0], x[-1], grid_points), x, y)
+            assert resample_series(x, y, grid_points).tobytes() == expected.tobytes(), (x, grid_points)
+
     def test_unknown_metric(self):
         expected = f"unknown metric 'speed', expected one of {sorted(METRICS)}"
         with pytest.raises(ValueError, match=re.escape(expected)):
@@ -82,6 +95,22 @@ class TestCosineSimilarity:
             c = rng.uniform(0.1, 10.0)
             assert cosine_similarity(u, c * v) == pytest.approx(cosine_similarity(u, v), abs=1e-12)
             assert cosine_similarity(u, v) == pytest.approx(cosine_similarity(v, u), abs=1e-12)
+
+
+def reference_linkage(similarity, labels):
+    """Complete linkage by its definition: at every merge each pair's distance
+    is the largest over its leaf pairs (distance[a leaf of a, a leaf of b] for
+    a < b), and the least (distance, a, b) merges."""
+    distance = 1.0 - np.asarray(similarity, dtype=float)
+    index = {label: i for i, label in enumerate(labels)}
+    clusters = sorted((label,) for label in labels)
+    merges = []
+    while len(clusters) > 1:
+        height, a, b = min((max(distance[index[x], index[y]] for x in a for y in b), a, b)
+                           for a, b in itertools.combinations(clusters, 2))
+        clusters = sorted([c for c in clusters if c not in (a, b)] + [tuple(sorted(a + b))])
+        merges.append((a, b, float(height)))
+    return merges
 
 
 def hand_similarity():
@@ -143,6 +172,54 @@ class TestCompleteLinkage:
                     sim[i, j] = sim[j, i] = cosine_similarity(rows[i], rows[j])
             heights = [step.height for step in complete_linkage_cluster(sim, tuple("ABCDEF")).merges]
             assert all(a <= b + 1e-12 for a, b in zip(heights, heights[1:]))
+
+    def test_merges_equal_the_reference_linkage_exactly(self):
+        rng = np.random.default_rng(17)
+        for trial in range(400):
+            k = int(rng.integers(1, 13))
+            if trial % 3 == 0:  # few distinct values force ties at every height
+                upper = rng.choice([-0.5, 0.2, 0.9], size=(k, k))
+            else:
+                upper = rng.uniform(-1.0, 1.0, (k, k))
+            sim = np.triu(upper, 1)
+            sim = sim + sim.T
+            if trial % 4 == 1:  # symmetric only within the tolerance: distance[a, b] is read for a < b
+                sim *= 1.0 + rng.uniform(-5e-6, 5e-6, (k, k))
+            np.fill_diagonal(sim, 1.0)
+            labels = [f"m{i:02d}" for i in rng.permutation(k)]
+            merges = complete_linkage_cluster(sim, labels).merges
+            assert [(m.left, m.right, m.height) for m in merges] == reference_linkage(sim, labels), sim
+            assert all(type(m.height) is float for m in merges)
+
+    def test_accepts_and_rejects_as_numpys_allclose(self):
+        def accepted(sim):
+            try:
+                complete_linkage_cluster(sim, [f"m{i}" for i in range(len(sim))])
+            except ValueError as exc:
+                assert re.search("symmetric|unit diagonal", str(exc)), exc
+                return False
+            return True
+
+        rng = np.random.default_rng(23)
+        specials = [np.inf, -np.inf, np.nan, 1.0 + 2e-5, 1.0 - 5e-6, 0.3 + 1e-11]
+        for trial in range(500):
+            k = int(rng.integers(0, 5))
+            sim = np.triu(rng.uniform(-1.0, 1.0, (k, k)), 1)
+            sim = sim + sim.T
+            np.fill_diagonal(sim, 1.0)
+            for _ in range(int(rng.integers(0, 3)) if k else 0):
+                i, j = rng.integers(0, k, 2)
+                sim[i, j] = rng.choice(specials)
+                if rng.random() < 0.5:
+                    sim[j, i] = sim[i, j]
+            with np.errstate(invalid="ignore"):  # allclose computes inf - inf
+                expected = (np.allclose(sim, sim.T, atol=1e-12)
+                            and np.allclose(np.diag(sim), 1.0, atol=1e-9))
+            assert accepted(sim) == expected, sim
+        assert accepted(np.zeros((0, 0)))
+        assert accepted(np.array([[1.0, np.inf], [np.inf, 1.0]]))
+        assert not accepted(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        assert not accepted(np.array([[np.inf]]))
 
     def test_non_symmetric_rejected(self):
         sim = np.array([[1.0, 0.3], [0.2, 1.0]])
@@ -242,6 +319,19 @@ class TestRankMethods:
         for _ in range(300):
             shape = (rng.integers(1, 5), rng.integers(2, 8))
             check(rng.choice(values, size=shape, p=[.2, .2, .2, .1, .1, .08, .07, .05]))
+
+    def test_medians_equal_numpys_median(self):
+        values = np.array([0.0, 1e-8, 0.5, 1.75, 3.0, 5.0, 7.0, 1e300, np.inf, np.nan])  # 1.75, 5.0: mid-pair means
+        rng = np.random.default_rng(5)
+        for _ in range(400):
+            functions, methods = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+            errors = {(f"f{i}", f"m{j}"): rng.choice(values, size=int(rng.integers(1, 7)),  # odd and even counts
+                                                     p=[.15, .15, .1, .1, .1, .1, .1, .1, .05, .05]).tolist()
+                      for i in range(functions) for j in range(methods)}
+            table = rank_methods(errors)
+            medians = np.array([[np.median(errors[(f, m)]) for m in table.methods] for f in table.functions])
+            expected = np.vstack([rankdata(row, method="average") for row in medians])
+            assert table.ranks.tobytes() == expected.tobytes(), errors
 
     def test_needs_two_methods(self):
         with pytest.raises(ValueError, match="two methods"):

@@ -246,6 +246,30 @@ class TestRunCommand:
                             r"optimum value 0\.0", cells[0]["error"])
         assert cells[1]["error"] == "ValueError: problem 'minus_inf': the objective returned -inf"
 
+    def test_a_run_without_a_finite_value_fails_and_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        module = tmp_path / "nan_problems.py"
+        module.write_text(
+            "import numpy as np\n"
+            "from debox.benchmarks import ExternalProblem, register_problem\n"
+            "from debox.core import Bounds\n"
+            "register_problem('all_nan', lambda instance, dimension: ExternalProblem(\n"
+            "    name='all_nan', dimension=dimension, bounds=Bounds.symmetric(5.0, dimension),\n"
+            "    objective=lambda x: np.nan, optimum_value=0.0))\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        config = write_json(tmp_path / "run.json", run_config(
+            function="all_nan", budget=200, plugin_modules=["nan_problems"]))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "run_out")]) == 1
+        message = "problem 'all_nan': no evaluated point scored a finite value (best fitness inf)"
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run_out").exists()
+        sweep = write_json(tmp_path / "sweep.json", sweep_config(
+            functions=["all_nan"], bchms=["sat"], runs_per_cell=1, plugin_modules=["nan_problems"]))
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep_out")]) == 1
+        (cell,) = json.loads((tmp_path / "sweep_out" / "manifest.json").read_text())["cells"]
+        assert (cell["status"], cell["error"]) == ("failed", f"ValueError: {message}")
+        assert os.listdir(tmp_path / "sweep_out" / "runs") == []
+
     def test_plugin_returning_other_than_a_problem_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
         module = tmp_path / "duck_problems.py"
         module.write_text(

@@ -19,6 +19,7 @@ from debox.telemetry import (
     read_trajectory_csv,
     record_generation,
     records_to_columns,
+    run_summary_text,
     trajectory_csv_text,
     write_run_summary,
     write_trajectory_csv,
@@ -309,6 +310,11 @@ class TestPersistence:
         summary = {"config": {"seed": 3}, "final_error": 1.5e-9, "behaviour_class": "GB"}
         write_run_summary(path, summary)
         assert read_run_summary(path) == summary
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_summary_text_rejects_non_finite_numbers(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            run_summary_text({"final_fitness": value})
 
     def test_a_write_that_raises_midway_leaves_the_previous_file(self, tmp_path):
         csv_path, json_path = tmp_path / "trajectory.csv", tmp_path / "summary.json"
