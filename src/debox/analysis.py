@@ -25,7 +25,6 @@ __all__ = [
     "TrajectoryMatrix",
     "METRICS",
     "build_trajectory_matrix",
-    "check_grid_points",
     "complete_linkage_cluster",
     "cosine_similarity",
     "cut_dendrogram",
@@ -89,12 +88,6 @@ class TrajectoryMatrix:
     metric: str
 
 
-def check_grid_points(grid_points: int) -> None:
-    """Reject fewer than 2 grid points: they align nothing, so every row would be similar to every other."""
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-
-
 def build_trajectory_matrix(
     runs_by_label: Mapping[str, Sequence[Mapping[str, Sequence[float]]]],
     metric: str,
@@ -103,11 +96,13 @@ def build_trajectory_matrix(
     """One row per label: the mean of that label's runs, each resampled onto the grid.
 
     Each run is a column mapping as ``read_trajectory_csv`` returns it;
-    best-so-far rows are log10 errors, guarded at 1e-12.
+    best-so-far rows are log10 errors, guarded at 1e-12.  Fewer than 2 grid
+    points align nothing, so every row would be similar to every other.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {sorted(METRICS)}")
-    check_grid_points(grid_points)
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     labels = tuple(sorted(runs_by_label))
     rows = []
     for label in labels:
@@ -285,14 +280,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     a half, so the result is exact.  Any NaN makes every rank NaN."""
     if np.isnan(values).any():
         return np.full(values.size, np.nan)
-    order = values.argsort()
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    ordered = values[order]
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    dense = starts.cumsum()[inverse]
-    count = np.concatenate((starts.nonzero()[0], [starts.size]))
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    ordered = np.sort(values)  # a value's ties span [left, right) of the sorted values
+    return 0.5 * (ordered.searchsorted(values, "left") + ordered.searchsorted(values, "right") + 1)
 
 
 def _median(values: Sequence[float]) -> float:

@@ -18,6 +18,7 @@ The linear slope always places its optimum on a corner of the box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -139,6 +140,12 @@ class BenchmarkProblem:
     _slope_weights: np.ndarray | None = field(default=None, init=False, repr=False)  # corner optimum only
 
     def __post_init__(self) -> None:
+        if self.optimum_value is not None and not math.isfinite(self.optimum_value):
+            raise ValueError(f"problem {self.function_id!r}: optimum_value must be finite, "
+                             f"got {self.optimum_value}")
+        if self.bounds.dimension != self.dimension:
+            raise ValueError(f"problem {self.function_id!r}: bounds of dimension {self.bounds.dimension} "
+                             f"for a problem of dimension {self.dimension}")
         if self.objective is not None:
             return
         self.optimum_location = np.asarray(self.optimum_location, dtype=float)
@@ -263,8 +270,11 @@ def register_problem(name: str, factory: Callable[[int, int], BenchmarkProblem])
 
     The factory is called as ``factory(instance_id, dimension)`` and must
     return a :class:`BenchmarkProblem`, usually one built by
-    :func:`ExternalProblem`.
+    :func:`ExternalProblem`.  A catalogue id cannot be registered, since
+    :func:`create_problem` resolves the catalogue first.
     """
+    if name in _CATALOG:
+        raise ValueError(f"{name!r} is a catalogue function id; register the problem under another name")
     _PROBLEM_REGISTRY[name] = factory
 
 

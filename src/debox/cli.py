@@ -86,7 +86,7 @@ _GRID = {"functions": "function", "instances": "instance", "dimensions": "dimens
          "modes": "mode", "engines": "engine", "bchms": "bchm"}
 
 #: run keys a sweep sets once for all its cells
-_SHARED = ("budget_multiplier", "count_infeasible_evals", "target_error", "classic", "plugin_modules")
+_SHARED = ("budget_multiplier", "count_infeasible_evals", "classic", "plugin_modules")
 
 _SWEEP_SCHEMA = {
     **{key: (list[_RUN_SCHEMA[cell_key][0]], _REQUIRED) for key, cell_key in _GRID.items()},
@@ -179,12 +179,6 @@ def _resolve_run(data) -> dict:
     elif resolved["budget"] is None:
         resolved["budget"] = resolved["budget_multiplier"] * resolved["dimension"]
     errors += _run_config(resolved, None).validation_errors(resolved["dimension"])
-    if not errors and resolved["target_error"] is not None:
-        # the one check that needs the problem itself, made only when a target is set
-        problem = benchmarks.create_problem(function, resolved["instance"], resolved["dimension"],
-                                            resolved["mode"])
-        if problem.optimum_value is None:
-            errors.append("target_error (problem has no known optimum value)")
     if errors:
         raise ConfigError(errors)
     return resolved
@@ -438,7 +432,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    analysis.check_grid_points(args.grid_points)  # before any artifact is read
     manifest, base, out_dir = _open_manifest(args)
 
     metrics = sorted(analysis.METRICS) if args.metric == "all" else [args.metric]
@@ -449,7 +442,7 @@ def cmd_cluster(args) -> int:
 
     clusterings = []
     for metric in metrics:
-        matrix = analysis.build_trajectory_matrix(runs_by_label, metric, grid_points=args.grid_points)
+        matrix = analysis.build_trajectory_matrix(runs_by_label, metric)
         sim = analysis.similarity_matrix(matrix)
         dendrogram = analysis.complete_linkage_cluster(sim, matrix.row_labels)
         clusterings.append((metric, matrix.row_labels, sim, dendrogram))
@@ -543,7 +536,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--metric", default="all",
                            choices=["all"] + sorted(analysis.METRICS))
     p_cluster.add_argument("--label-by", default="bchm", choices=["bchm", "function"])
-    p_cluster.add_argument("--grid-points", type=int, default=200)
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_rank = sub.add_parser("rank", help="mean-rank table from a manifest")

@@ -386,7 +386,6 @@ class RunConfig:
     engine: str = "lshade"
     bchm: str = "sat"
     budget: int | None = None  # default: BUDGET_PER_DIMENSION * dimension
-    target_error: float | None = None
     seed: int = 0
     max_generations: int | None = None
     classic: ClassicDEParams = field(default_factory=ClassicDEParams)
@@ -413,8 +412,6 @@ class RunConfig:
             budget, size = self.resolved_budget(dimension), self.initial_size(dimension)
             if budget <= size:
                 errors.append(f"budget (must exceed the initial population size {size}, got {budget})")
-        if self.target_error is not None and self.target_error <= 0:
-            errors.append("target_error (must be positive)")
         if self.seed < 0:
             errors.append("seed (must be >= 0)")
         if self.max_generations is not None and self.max_generations <= 0:
@@ -425,8 +422,6 @@ class RunConfig:
         errors = self.validation_errors(None if self.problem is None else self.problem.dimension)
         if self.problem is None:
             errors.insert(0, "problem (required)")
-        elif self.target_error is not None and self.problem.optimum_value is None:
-            errors.append("target_error (problem has no known optimum value)")
         if errors:
             raise ValueError("invalid config fields: " + "; ".join(errors))
 
@@ -443,7 +438,7 @@ class RunResult:
     generations: int
     final_max_component_variance: float
     wall_time_seconds: float
-    stop_reason: str  # "budget", "target", "max_generations" or "stalled"
+    stop_reason: str  # "budget", "max_generations" or "stalled"
     phase_seconds: dict[str, float]  # seconds of the generations per phase, keyed by PHASES
 
 
@@ -487,9 +482,6 @@ def run(config: RunConfig) -> RunResult:
         if adaptive_state is not None and pop.generation % ADAPTIVE_UPDATE_PERIOD == 0:
             adaptive_state = adaptive_update(adaptive_state)
             clock.lap(SELECTION)
-        if config.target_error is not None and trajectory[-1].best_error <= config.target_error:
-            stop_reason = "target"
-            break
         # with dismiss and free infeasible evaluations a generation may consume
         # no budget; bail out if that persists instead of spinning forever
         stalled = stalled + 1 if problem.budget_consumed == consumed_before else 0

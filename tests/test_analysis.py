@@ -358,6 +358,12 @@ class TestTrajectoryMatrix:
         with pytest.raises(ValueError, match=r"best_so_far of label 'unknown'.*without a known optimum"):
             build_trajectory_matrix(runs, "best_so_far", grid_points=4)
 
+    @pytest.mark.parametrize("grid_points", [-3, 0, 1])
+    def test_fewer_than_two_grid_points_rejected(self, grid_points):
+        runs = {"a": [run_columns([0, 10], [0.1, 0.4])]}
+        with pytest.raises(ValueError, match=f"^grid_points must be >= 2, got {grid_points}$"):
+            build_trajectory_matrix(runs, "violation_probability", grid_points=grid_points)
+
     def test_similarity_matrix_unit_diagonal(self):
         runs = {
             "a": [run_columns([0, 10], [0.1, 0.4])],

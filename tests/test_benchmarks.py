@@ -219,6 +219,24 @@ class TestPluginProblems:
         assert_allclose(problem.evaluate_batch(batch), [np.inf, 1.0, np.inf])
         assert problem.feasible_evaluations == 3 and problem.infeasible_evaluations == 1
 
+    @pytest.mark.parametrize("optimum_value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_optimum_value_rejected(self, optimum_value):
+        with pytest.raises(ValueError, match=r"^problem 'paraboloid': optimum_value must be finite, got "):
+            ExternalProblem("paraboloid", 3, Bounds.symmetric(5.0, 3), lambda x: float(np.sum(x * x)),
+                            optimum_value=optimum_value)
+        with pytest.raises(ValueError, match=r"^problem 'sphere': optimum_value must be finite"):
+            BenchmarkProblem("sphere", 0, 3, Bounds.symmetric(5.0, 3), np.zeros(3), optimum_value)
+
+    def test_bounds_of_another_dimension_rejected(self):
+        message = r"^problem 'paraboloid': bounds of dimension 2 for a problem of dimension 3$"
+        with pytest.raises(ValueError, match=message):
+            ExternalProblem("paraboloid", 3, Bounds.symmetric(5.0, 2), lambda x: float(np.sum(x * x)))
+
+    def test_catalogue_id_cannot_be_registered(self):
+        with pytest.raises(ValueError, match="'sphere' is a catalogue function id"):
+            register_problem("sphere", lambda instance, dimension: self.make_external(dimension))
+        assert create_problem("sphere", 1, 3).objective is None
+
     def test_create_problem_unknown(self):
         with pytest.raises(ValueError, match="unknown function"):
             create_problem("missing", 1, 4)

@@ -74,9 +74,10 @@ class TestRunCommand:
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         # a typo, the settings that became constants of the engine, BCHM and classifier,
-        # and the former keys of the output settings, which only the command line sets
+        # the retired target stop, and the former keys of the output settings, which only
+        # the command line sets
         shared = {"bchn": "sat", "shade": {"p_max": 0.2}, "beta_epsilon": 0.1,
-                  "adaptive_update_period": 25, "adaptive_floor": 0.05}
+                  "adaptive_update_period": 25, "adaptive_floor": 0.05, "target_error": 1e-3}
         unknown = {"run": {"out": str(tmp_path / "o"), "name": "stem"},
                    "sweep": {"output_directory": str(tmp_path / "o"), "parallelism": 2}}
         for command, payload in (("run", run_config()), ("sweep", sweep_config())):
@@ -168,32 +169,6 @@ class TestRunCommand:
         assert summary["versions"] == {
             "debox": debox.__version__, "numpy": np.__version__, "python": platform.python_version()}
 
-    def test_target_error_without_known_optimum_exits_2(self, tmp_path, monkeypatch, capsys):
-        module = tmp_path / "unknown_optimum.py"
-        module.write_text(
-            "import numpy as np\n"
-            "from debox.benchmarks import ExternalProblem, register_problem\n"
-            "from debox.core import Bounds\n"
-            "register_problem('no_optimum', lambda instance, dimension: ExternalProblem(\n"
-            "    name='no_optimum', dimension=dimension, bounds=Bounds.symmetric(5.0, dimension),\n"
-            "    objective=lambda x: float(np.sum(x * x))))\n"
-        )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        message = "config error: target_error (problem has no known optimum value)"
-        config = write_json(tmp_path / "run.json", run_config(
-            function="no_optimum", plugin_modules=["unknown_optimum"], target_error=1e-3))
-        assert main(["run", "--config", config, "--out", str(tmp_path / "run_out")]) == 2
-        assert capsys.readouterr().err.splitlines() == [message]
-        sweep = write_json(tmp_path / "sweep.json", sweep_config(
-            functions=["no_optimum"], plugin_modules=["unknown_optimum"], target_error=1e-3))
-        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep_out")]) == 2
-        assert capsys.readouterr().err.splitlines() == [message]
-        assert not (tmp_path / "run_out").exists() and not (tmp_path / "sweep_out").exists()
-        # without a target the same problem runs
-        config = write_json(tmp_path / "run.json",
-                            run_config(function="no_optimum", plugin_modules=["unknown_optimum"]))
-        assert main(["run", "--config", config, "--out", str(tmp_path / "run_out")]) == 0
-
     def test_plugin_problem(self, tmp_path, monkeypatch):
         module = tmp_path / "my_problems.py"
         module.write_text(
@@ -268,6 +243,34 @@ class TestRunCommand:
         assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep_out")]) == 1
         (cell,) = json.loads((tmp_path / "sweep_out" / "manifest.json").read_text())["cells"]
         assert (cell["status"], cell["error"]) == ("failed", f"ValueError: {message}")
+        assert os.listdir(tmp_path / "sweep_out" / "runs") == []
+
+    def test_a_non_finite_optimum_value_fails_and_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        module = tmp_path / "bad_optimum_problems.py"
+        module.write_text(
+            "import numpy as np\n"
+            "from debox.benchmarks import ExternalProblem, register_problem\n"
+            "from debox.core import Bounds\n"
+            "for name, optimum in (('minus_inf_optimum', -np.inf), ('nan_optimum', np.nan)):\n"
+            "    register_problem(name, lambda instance, dimension, name=name, optimum=optimum: ExternalProblem(\n"
+            "        name=name, dimension=dimension, bounds=Bounds.symmetric(5.0, dimension),\n"
+            "        objective=lambda x: float(np.sum(x * x)), optimum_value=optimum))\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        message = "problem 'minus_inf_optimum': optimum_value must be finite, got -inf"
+        config = write_json(tmp_path / "run.json", run_config(
+            function="minus_inf_optimum", plugin_modules=["bad_optimum_problems"]))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "run_out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "run_out").exists()
+        sweep = write_json(tmp_path / "sweep.json", sweep_config(
+            functions=["minus_inf_optimum", "nan_optimum"], bchms=["sat"], runs_per_cell=1,
+            plugin_modules=["bad_optimum_problems"]))
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep_out")]) == 1
+        cells = json.loads((tmp_path / "sweep_out" / "manifest.json").read_text())["cells"]
+        assert [(cell["status"], cell["error"]) for cell in cells] == [
+            ("failed", f"ValueError: {message}"),
+            ("failed", "ValueError: problem 'nan_optimum': optimum_value must be finite, got nan")]
         assert os.listdir(tmp_path / "sweep_out" / "runs") == []
 
     def test_plugin_returning_other_than_a_problem_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
@@ -557,32 +560,20 @@ class TestAnalysisCommands:
 
     def test_cluster(self, sweep_output, tmp_path):
         manifest = str(sweep_output / "manifest.json")
-        code = main(
-            ["cluster", "--manifest", manifest, "--out", str(tmp_path), "--grid-points", "50"]
-        )
-        assert code == 0
+        assert main(["cluster", "--manifest", manifest, "--out", str(tmp_path)]) == 0
         for metric in ("violation_probability", "best_so_far", "population_variance"):
             assert (tmp_path / f"similarity_{metric}_bchm.csv").exists()
             dendrogram = json.loads((tmp_path / f"dendrogram_{metric}_bchm.json").read_text())
             assert "height" in dendrogram or "label" in dendrogram
             assert (tmp_path / f"dendrogram_{metric}_bchm.newick").read_text().strip().endswith(";")
 
-    @pytest.mark.parametrize("grid_points", ["-3", "0", "1"])
-    def test_cluster_below_two_grid_points_exits_1(self, sweep_output, tmp_path, capsys, grid_points):
-        out = tmp_path / "out"
+    def test_cluster_has_no_grid_points_flag(self, sweep_output, tmp_path):
+        # every cluster resamples onto the default 200 points; the retired flag is a usage error
         manifest = str(sweep_output / "manifest.json")
-        assert main(["cluster", "--manifest", manifest, "--out", str(out), "--grid-points", grid_points]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: grid_points must be >= 2, got {grid_points}"]
-        assert not out.exists()
-
-    def test_cluster_rejects_grid_points_before_reading_any_trajectory(self, tmp_path, capsys):
-        (tmp_path / "runs").mkdir()
-        (tmp_path / "runs" / "r.csv").write_text("not a trajectory\n")
-        (tmp_path / "runs" / "r.json").write_text("{}\n")
-        manifest = write_json(tmp_path / "manifest.json", {"cells": [
-            {"bchm": "sat", "trajectory_csv": "runs/r.csv", "summary_json": "runs/r.json", "status": "ok"}]})
-        assert main(["cluster", "--manifest", manifest, "--out", str(tmp_path / "c"), "--grid-points", "0"]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: grid_points must be >= 2, got 0"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cluster", "--manifest", manifest, "--out", str(tmp_path / "out"), "--grid-points", "50"])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_cluster_by_function(self, sweep_output, tmp_path):
         manifest = str(sweep_output / "manifest.json")

@@ -435,15 +435,6 @@ class TestRun:
         run(RunConfig(problem=problem, engine="lshade", bchm="mirror", budget=3000, seed=4))
         assert problem.infeasible_evaluations == 0
 
-    def test_target_error_stops_early(self):
-        problem = centered_problem(dimension=3)
-        result = run(
-            RunConfig(problem=problem, engine="classic", bchm="sat", budget=30_000, seed=5,
-                      target_error=1e-3)
-        )
-        assert result.best_error <= 1e-3
-        assert result.evaluations_used < 30_000
-
     def test_max_generations(self):
         problem = centered_problem(dimension=3)
         result = run(
@@ -464,12 +455,6 @@ class TestRun:
         assert result.stop_reason == "budget"
         assert result.evaluations_used == 2000
 
-    def test_stop_reason_target(self):
-        problem = centered_problem(dimension=3)
-        result = run(RunConfig(problem=problem, engine="classic", bchm="sat", budget=30_000, seed=5,
-                               target_error=1e-3))
-        assert result.stop_reason == "target"
-
     def test_stop_reason_stalled(self, monkeypatch):
         # F = 2 over 50 dimensions: every trial leaves the box somewhere, dismiss
         # throws it away for free, and the four targets never change, so no
@@ -483,6 +468,25 @@ class TestRun:
         assert result.stop_reason == "stalled"
         assert result.evaluations_used == 4  # the initial population only
         assert result.generations == 500
+
+    def test_a_run_has_no_target_stop(self):
+        with pytest.raises(TypeError):
+            RunConfig(problem=centered_problem(), target_error=1e-3)
+
+    @pytest.mark.parametrize("bchm, charged", [("sat", False), ("mirror", False), ("adaptive", False),
+                                               ("dismiss", True)])
+    @pytest.mark.parametrize("engine", ["classic", "lshade"])
+    def test_the_runs_of_a_cell_share_their_generations(self, engine, bchm, charged):
+        # every trial spends one evaluation, so the seed changes neither the generation
+        # count nor the L-SHADE population schedule: the runs of a cell stay rectangular
+        problem = make_instance("linear_slope", 1, 5, "SBOX")
+        shapes = set()
+        for seed in (1, 2, 3):
+            result = run(RunConfig(problem=problem, count_infeasible_evals=charged, engine=engine, bchm=bchm,
+                                   budget=2000, seed=seed))
+            assert result.stop_reason == "budget"
+            shapes.add((result.generations, result.records.columns["population_size"].tobytes()))
+        assert len(shapes) == 1
 
     @pytest.mark.parametrize("engine", ["classic", "lshade"])
     def test_phase_seconds(self, engine):
