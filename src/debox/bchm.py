@@ -176,8 +176,6 @@ class BetaFitParams:
     alpha: np.ndarray
     beta: np.ndarray
     m: np.ndarray
-    v: np.ndarray
-    epsilon: float
     fallback_mask: np.ndarray
 
 
@@ -200,7 +198,7 @@ def fit_beta_params(stats: PopulationStats, bounds: Bounds, epsilon: float = BET
         alpha = m * (m * (1.0 - m) / v - 1.0)
         beta = alpha * (1.0 - m) / m
     fallback = ~np.isfinite(alpha) | ~np.isfinite(beta) | (alpha <= 0.0) | (beta <= 0.0) | (v <= 0.0)
-    return BetaFitParams(alpha=alpha, beta=beta, m=m, v=v, epsilon=epsilon, fallback_mask=fallback)
+    return BetaFitParams(alpha=alpha, beta=beta, m=m, fallback_mask=fallback)
 
 
 def _beta_values(v: _Violations, params: BetaFitParams, rng: RngStream) -> np.ndarray:

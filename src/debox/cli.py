@@ -19,8 +19,10 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import csv
 import dataclasses
 import importlib
+import io
 import itertools
 import json
 import math
@@ -84,6 +86,10 @@ _RUN_SCHEMA.update({key: (_RUN_SCHEMA[key][0], _REQUIRED) for key in ("engine", 
 #: sweep list key -> the run key each of its values sets
 _GRID = {"functions": "function", "instances": "instance", "dimensions": "dimension",
          "modes": "mode", "engines": "engine", "bchms": "bchm"}
+
+#: the keys of an analysis cell, whose runs differ only in instance and seed;
+#: ``classify`` groups runs by them, and the manifest is ordered by them
+_CELL_KEY = ("function", "mode", "dimension", "engine", "bchm")
 
 #: run keys a sweep sets once for all its cells
 _SHARED = ("budget_multiplier", "count_infeasible_evals", "classic", "plugin_modules")
@@ -196,6 +202,9 @@ def _execute_run(resolved: dict) -> tuple[telemetry.Trajectory, dict]:
     if not math.isfinite(result.best_fitness):  # a summary holds finite numbers only
         raise ValueError(f"problem {problem.function_id!r}: no evaluated point scored a finite value "
                          f"(best fitness {result.best_fitness!r})")
+    if not math.isfinite(result.final_max_component_variance):
+        raise ValueError(f"problem {problem.function_id!r}: the final population's variance is not finite "
+                         f"(final_max_component_variance {result.final_max_component_variance!r})")
     summary = {
         "config": resolved,
         "behaviour_class": result.behaviour.value if result.behaviour else None,
@@ -272,7 +281,7 @@ def _cell_stem(cell: dict) -> str:
 
 def _entry(cell: dict) -> dict:
     stem = _cell_stem(cell)
-    keys = ("function", "instance", "dimension", "mode", "engine", "bchm", "run_index", "seed")
+    keys = (*_CELL_KEY, "instance", "run_index", "seed")
     return dict({key: cell[key] for key in keys}, trajectory_csv=os.path.join("runs", stem + ".csv"),
                 summary_json=os.path.join("runs", stem + ".json"))
 
@@ -314,7 +323,13 @@ def _failed_cells(entries: list[dict]) -> list[str]:
 
 def cmd_sweep(args) -> int:
     config, errors = _fill(_load_config(args), _SWEEP_SCHEMA)
-    errors += [f"{key} (must be non-empty)" for key in _GRID if config.get(key) == []]
+    for key in _GRID:  # a repeated value would list its cells twice, over the same files
+        values = config.get(key, ())
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if values == []:
+            errors.append(f"{key} (must be non-empty)")
+        elif repeated:
+            errors.append(f"{key} (duplicate value {repeated[0]!r})")
     if config.get("runs_per_cell", 1) < 1:
         errors.append("runs_per_cell (must be >= 1)")
     if args.parallelism < 1:
@@ -339,12 +354,10 @@ def cmd_sweep(args) -> int:
             except Exception as exc:  # a write that raises fails only its own cell
                 entry = _failure(entry, exc)
             entries.append(entry)
-    entries.sort(key=lambda e: (e["function"], e["mode"], e["dimension"], e["engine"],
-                                e["bchm"], e["instance"], e["run_index"]))
-    manifest = {"output_directory": out_dir, "cells": entries}
+    entries.sort(key=lambda e: tuple(e[key] for key in (*_CELL_KEY, "instance", "run_index")))
     manifest_path = os.path.join(out_dir, "manifest.json")
     with telemetry.open_atomic(manifest_path) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump({"cells": entries}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(manifest_path)
     failed = _failed_cells(entries)
@@ -358,50 +371,63 @@ def cmd_sweep(args) -> int:
 # analysis commands
 # ---------------------------------------------------------------------------
 
-def _open_manifest(args) -> tuple[dict, str, str]:
-    """The manifest named by an analysis command, its directory and the
-    output directory; every cell it lists must have succeeded and every run
-    artifact it lists must exist.  The command creates the output directory
-    only before its first write, so a command that fails leaves none."""
+def _read_runs(args, read, artifact: str) -> tuple[typing.Iterator[tuple[dict, typing.Any]], str]:
+    """``read`` of the ``artifact`` (``"trajectory_csv"`` or ``"summary_json"``)
+    of each run in the manifest named by an analysis command, as (manifest
+    entry, value) pairs, and the output directory.  Every cell the manifest
+    lists must have succeeded and every run artifact it lists must exist; a
+    file that does not parse is an error that names it.  The files are read
+    as the pairs are taken, so a command holds only what it keeps of each."""
     with open(args.manifest) as fh:
-        manifest = json.load(fh)
-    failed = _failed_cells(manifest["cells"])
+        entries = json.load(fh)["cells"]
+    failed = _failed_cells(entries)
     if failed:
         raise RuntimeError("\n".join(["the sweep has failed cells:", *failed]))
     base = os.path.dirname(os.path.abspath(args.manifest))
-    missing = [entry[key] for entry in manifest["cells"] for key in ("trajectory_csv", "summary_json")
+    missing = [entry[key] for entry in entries for key in ("trajectory_csv", "summary_json")
                if not os.path.exists(os.path.join(base, entry[key]))]
     if missing:
         raise FileNotFoundError("missing run artifacts:\n" + "\n".join(f"  {path}" for path in missing))
-    return manifest, base, args.out or base
+
+    def runs():
+        for entry in entries:
+            try:
+                value = read(os.path.join(base, entry[artifact]))
+            except ValueError as exc:
+                raise ValueError(f"{entry[artifact]}: {exc}") from exc
+            yield entry, value
+
+    return runs(), args.out or base
 
 
-def _read_artifact(read, base: str, relative: str):
-    """``read`` of the run artifact at ``relative`` to the manifest; a file
-    that does not parse is an error that names it."""
-    try:
-        return read(os.path.join(base, relative))
-    except ValueError as exc:
-        raise ValueError(f"{relative}: {exc}") from exc
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    fh = io.StringIO()
+    csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return fh.getvalue()
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    import csv as _csv
+def _write_outputs(out_dir: str, texts: dict[str, str]) -> int:
+    """Write each text to its file name in ``out_dir`` and print its path;
+    the exit code of the analysis command that wrote them, 0.
 
-    with telemetry.open_atomic(path, newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    An analysis command computes every text first, so one that fails creates
+    no directory; each file takes the place of an old one only once complete.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name)
+        with telemetry.open_atomic(path, newline="") as fh:
+            fh.write(text)
+        print(path)
+    return 0
 
 
 def cmd_classify(args) -> int:
-    manifest, base, out_dir = _open_manifest(args)
-
+    runs, out_dir = _read_runs(args, telemetry.read_run_summary, "summary_json")
     rows, groups = [], {}
-    for entry in manifest["cells"]:
-        summary = _read_artifact(telemetry.read_run_summary, base, entry["summary_json"])
+    for entry, summary in runs:
         behaviour, error = summary["behaviour_class"] or "", summary["final_error"]
-        key = tuple(entry[name] for name in ("function", "mode", "dimension", "engine", "bchm"))
+        key = tuple(entry[name] for name in _CELL_KEY)
         rows.append([*key, entry["instance"], entry["run_index"], behaviour,
                      "" if error is None else telemetry.format_float(error),
                      telemetry.format_float(summary["final_max_component_variance"])])
@@ -414,59 +440,38 @@ def cmd_classify(args) -> int:
         ranked = sorted((run for run in groups[key] if run[0] is not None), key=lambda run: run[0])
         median_class = ranked[(len(ranked) - 1) // 2][1] if ranked else ""
         summary_rows.append([*key, *(counts[name] for name in ("GB", "SF", "PC", "BB")), median_class])
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "classes.csv"),
-        ["function", "mode", "dimension", "engine", "bchm", "instance", "run_index",
-         "class", "final_error", "final_max_component_variance"],
-        rows,
-    )
-    _write_csv(
-        os.path.join(out_dir, "classes_summary.csv"),
-        ["function", "mode", "dimension", "engine", "bchm", "GB", "SF", "PC", "BB", "median_run_class"],
-        summary_rows,
-    )
-    print(os.path.join(out_dir, "classes.csv"))
-    print(os.path.join(out_dir, "classes_summary.csv"))
-    return 0
+    return _write_outputs(out_dir, {
+        "classes.csv": _csv_text([*_CELL_KEY, "instance", "run_index", "class", "final_error",
+                                  "final_max_component_variance"], rows),
+        "classes_summary.csv": _csv_text([*_CELL_KEY, "GB", "SF", "PC", "BB", "median_run_class"], summary_rows),
+    })
 
 
 def cmd_cluster(args) -> int:
-    manifest, base, out_dir = _open_manifest(args)
-
-    metrics = sorted(analysis.METRICS) if args.metric == "all" else [args.metric]
+    runs, out_dir = _read_runs(args, telemetry.read_trajectory_csv, "trajectory_csv")
     runs_by_label: dict[str, list] = {}
-    for entry in manifest["cells"]:
-        columns = _read_artifact(telemetry.read_trajectory_csv, base, entry["trajectory_csv"])
+    for entry, columns in runs:
         runs_by_label.setdefault(str(entry[args.label_by]), []).append(columns)
 
-    clusterings = []
-    for metric in metrics:
+    texts = {}
+    for metric in sorted(analysis.METRICS) if args.metric == "all" else [args.metric]:
         matrix = analysis.build_trajectory_matrix(runs_by_label, metric)
+        labels = matrix.row_labels
         sim = analysis.similarity_matrix(matrix)
-        dendrogram = analysis.complete_linkage_cluster(sim, matrix.row_labels)
-        clusterings.append((metric, matrix.row_labels, sim, dendrogram))
-
-    os.makedirs(out_dir, exist_ok=True)
-    for metric, labels, sim, dendrogram in clusterings:
+        dendrogram = analysis.complete_linkage_cluster(sim, labels)
         sim_rows = [[label] + [telemetry.format_float(x) for x in sim[i]] for i, label in enumerate(labels)]
-        _write_csv(os.path.join(out_dir, f"similarity_{metric}_{args.label_by}.csv"), ["label", *labels],
-                   sim_rows)
-        stem = os.path.join(out_dir, f"dendrogram_{metric}_{args.label_by}")
-        for extension, text in ((".json", dendrogram.to_json()), (".newick", dendrogram.to_newick())):
-            with telemetry.open_atomic(stem + extension) as fh:
-                fh.write(text + "\n")
-        print(stem + ".json")
-    return 0
+        stem = f"{metric}_{args.label_by}"
+        texts[f"similarity_{stem}.csv"] = _csv_text(["label", *labels], sim_rows)
+        texts[f"dendrogram_{stem}.json"] = dendrogram.to_json() + "\n"
+        texts[f"dendrogram_{stem}.newick"] = dendrogram.to_newick() + "\n"
+    return _write_outputs(out_dir, texts)
 
 
 def cmd_rank(args) -> int:
-    manifest, base, out_dir = _open_manifest(args)
-
+    runs, out_dir = _read_runs(args, telemetry.read_run_summary, "summary_json")
     errors: dict[tuple[str, str], list[float]] = {}
     no_optimum = set()
-    for entry in manifest["cells"]:
-        summary = _read_artifact(telemetry.read_run_summary, base, entry["summary_json"])
+    for entry, summary in runs:
         if summary["final_error"] is None:  # ranks cover only functions with a known optimum
             no_optimum.add(entry["function"])
             continue
@@ -481,14 +486,8 @@ def cmd_rank(args) -> int:
         + [telemetry.format_float(table.ranks[f, m]) for f in range(len(table.functions))]
         for m in order
     ]
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "ranking.csv"),
-        ["method", "mean_rank"] + [f"rank_{fn}" for fn in table.functions],
-        rows,
-    )
-    print(os.path.join(out_dir, "ranking.csv"))
-    return 0
+    header = ["method", "mean_rank"] + [f"rank_{fn}" for fn in table.functions]
+    return _write_outputs(out_dir, {"ranking.csv": _csv_text(header, rows)})
 
 
 def cmd_list(args) -> int:

@@ -273,6 +273,35 @@ class TestRunCommand:
             ("failed", "ValueError: problem 'nan_optimum': optimum_value must be finite, got nan")]
         assert os.listdir(tmp_path / "sweep_out" / "runs") == []
 
+    def test_a_non_finite_variance_fails_and_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        # the squared deviations of points in a box of half-width 1e200 overflow, while the objective
+        # stays finite; numpy's overflow warning is silenced so that the run reaches its own check
+        module = tmp_path / "huge_box_problems.py"
+        module.write_text(
+            "import numpy as np\n"
+            "from debox.benchmarks import ExternalProblem, register_problem\n"
+            "from debox.core import Bounds\n"
+            "register_problem('huge_box', lambda instance, dimension: ExternalProblem(\n"
+            "    name='huge_box', dimension=dimension, bounds=Bounds.symmetric(1e200, dimension),\n"
+            "    objective=lambda x: float(np.sum(np.abs(x))), optimum_value=0.0))\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        message = "problem 'huge_box': the final population's variance is not finite " \
+                  "(final_max_component_variance inf)"
+        config = write_json(tmp_path / "run.json", run_config(
+            function="huge_box", dimension=3, budget=200, plugin_modules=["huge_box_problems"]))
+        sweep = write_json(tmp_path / "sweep.json", sweep_config(
+            functions=["huge_box"], dimensions=[3], bchms=["sat"], runs_per_cell=1, budget_multiplier=70,
+            plugin_modules=["huge_box_problems"]))
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", config, "--out", str(tmp_path / "run_out")]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+            assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep_out")]) == 1
+        assert not (tmp_path / "run_out").exists()
+        (cell,) = json.loads((tmp_path / "sweep_out" / "manifest.json").read_text())["cells"]
+        assert (cell["status"], cell["error"]) == ("failed", f"ValueError: {message}")
+        assert os.listdir(tmp_path / "sweep_out" / "runs") == []
+
     def test_plugin_returning_other_than_a_problem_exits_1_naming_it(self, tmp_path, monkeypatch, capsys):
         module = tmp_path / "duck_problems.py"
         module.write_text(
@@ -495,7 +524,6 @@ class TestSweepCommand:
             out = tmp_path / f"p{parallelism}"
             assert main(["sweep", "--config", config, "--out", str(out), "--parallelism", parallelism]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            del manifest["output_directory"]
             files = {}
             for path in sorted((out / "runs").iterdir()):
                 files[path.name] = path.read_bytes()
@@ -508,6 +536,16 @@ class TestSweepCommand:
         serial, parallel = artifacts("1"), artifacts("2")
         assert len(serial[1]) == 24
         assert serial == parallel
+
+    def test_duplicate_list_value_exits_2_naming_each_key(self, tmp_path, capsys):
+        # a repeated value would list its cells twice, each pair pointing to the same two files
+        config = write_json(tmp_path / "sweep.json", sweep_config(
+            functions=["sphere", "rastrigin", "sphere", "rastrigin"], bchms=["sat", "sat", "mirror"],
+            runs_per_cell=2))
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: functions (duplicate value 'sphere')",
+                                                        "config error: bchms (duplicate value 'sat')"]
+        assert not (tmp_path / "o").exists()
 
     def test_empty_list_rejected(self, tmp_path, capsys):
         config = write_json(tmp_path / "sweep.json", sweep_config(bchms=[]))
@@ -591,6 +629,14 @@ class TestAnalysisCommands:
         lines = (tmp_path / "ranking.csv").read_text().splitlines()
         assert lines[0] == "method,mean_rank,rank_rastrigin,rank_sphere"
         assert len(lines) == 3  # header + 2 methods
+
+    def test_each_command_prints_every_file_it_writes(self, sweep_output, tmp_path, capsys):
+        manifest = str(sweep_output / "manifest.json")
+        for command in ("classify", "cluster", "rank"):
+            out = tmp_path / command
+            assert main([command, "--manifest", manifest, "--out", str(out)]) == 0
+            printed = capsys.readouterr().out.splitlines()
+            assert sorted(printed) == sorted(str(path) for path in out.iterdir()), command
 
     def test_broken_artifact_exits_1_naming_it(self, tmp_path, capsys):
         config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=1))
