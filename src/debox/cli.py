@@ -26,12 +26,12 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import platform
 import sys
 import traceback
 import typing
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -88,8 +88,11 @@ _GRID = {"functions": "function", "instances": "instance", "dimensions": "dimens
          "modes": "mode", "engines": "engine", "bchms": "bchm"}
 
 #: the keys of an analysis cell, whose runs differ only in instance and seed;
-#: ``classify`` groups runs by them, and the manifest is ordered by them
+#: ``classify`` groups runs by them
 _CELL_KEY = ("function", "mode", "dimension", "engine", "bchm")
+
+#: the keys of one run of a sweep: the manifest lists each run once, in their order
+_RUN_KEY = (*_CELL_KEY, "instance", "run_index")
 
 #: run keys a sweep sets once for all its cells
 _SHARED = ("budget_multiplier", "count_infeasible_evals", "classic", "plugin_modules")
@@ -281,9 +284,8 @@ def _cell_stem(cell: dict) -> str:
 
 def _entry(cell: dict) -> dict:
     stem = _cell_stem(cell)
-    keys = (*_CELL_KEY, "instance", "run_index", "seed")
-    return dict({key: cell[key] for key in keys}, trajectory_csv=os.path.join("runs", stem + ".csv"),
-                summary_json=os.path.join("runs", stem + ".json"))
+    return dict({key: cell[key] for key in (*_RUN_KEY, "seed")},
+                trajectory_csv=os.path.join("runs", stem + ".csv"), summary_json=os.path.join("runs", stem + ".json"))
 
 
 def _reusable(out_dir: str, cell: dict) -> bool:
@@ -337,13 +339,16 @@ def cmd_sweep(args) -> int:
     if errors:
         raise ConfigError(errors)
     cells = _sweep_cells(config)
-    out_dir, parallelism = args.out, args.parallelism
+    out_dir = args.out
     os.makedirs(os.path.join(out_dir, "runs"), exist_ok=True)
     done = [_reusable(out_dir, cell) for cell in cells]  # resume is decided before any cell runs
     entries = [dict(_entry(cell), status="ok") for cell, reused in zip(cells, done) if reused]
     todo = [cell for cell, reused in zip(cells, done) if not reused]
+    parallelism = min(args.parallelism, len(todo))  # at most one worker per cell; one cell runs here
+    if parallelism > 1:  # only a sweep that forks workers loads the pool
+        from concurrent.futures import ProcessPoolExecutor
     # workers only compute: files created in one directory by several processes block each other
-    with ProcessPoolExecutor(parallelism) if parallelism > 1 and todo else contextlib.nullcontext() as pool:
+    with ProcessPoolExecutor(parallelism) if parallelism > 1 else contextlib.nullcontext() as pool:
         results = (pool.map(_run_cell, todo, chunksize=math.ceil(len(todo) / (4 * parallelism)))
                    if pool else map(_run_cell, todo))
         for entry, texts in results:
@@ -354,7 +359,7 @@ def cmd_sweep(args) -> int:
             except Exception as exc:  # a write that raises fails only its own cell
                 entry = _failure(entry, exc)
             entries.append(entry)
-    entries.sort(key=lambda e: tuple(e[key] for key in (*_CELL_KEY, "instance", "run_index")))
+    entries.sort(key=operator.itemgetter(*_RUN_KEY))
     manifest_path = os.path.join(out_dir, "manifest.json")
     with telemetry.open_atomic(manifest_path) as fh:
         json.dump({"cells": entries}, fh, indent=2, sort_keys=True)
@@ -375,14 +380,22 @@ def _read_runs(args, read, artifact: str) -> tuple[typing.Iterator[tuple[dict, t
     """``read`` of the ``artifact`` (``"trajectory_csv"`` or ``"summary_json"``)
     of each run in the manifest named by an analysis command, as (manifest
     entry, value) pairs, and the output directory.  Every cell the manifest
-    lists must have succeeded and every run artifact it lists must exist; a
-    file that does not parse is an error that names it.  The files are read
-    as the pairs are taken, so a command holds only what it keeps of each."""
+    lists must have succeeded, no run may be listed twice, and every run
+    artifact it lists must exist; a file that does not parse is an error that
+    names it.  The files are read as the pairs are taken, so a command holds
+    only what it keeps of each."""
     with open(args.manifest) as fh:
         entries = json.load(fh)["cells"]
     failed = _failed_cells(entries)
     if failed:
         raise RuntimeError("\n".join(["the sweep has failed cells:", *failed]))
+    seen, repeated = set(), []
+    for entry, key in zip(entries, map(operator.itemgetter(*_RUN_KEY), entries)):
+        if key in seen:  # a run listed twice would count twice in every analysis
+            repeated.append(f"  {_cell_stem(entry)}")
+        seen.add(key)
+    if repeated:
+        raise ValueError("\n".join(["the manifest lists runs more than once:", *repeated]))
     base = os.path.dirname(os.path.abspath(args.manifest))
     missing = [entry[key] for entry in entries for key in ("trajectory_csv", "summary_json")
                if not os.path.exists(os.path.join(base, entry[key]))]

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures.process
 import contextlib
 import csv
 import dataclasses
@@ -514,8 +515,29 @@ class TestSweepCommand:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was created")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert main(["sweep", "--config", config, "--out", str(out), "--parallelism", "2"]) == 0
+
+    def test_a_resume_of_one_cell_runs_it_here_without_a_pool(self, tmp_path, monkeypatch, pool_sizes):
+        config = write_json(tmp_path / "sweep.json", sweep_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        sorted((out / "runs").glob("*.csv"))[3].unlink()
+        calls, real = [], cli._run_cell  # a forked worker would count into its own copy of ``calls``
+        monkeypatch.setattr(cli, "_run_cell", lambda cell: calls.append(cell) or real(cell))
+        assert main(["sweep", "--config", config, "--out", str(out), "--parallelism", "2"]) == 0
+        assert pool_sizes == [] and len(calls) == 1
+
+    def test_a_resume_of_two_cells_starts_one_worker_per_cell(self, tmp_path, pool_sizes):
+        config = write_json(tmp_path / "sweep.json", sweep_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        runs = {path: path.read_bytes() for path in sorted((out / "runs").glob("*.csv"))}
+        for path in list(runs)[3:5]:
+            path.unlink()
+        assert main(["sweep", "--config", config, "--out", str(out), "--parallelism", "4"]) == 0
+        assert pool_sizes == [2]
+        assert {path: path.read_bytes() for path in runs} == runs
 
     def test_parallelism_1_and_2_write_the_same_artifacts(self, tmp_path):
         config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=3))
@@ -551,6 +573,19 @@ class TestSweepCommand:
         config = write_json(tmp_path / "sweep.json", sweep_config(bchms=[]))
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 2
         assert "bchms" in capsys.readouterr().err
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of each process pool created while the test runs."""
+    sizes, real = [], concurrent.futures.process.ProcessPoolExecutor.__init__
+
+    def recording(self, max_workers=None, *args, **kwargs):
+        sizes.append(max_workers)
+        real(self, max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.process.ProcessPoolExecutor, "__init__", recording)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -708,6 +743,19 @@ class TestAnalysisCommands:
                                     "has a known optimum (optimum_unknown)"], err
         assert main(["classify", "--manifest", optimum_unknown_sweep, "--out", str(tmp_path / "cls")]) == 0
 
+    def test_a_manifest_that_lists_a_run_twice_exits_1_naming_it(self, sweep_output, tmp_path, capsys):
+        manifest = json.loads((sweep_output / "manifest.json").read_text())
+        manifest["cells"].append(manifest["cells"][2])
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        os.symlink(sweep_output / "runs", tmp_path / "runs")
+        stem = os.path.basename(manifest["cells"][2]["summary_json"])[: -len(".json")]
+        for command in ("classify", "cluster", "rank"):
+            assert main([command, "--manifest", str(manifest_path), "--out", str(tmp_path / command)]) == 1
+            assert capsys.readouterr().err.splitlines() == ["error: the manifest lists runs more than once:",
+                                                            f"  {stem}"], command
+            assert not (tmp_path / command).exists()
+
     def test_missing_trajectory_exits_1_listing_gap(self, sweep_output, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
         manifest = json.loads((sweep_output / "manifest.json").read_text())
@@ -813,3 +861,30 @@ class TestRuntimeDependencies:
         """, tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]", done.stdout + done.stderr
+
+    def test_only_a_sweep_that_forks_workers_loads_the_process_pool(self, tmp_path):
+        write_json(tmp_path / "run.json", run_config())
+        write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=2, budget_multiplier=50))
+        done = _python("""
+            import sys
+            from debox.cli import main
+
+            def loaded():
+                return [name for name in ("multiprocessing", "concurrent.futures.process") if name in sys.modules]
+
+            commands = [
+                ["list"],
+                ["run", "--config", "run.json", "--out", "run"],
+                ["sweep", "--config", "sweep.json", "--out", "p1", "--parallelism", "1"],
+                ["classify", "--manifest", "p1/manifest.json"],
+                ["sweep", "--config", "sweep.json", "--out", "p2", "--parallelism", "2"],
+            ]
+            seen = [loaded()]
+            for argv in commands:
+                assert main(argv) == 0, argv
+                seen.append(loaded())
+            print(seen)
+        """, tmp_path)
+        assert done.returncode == 0, done.stderr
+        pool = ["multiprocessing", "concurrent.futures.process"]
+        assert done.stdout.splitlines()[-1] == str([[], [], [], [], [], pool]), done.stdout + done.stderr
