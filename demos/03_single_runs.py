@@ -18,13 +18,13 @@ for engine in ("classic", "lshade"):
 
     print(f"=== {engine} / mirror on separable_ellipsoid (n=10, budget {BUDGET}) ===")
     milestones = np.linspace(0, len(result.records) - 1, 6).astype(int)
+    columns = result.records.columns
     print(f"{'gen':>6}{'evals':>9}{'pop':>6}{'best error':>14}{'violation ratio':>17}")
     for index in milestones:
-        record = result.records[index]
         print(
-            f"{record.generation:>6}{record.feasible_evaluations:>9}"
-            f"{record.population_size:>6}{record.best_error:>14.3e}"
-            f"{record.infeasible_component_ratio:>17.4f}"
+            f"{columns['generation'][index]:>6}{columns['feasible_evaluations'][index]:>9}"
+            f"{columns['population_size'][index]:>6}{columns['best_error'][index]:>14.3e}"
+            f"{columns['infeasible_component_ratio'][index]:>17.4f}"
         )
     print(
         f"final: error {result.best_error:.3e}, behaviour {result.behaviour.value}, "

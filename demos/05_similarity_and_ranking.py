@@ -18,7 +18,6 @@ from debox import (
     run,
 )
 from debox.analysis import similarity_matrix
-from debox.telemetry import records_to_columns
 
 METHODS = ("sat", "mirror", "uniform", "beta", "expTarget", "vectorTarget", "dismiss")
 FUNCTIONS = ("sphere", "rastrigin")
@@ -34,7 +33,7 @@ for function in FUNCTIONS:
             problem = make_instance(function, 1, 6, "SBOX")
             result = run(RunConfig(problem=problem, engine="lshade", bchm=method,
                                    budget=BUDGET, seed=seed))
-            runs_by_method[method].append(records_to_columns(result.records))
+            runs_by_method[method].append(result.records.columns)
             cell_errors.append(result.best_error)
         errors[(function, method)] = cell_errors
 

@@ -85,7 +85,6 @@ def _metric_series(run: Mapping[str, Sequence[float]], metric: str) -> tuple[np.
 class TrajectoryMatrix:
     row_labels: tuple[str, ...]
     rows: np.ndarray  # (K, G)
-    metric: str
 
 
 def build_trajectory_matrix(
@@ -115,7 +114,7 @@ def build_trajectory_matrix(
             raise ValueError(f"{metric} of label {label!r} holds NaN "
                              "(runs without a known optimum have no best_so_far)")
         rows.append(row)
-    return TrajectoryMatrix(row_labels=labels, rows=np.vstack(rows), metric=metric)
+    return TrajectoryMatrix(row_labels=labels, rows=np.vstack(rows))
 
 
 # ---------------------------------------------------------------------------

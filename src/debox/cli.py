@@ -94,6 +94,9 @@ _CELL_KEY = ("function", "mode", "dimension", "engine", "bchm")
 #: the keys of one run of a sweep: the manifest lists each run once, in their order
 _RUN_KEY = (*_CELL_KEY, "instance", "run_index")
 
+#: the keys of a manifest entry that the analysis commands read
+_ENTRY_KEYS = (*_RUN_KEY, "seed", "trajectory_csv", "summary_json")
+
 #: run keys a sweep sets once for all its cells
 _SHARED = ("budget_multiplier", "count_infeasible_evals", "classic", "plugin_modules")
 
@@ -379,13 +382,24 @@ def cmd_sweep(args) -> int:
 def _read_runs(args, read, artifact: str) -> tuple[typing.Iterator[tuple[dict, typing.Any]], str]:
     """``read`` of the ``artifact`` (``"trajectory_csv"`` or ``"summary_json"``)
     of each run in the manifest named by an analysis command, as (manifest
-    entry, value) pairs, and the output directory.  Every cell the manifest
-    lists must have succeeded, no run may be listed twice, and every run
-    artifact it lists must exist; a file that does not parse is an error that
-    names it.  The files are read as the pairs are taken, so a command holds
-    only what it keeps of each."""
+    entry, value) pairs, and the output directory.  The manifest must hold a
+    ``cells`` list whose entries have every key of ``_ENTRY_KEYS``, every
+    cell it lists must have succeeded, no run may be listed twice, and every
+    run artifact it lists must exist; a file that does not parse is an error
+    that names it.  The files are read as the pairs are taken, so a command
+    holds only what it keeps of each."""
     with open(args.manifest) as fh:
-        entries = json.load(fh)["cells"]
+        manifest = json.load(fh)
+    entries = manifest.get("cells") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"{args.manifest}: the manifest has no 'cells' list")
+    malformed = []
+    for index, entry in enumerate(entries):
+        missing = [key for key in _ENTRY_KEYS if not isinstance(entry, dict) or key not in entry]
+        if missing:
+            malformed.append(f"  cells[{index}]: no {', '.join(map(repr, missing))}")
+    if malformed:
+        raise ValueError("\n".join([f"{args.manifest}: manifest entries lack keys:", *malformed]))
     failed = _failed_cells(entries)
     if failed:
         raise RuntimeError("\n".join(["the sweep has failed cells:", *failed]))

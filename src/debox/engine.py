@@ -68,19 +68,14 @@ class ClassicDEParams:
     """Parameters of the original DE/rand/1/bin framework."""
 
     population_size: int = 50
-    scale_factor: float = 0.5
-    crossover_rate: float = 0.5
 
     def validation_errors(self) -> list[str]:
-        errors = []
-        if self.population_size < 4:
-            errors.append("classic.population_size (must be >= 4)")
-        if not 0.0 <= self.scale_factor <= 2.0:
-            errors.append("classic.scale_factor (must be in [0, 2])")
-        if not 0.0 <= self.crossover_rate < 1.0:
-            errors.append("classic.crossover_rate (must be in [0, 1))")
-        return errors
+        return ["classic.population_size (must be >= 4)"] if self.population_size < 4 else []
 
+
+#: classic DE's constants: the scale factor F and the crossover rate CR
+SCALE_FACTOR = 0.5
+CROSSOVER_RATE = 0.5
 
 #: L-SHADE's constants.  From L-SHADE (Tanabe & Fukunaga, CEC 2014): H = 6
 #: memory slots and an initial population of 18*n that LPSR shrinks to 4.
@@ -280,10 +275,10 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
 # generations
 # ---------------------------------------------------------------------------
 
-def classic_generation(pop: Population, params: ClassicDEParams, bchm: str, problem, rng: RngStream,
-                       trajectory: telemetry.Trajectory, adaptive_state: AdaptiveState | None = None,
-                       budget: int | None = None, clock: _PhaseClock | None = None) -> Population:
-    """One synchronous DE/rand/1/bin generation.
+def classic_generation(pop: Population, bchm: str, problem, rng: RngStream, trajectory: telemetry.Trajectory,
+                       adaptive_state: AdaptiveState | None = None, budget: int | None = None,
+                       clock: _PhaseClock | None = None) -> Population:
+    """One synchronous DE/rand/1/bin generation, with F = SCALE_FACTOR and CR = CROSSOVER_RATE.
 
     If the budget runs out mid-generation the remaining targets carry over
     unchanged.  Appends the generation's telemetry to ``trajectory``;
@@ -297,8 +292,8 @@ def classic_generation(pop: Population, params: ClassicDEParams, bchm: str, prob
     units = rng.random(m * (4 + n))
     index_units, crossover_units = units[:3 * m].reshape(3, m), units[3 * m:].reshape(m, 1 + n)
     r1, r2, r3 = _distinct_indices(index_units, np.arange(m), m, m, m)
-    mutants = rand1_mutant(x[r1], x[r2], x[r3], params.scale_factor)
-    return _generation(pop, mutants, params.crossover_rate, x[pop.best_index], crossover_units, bchm, problem,
+    mutants = rand1_mutant(x[r1], x[r2], x[r3], SCALE_FACTOR)
+    return _generation(pop, mutants, CROSSOVER_RATE, x[pop.best_index], crossover_units, bchm, problem,
                        rng, trajectory, adaptive_state, budget, clock)
 
 
@@ -474,8 +469,8 @@ def run(config: RunConfig) -> RunResult:
             break
         consumed_before = problem.budget_consumed
         if config.engine == "classic":
-            pop = classic_generation(pop, config.classic, config.bchm, problem, loop_rng, trajectory,
-                                     adaptive_state, budget, clock)
+            pop = classic_generation(pop, config.bchm, problem, loop_rng, trajectory, adaptive_state, budget,
+                                     clock)
         else:
             pop = lshade_generation(pop, shade_state, config.bchm, problem, loop_rng, trajectory,
                                     adaptive_state, budget, clock)
@@ -489,15 +484,16 @@ def run(config: RunConfig) -> RunResult:
             stop_reason = "stalled"
             break
     wall_time = time.perf_counter() - started
-    trajectory.trim()
 
-    best_idx, final = pop.best_index, trajectory[-1]  # the record of the final population
+    # the last entries are the final population's
+    best_idx, columns = pop.best_index, trajectory.columns
+    best_error, variance = columns["best_error"][-1].item(), columns["max_component_variance"][-1].item()
     return RunResult(
-        best_error=final.best_error, best_fitness=float(pop.fitness[best_idx]),
+        best_error=best_error, best_fitness=float(pop.fitness[best_idx]),
         best_position=pop.positions[best_idx].copy(),
-        behaviour=telemetry.classify(final.best_error, final.max_component_variance),
+        behaviour=telemetry.classify(best_error, variance),
         classification_mode="variance_only" if problem.optimum_value is None else "error_and_variance",
         records=trajectory, evaluations_used=problem.budget_consumed, generations=pop.generation,
-        final_max_component_variance=final.max_component_variance, wall_time_seconds=wall_time,
+        final_max_component_variance=variance, wall_time_seconds=wall_time,
         stop_reason=stop_reason, phase_seconds=dict(zip(PHASES, clock.seconds)),
     )

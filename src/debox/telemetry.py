@@ -104,15 +104,13 @@ class Trajectory:
     of the adaptive BCHM and absent otherwise.
 
     :func:`record_generation` appends a generation in place; the columns
-    grow geometrically, and :meth:`trim` cuts them to the generations held.
-    As a sequence of :class:`GenerationRecord` a trajectory has ``len``,
-    iteration, ``[i]`` (a record of Python numbers) and slices (a trajectory
-    of views).
+    grow geometrically.  A trajectory has ``len``, and iteration yields each
+    generation as a :class:`GenerationRecord`.
     """
 
-    def __init__(self, columns: dict[str, np.ndarray] | None = None) -> None:
-        self._columns = dict(columns or {})
-        self._size = self._capacity = len(self._columns.get("generation", ()))
+    def __init__(self) -> None:
+        self._columns = {}
+        self._size = self._capacity = 0
 
     @property
     def columns(self) -> dict[str, np.ndarray]:
@@ -121,12 +119,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self._size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Trajectory({name: column[index] for name, column in self.columns.items()})
-        index = range(self._size)[index]
-        return GenerationRecord(**{name: column[index].tolist() for name, column in self._columns.items()})
 
     def __iter__(self):
         columns = {name: column.tolist() for name, column in self.columns.items()}
@@ -147,11 +139,6 @@ class Trajectory:
             self._columns = grown
         self._size = size + 1
         return size
-
-    def trim(self) -> None:
-        """Cut every column to the generations held, releasing the spare rows."""
-        self._columns = {name: column[:self._size].copy() for name, column in self._columns.items()}
-        self._capacity = self._size
 
 
 def record_generation(trajectory: Trajectory, outside: np.ndarray, infeasible: int, population: Population,

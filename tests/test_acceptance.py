@@ -172,7 +172,7 @@ def test_c05_engine_convergence(lshade_ellipsoid_runs):
             bchm="sat",
             budget=100_000,
             seed=seed,
-            classic=ClassicDEParams(population_size=50, scale_factor=0.5, crossover_rate=0.5),
+            classic=ClassicDEParams(population_size=50),
         )
         classic_errors.append(run(config).best_error)
     classic_median = float(np.median(classic_errors))
@@ -217,7 +217,7 @@ def test_c07_violation_pattern_near_boundary():
             seed=seed, max_generations=50,
         )
         result = run(config)
-        return float(result.records[:50].columns["infeasible_component_ratio"].mean())
+        return float(result.records.columns["infeasible_component_ratio"][:50].mean())
 
     near = np.full(20, 5.0 - 0.01)
     centered = np.zeros(20)

@@ -157,7 +157,7 @@ class TestCompleteLinkage:
             rows[kinds == 0] = 0.0  # zero rows
             for i in np.flatnonzero(kinds == 1):  # rows parallel (or antiparallel) to the first
                 rows[i] = rows[0] * rng.choice([-3.0, 0.5, 1.0, 7.0])
-            sim = similarity_matrix(TrajectoryMatrix(tuple(map(str, range(k))), rows, "violation_probability"))
+            sim = similarity_matrix(TrajectoryMatrix(tuple(map(str, range(k))), rows))
             expected = np.array([[1.0 if i == j else cosine_similarity(rows[i], rows[j]) for j in range(k)]
                                  for i in range(k)])
             assert sim.tobytes() == expected.tobytes()

@@ -88,6 +88,14 @@ class TestRunCommand:
                 assert capsys.readouterr().err.splitlines() == [f"config error: {key} (unknown key)"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["scale_factor", "crossover_rate"])
+    def test_classic_f_and_cr_are_constants_not_keys(self, tmp_path, capsys, key):
+        for command, payload in (("run", run_config()), ("sweep", sweep_config())):
+            config = write_json(tmp_path / f"{command}.json", dict(payload, classic={"population_size": 8, key: 0.5}))
+            assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2, command
+            assert capsys.readouterr().err.splitlines() == [f"config error: classic.{key} (unknown key)"]
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_method_id_exits_2(self, tmp_path, capsys):
         config = write_json(tmp_path / "run.json", run_config(bchm="clip"))
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
@@ -754,6 +762,25 @@ class TestAnalysisCommands:
             assert main([command, "--manifest", str(manifest_path), "--out", str(tmp_path / command)]) == 1
             assert capsys.readouterr().err.splitlines() == ["error: the manifest lists runs more than once:",
                                                             f"  {stem}"], command
+            assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize("break_manifest, lines", [
+        (lambda m: m["cells"][3].pop("run_index"), ["manifest entries lack keys:", "  cells[3]: no 'run_index'"]),
+        (lambda m: m["cells"][0].pop("trajectory_csv"),
+         ["manifest entries lack keys:", "  cells[0]: no 'trajectory_csv'"]),
+        (lambda m: m.pop("cells"), ["the manifest has no 'cells' list"]),
+    ], ids=["run_index", "trajectory_csv", "cells"])
+    def test_a_malformed_manifest_exits_1_naming_it_and_the_entry(self, sweep_output, tmp_path, capsys,
+                                                                  break_manifest, lines):
+        manifest = json.loads((sweep_output / "manifest.json").read_text())
+        break_manifest(manifest)
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        os.symlink(sweep_output / "runs", tmp_path / "runs")
+        for command in ("classify", "cluster", "rank"):
+            assert main([command, "--manifest", str(manifest_path), "--out", str(tmp_path / command)]) == 1
+            first, *rest = lines
+            assert capsys.readouterr().err.splitlines() == [f"error: {manifest_path}: {first}", *rest], command
             assert not (tmp_path / command).exists()
 
     def test_missing_trajectory_exits_1_listing_gap(self, sweep_output, tmp_path, capsys):

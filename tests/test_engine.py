@@ -268,7 +268,7 @@ class TestDrawBlock:
         positions = rng.uniform(-5, 5, (12, 3))
         pop = Population(positions, problem.evaluate_batch(positions))
         rng.log.clear()
-        classic_generation(pop, ClassicDEParams(population_size=12), "sat", problem, rng, Trajectory())
+        classic_generation(pop, "sat", problem, rng, Trajectory())
         assert [(name, out.size) for name, out in rng.log] == [("random", 12 * (4 + 3))]
 
         m, with_rounds = 12, set()
@@ -299,19 +299,19 @@ class TestClassicGeneration:
         fitness = np.array([problem.evaluate(x) for x in positions])
         pop = Population(positions, fitness)
         # every index unit is 0, the lowest free slot, so the donor triples
-        # are r1, r2, r3 = (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2); each
-        # pushes component 0 of the mutant far outside the box and i_rand = 0
-        # transfers it into the trial, so all four trials are dismissed and
-        # the population must survive unchanged;
+        # are r1, r2, r3 = (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2); at
+        # F = 0.5 they put component 0 of the mutants at 6.5, 6, 8.25 and
+        # 6.25, outside the box, and i_rand = 0 transfers it into the trial,
+        # so all four trials are dismissed and the population must survive
+        # unchanged;
         # block order: r1, r2, r3 for all four rows, then per row i_rand and the units
         script = scripted(units=[0.0] * 12 + [0.0, 0.9, 0.9] * 4)
-        params = ClassicDEParams(population_size=4, scale_factor=2.0, crossover_rate=0.5)
         trajectory = Trajectory()
-        new_pop = classic_generation(pop, params, "dismiss", problem, script, trajectory)
+        new_pop = classic_generation(pop, "dismiss", problem, script, trajectory)
         assert_allclose(new_pop.positions, positions)
         assert len(trajectory) == 1
-        assert trajectory[0].corrections_applied == 4
-        assert trajectory[0].infeasible_individual_ratio == 1.0
+        assert trajectory.columns["corrections_applied"][0] == 4
+        assert trajectory.columns["infeasible_individual_ratio"][0] == 1.0
         assert problem.feasible_evaluations == 4  # only the initial evaluations
         assert problem.infeasible_evaluations == 4  # dismissed trials count as infeasible calls
 
@@ -337,8 +337,7 @@ class TestClassicGeneration:
         for row in range(4):
             block += [unit(i_rand[row], 2)] + units[2 * row:2 * row + 2]
         script = scripted(units=block)
-        params = ClassicDEParams(population_size=4, scale_factor=0.5, crossover_rate=0.5)
-        new_pop = classic_generation(pop, params, "sat", problem, script, Trajectory())
+        new_pop = classic_generation(pop, "sat", problem, script, Trajectory())
         assert script.units == [] and script.calls == [len(block)]
 
         mutants = positions[r1] + 0.5 * (positions[r2] - positions[r3])
@@ -355,7 +354,7 @@ class TestClassicGeneration:
         problem = centered_problem(dimension=2)
         pop = Population(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="at least 4"):
-            classic_generation(pop, ClassicDEParams(), "sat", problem, RngStream(0), Trajectory())
+            classic_generation(pop, "sat", problem, RngStream(0), Trajectory())
 
 
 class TestRun:
@@ -411,7 +410,7 @@ class TestRun:
         # sat and dismiss draw nothing from the stream, so the measured
         # ratios must agree on the first generation even though one method
         # repairs the trials and the other throws them away
-        def first_record(bchm):
+        def first_generation(bchm):
             problem = BenchmarkProblem(
                 function_id="sphere",
                 instance_id=0,
@@ -422,13 +421,12 @@ class TestRun:
             )
             config = RunConfig(problem=problem, engine="classic", bchm=bchm, budget=2000,
                                seed=3, max_generations=1)
-            return run(config).records[0]
+            return run(config).records.columns
 
-        sat_record = first_record("sat")
-        dismiss_record = first_record("dismiss")
-        assert sat_record.corrections_applied == dismiss_record.corrections_applied > 0
-        assert sat_record.infeasible_component_ratio == dismiss_record.infeasible_component_ratio
-        assert sat_record.infeasible_individual_ratio == dismiss_record.infeasible_individual_ratio
+        sat, dismiss = first_generation("sat"), first_generation("dismiss")
+        assert sat["corrections_applied"][0] == dismiss["corrections_applied"][0] > 0
+        assert sat["infeasible_component_ratio"][0] == dismiss["infeasible_component_ratio"][0]
+        assert sat["infeasible_individual_ratio"][0] == dismiss["infeasible_individual_ratio"][0]
 
     def test_no_infeasible_evaluation_under_correcting_methods(self):
         problem = centered_problem(dimension=3)
@@ -456,15 +454,17 @@ class TestRun:
         assert result.evaluations_used == 2000
 
     def test_stop_reason_stalled(self, monkeypatch):
-        # F = 2 over 50 dimensions: every trial leaves the box somewhere, dismiss
-        # throws it away for free, and the four targets never change, so no
-        # generation consumes budget until the stall guard ends the run; a
-        # shorter guard than the default 10,000 generations keeps the test fast
+        # F = 2 and CR = 0.9 over 50 dimensions: every trial leaves the box
+        # somewhere, dismiss throws it away for free, and the four targets
+        # never change, so no generation consumes budget until the stall guard
+        # ends the run; a shorter guard than the default 10,000 generations
+        # keeps the test fast
         monkeypatch.setattr(engine, "STALL_GENERATIONS", 500)
+        monkeypatch.setattr(engine, "SCALE_FACTOR", 2.0)
+        monkeypatch.setattr(engine, "CROSSOVER_RATE", 0.9)
         problem = centered_problem(dimension=50)
-        params = ClassicDEParams(population_size=4, scale_factor=2.0, crossover_rate=0.9)
         result = run(RunConfig(problem=problem, engine="classic", bchm="dismiss", budget=100, seed=1,
-                               classic=params))
+                               classic=ClassicDEParams(population_size=4)))
         assert result.stop_reason == "stalled"
         assert result.evaluations_used == 4  # the initial population only
         assert result.generations == 500
@@ -508,7 +508,6 @@ class TestRun:
     def test_adaptive_bchm_runs_and_reports_probabilities(self):
         problem = make_instance("sphere", 1, 4, "SBOX")
         result = run(RunConfig(problem=problem, engine="lshade", bchm="adaptive", budget=5000, seed=8))
-        assert result.records[0].adaptive_probabilities is not None
         probabilities = result.records.columns["adaptive_probabilities"]
         assert probabilities.shape == (result.generations, 5)
         assert_allclose(probabilities.sum(axis=1), 1.0, atol=1e-12)
@@ -552,23 +551,27 @@ class TestRun:
     def test_final_error_and_class_are_the_last_record(self, make_problem):
         problem = make_problem()
         result = run(RunConfig(problem=problem, engine="lshade", bchm="mirror", budget=2000, seed=9))
-        last = result.records[-1]
+        last_error = result.records.columns["best_error"][-1]
+        last_variance = result.records.columns["max_component_variance"][-1]
         f_star = problem.optimum_value
         expected_error = np.nan if f_star is None else result.best_fitness - f_star
         assert_array_equal(result.best_error, expected_error)
-        assert_array_equal(last.best_error, expected_error)
-        assert result.final_max_component_variance == last.max_component_variance
-        assert result.behaviour is telemetry.classify(last.best_error, last.max_component_variance)
+        assert_array_equal(last_error, expected_error)
+        assert type(result.best_error) is float and type(result.final_max_component_variance) is float
+        assert result.final_max_component_variance == last_variance
+        assert result.behaviour is telemetry.classify(last_error, last_variance)
         assert result.classification_mode == ("variance_only" if f_star is None else "error_and_variance")
 
-    def test_bchm_is_noop_when_never_activated(self):
+    def test_bchm_is_noop_when_never_activated(self, monkeypatch):
         # with a tiny scale factor and centered optimum no trial ever leaves
         # the box, so the correcting method cannot matter
+        monkeypatch.setattr(engine, "SCALE_FACTOR", 1e-6)
+        monkeypatch.setattr(engine, "CROSSOVER_RATE", 0.1)
+
         def trajectory(bchm):
             problem = centered_problem(dimension=3)
-            params = ClassicDEParams(population_size=10, scale_factor=1e-6, crossover_rate=0.1)
             config = RunConfig(problem=problem, engine="classic", bchm=bchm, budget=600, seed=13,
-                               classic=params)
+                               classic=ClassicDEParams(population_size=10))
             result = run(config)
             assert not result.records.columns["corrections_applied"].any()
             return result.records.columns["best_error"]
@@ -593,11 +596,10 @@ class TestStructuralBias:
         pop = Population(positions, problem.evaluate_batch(positions))
         # 40 generations of 20 trials spend under 0.1% of the budget: LPSR keeps all 20
         state = ShadeState.create(5, 10**6, 20)
-        params = ClassicDEParams(population_size=20)
         trajectory = Trajectory()
         for _ in range(40):
             if engine == "classic":
-                pop = classic_generation(pop, params, bchm, problem, rng, trajectory)
+                pop = classic_generation(pop, bchm, problem, rng, trajectory)
             else:
                 pop = lshade_generation(pop, state, bchm, problem, rng, trajectory)
         return pop.positions

@@ -79,11 +79,11 @@ def violations(trials, problem):
 
 
 def record(trials, pop, problem, **kwargs):
-    """The record that record_generation appends for one generation of ``trials``."""
+    """The values record_generation appends for one generation of ``trials``, by column name."""
     trajectory = Trajectory()
     record_generation(trajectory, *violations(trials, problem), pop, problem, **kwargs)
     assert len(trajectory) == 1
-    return trajectory[0]
+    return {name: column[0] for name, column in trajectory.columns.items()}
 
 
 class TestRecordGeneration:
@@ -92,22 +92,22 @@ class TestRecordGeneration:
         pop = Population(np.zeros((2, 3)), np.zeros(2))
         trials = np.array([[9.0, -9.0, 0.0], [1.0, 1.0, 1.0]])
         rec = record(trials, pop, problem)
-        assert rec.infeasible_component_ratio == pytest.approx(2 / 6)
-        assert rec.infeasible_individual_ratio == pytest.approx(1 / 2)
+        assert rec["infeasible_component_ratio"] == pytest.approx(2 / 6)
+        assert rec["infeasible_individual_ratio"] == pytest.approx(1 / 2)
 
     def test_all_feasible(self):
         problem = make_problem(3)
         pop = Population(np.zeros((2, 3)), np.zeros(2))
         rec = record(np.ones((2, 3)), pop, problem)
-        assert rec.infeasible_component_ratio == 0.0
-        assert rec.infeasible_individual_ratio == 0.0
+        assert rec["infeasible_component_ratio"] == 0.0
+        assert rec["infeasible_individual_ratio"] == 0.0
 
     def test_all_infeasible(self):
         problem = make_problem(3)
         pop = Population(np.zeros((2, 3)), np.zeros(2))
         rec = record(np.full((2, 3), 9.0), pop, problem)
-        assert rec.infeasible_component_ratio == 1.0
-        assert rec.infeasible_individual_ratio == 1.0
+        assert rec["infeasible_component_ratio"] == 1.0
+        assert rec["infeasible_individual_ratio"] == 1.0
 
     def test_given_violation_mask_is_used(self):
         problem = make_problem(3)
@@ -115,10 +115,10 @@ class TestRecordGeneration:
         outside = np.array([[True, True, False], [False, False, False]])
         trajectory = Trajectory()
         record_generation(trajectory, outside, 1, pop, problem)
-        rec = trajectory[0]
-        assert rec.infeasible_component_ratio == pytest.approx(2 / 6)
-        assert rec.infeasible_individual_ratio == pytest.approx(1 / 2)
-        assert rec.corrections_applied == 1
+        columns = trajectory.columns
+        assert_array_equal(columns["infeasible_component_ratio"], [2 / 6])
+        assert_array_equal(columns["infeasible_individual_ratio"], [1 / 2])
+        assert_array_equal(columns["corrections_applied"], [1])
 
     def test_component_ratio_never_exceeds_individual_ratio(self):
         problem = make_problem(4)
@@ -134,7 +134,7 @@ class TestRecordGeneration:
         problem = make_problem(2)
         pop = Population(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0]))
         rec = record(np.zeros((3, 2)), pop, problem)
-        assert rec.best_error == 0.0
+        assert rec["best_error"] == 0.0
 
     def test_best_fitness_below_the_stated_optimum_raises(self):
         problem = make_problem(2)
@@ -148,8 +148,8 @@ class TestRecordGeneration:
         problem = make_problem(1)
         pop = Population(np.array([[-5.0], [5.0]]), np.zeros(2))
         rec = record(np.zeros((2, 1)), pop, problem)
-        assert rec.max_component_variance == 25.0
-        assert rec.mean_component_variance == 25.0
+        assert rec["max_component_variance"] == 25.0
+        assert rec["mean_component_variance"] == 25.0
 
     def test_adaptive_probabilities_in_every_row_or_none(self):
         problem = make_problem(2)
@@ -189,38 +189,25 @@ class TestTrajectory:
             name: np.dtype(np.int64 if name in _INT_FIELDS else np.float64) for name in _FIELDS}
         assert columns["adaptive_probabilities"].shape == (3, 2)
 
-    def test_trim_keeps_the_rows(self):
-        trajectory = self.filled(70, adaptive=True)
-        before = {name: column.copy() for name, column in trajectory.columns.items()}
-        trajectory.trim()
-        after = trajectory.columns
-        assert before.keys() == after.keys()
-        for name in before:
-            assert_array_equal(after[name], before[name])
-            assert after[name].base is None or after[name].base.shape[0] == 70
-
     def test_a_row_is_a_record_of_python_numbers(self):
         trajectory = self.filled(5, adaptive=True)
-        rec = trajectory[1]
+        rec = list(trajectory)[1]
         assert isinstance(rec, GenerationRecord)
         assert rec == GenerationRecord(2, 0, 3, 2.0, 2 / 3, 2 / 3, 0.0, 0.0, 2, [0.25, 0.75])
         values = [getattr(rec, f.name) for f in dataclasses.fields(GenerationRecord)]
         assert [type(v) for v in values] == [int] * 3 + [float] * 5 + [int, list]
         assert all(type(p) is float for p in rec.adaptive_probabilities)
-        assert self.filled(2)[0].adaptive_probabilities is None
+        assert next(iter(self.filled(2))).adaptive_probabilities is None
         assert json.dumps(sum(r.corrections_applied for r in trajectory)) == "6"
 
     def test_sequence_behaviour(self):
         trajectory = self.filled(10)
-        assert trajectory[-1] == trajectory[9] and trajectory[-1].generation == 10
-        with pytest.raises(IndexError):
-            trajectory[10]
-        head = trajectory[:4]
-        assert isinstance(head, Trajectory) and len(head) == 4
-        assert [r.generation for r in head] == [1, 2, 3, 4]
-        assert [r.generation for r in trajectory[::3]] == [1, 4, 7, 10]
-        assert list(trajectory) == [trajectory[i] for i in range(10)]
-        assert len(Trajectory()) == 0 and list(Trajectory()) == []
+        assert len(trajectory) == 10
+        assert [r.generation for r in trajectory] == list(range(1, 11))
+        assert [r.best_error for r in trajectory] == trajectory.columns["best_error"].tolist()
+        with pytest.raises(TypeError):  # columns only: no row index and no slice
+            trajectory[0]
+        assert len(Trajectory()) == 0 and list(Trajectory()) == [] and Trajectory().columns == {}
 
 
 def sample_columns(adaptive):
@@ -248,9 +235,19 @@ def assert_columns_equal(actual, expected):
         assert_array_equal(actual[name], expected[name], err_msg=name)
 
 
+def trajectory_of(columns):
+    """A trajectory that holds ``columns``, appended row by row as record_generation appends."""
+    trajectory, probabilities = Trajectory(), columns.get("adaptive_probabilities")
+    for row in range(len(columns["generation"])):
+        index = trajectory._new_row(None if probabilities is None else probabilities[row])
+        for name, column in columns.items():
+            trajectory._columns[name][index] = column[row]
+    return trajectory
+
+
 class TestPersistence:
     def sample_trajectory(self, adaptive=False):
-        return Trajectory(sample_columns(adaptive))
+        return trajectory_of(sample_columns(adaptive))
 
     def test_csv_round_trip(self, tmp_path):
         for adaptive in (False, True):  # one trajectory of each kind
@@ -321,10 +318,10 @@ class TestPersistence:
         write_trajectory_csv(self.sample_trajectory(), csv_path)
         write_run_summary(json_path, {"final_error": 1.0})
         before = {path: path.read_bytes() for path in (csv_path, json_path)}
-        broken = sample_columns(adaptive=False)
-        broken["best_error"] = np.array([0.5, "not a number"], dtype=object)
+        broken = self.sample_trajectory()
+        broken._columns["best_error"] = np.array([0.5, "not a number"], dtype=object)
         with pytest.raises(ValueError):
-            write_trajectory_csv(Trajectory(broken), csv_path)
+            write_trajectory_csv(broken, csv_path)
         with pytest.raises(TypeError):
             write_run_summary(json_path, {"config": {"seed": 3}, "z_last": object()})
         assert {path: path.read_bytes() for path in (csv_path, json_path)} == before
@@ -332,7 +329,7 @@ class TestPersistence:
 
 
 def reference_csv_text(trajectory):
-    """CSV text built row by row from trajectory[i], each cell formatted by format_float:
+    """CSV text built row by row from the trajectory's records, each cell formatted by format_float:
     the row-wise writer the column-wise one must match byte for byte."""
     def cell(name, value):
         if name == "adaptive_probabilities":
