@@ -48,7 +48,6 @@ from .core import (
     stable_key,
 )
 from .engine import (
-    ClassicDEParams,
     RunConfig,
     RunResult,
     ShadeState,

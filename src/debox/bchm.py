@@ -183,16 +183,16 @@ class BetaFitParams:
 BETA_EPSILON = 0.1
 
 
-def fit_beta_params(stats: PopulationStats, bounds: Bounds, epsilon: float = BETA_EPSILON) -> BetaFitParams:
+def fit_beta_params(stats: PopulationStats, bounds: Bounds) -> BetaFitParams:
     """Moment-match Beta shapes to the population mean and variance.
 
     With the box rescaled to [0, 1]:  m_i = (Mean_i - a_i)/(b_i - a_i)
-    (clamped into [epsilon, 1-epsilon]) and v_i = Var_i/(b_i - a_i)^2, then
+    (clamped into [BETA_EPSILON, 1-BETA_EPSILON]) and v_i = Var_i/(b_i - a_i)^2, then
 
         alpha_i = m_i * (m_i*(1 - m_i)/v_i - 1),   beta_i = alpha_i*(1 - m_i)/m_i.
     """
     width = bounds.width
-    m = _clip((stats.mean - bounds.lower) / width, epsilon, 1.0 - epsilon)
+    m = _clip((stats.mean - bounds.lower) / width, BETA_EPSILON, 1.0 - BETA_EPSILON)
     v = stats.variance / width**2
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = m * (m * (1.0 - m) / v - 1.0)

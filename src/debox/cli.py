@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__, analysis, benchmarks, telemetry
 from .bchm import METHOD_IDS
 from .core import stable_key
-from .engine import BUDGET_PER_DIMENSION, ClassicDEParams, RunConfig, run
+from .engine import BUDGET_PER_DIMENSION, RunConfig, run
 
 __all__ = ["main"]
 
@@ -52,7 +52,7 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config schemas: {key: (type, default)}; a dict default is a nested schema
+# config schemas: {key: (type, default)}
 # ---------------------------------------------------------------------------
 
 _REQUIRED = dataclasses.MISSING
@@ -61,13 +61,7 @@ _REQUIRED = dataclasses.MISSING
 def _dataclass_schema(cls) -> dict:
     """The keys, types and defaults of a dataclass's fields, except ``problem``."""
     hints = typing.get_type_hints(cls)
-    schema = {}
-    for f in dataclasses.fields(cls):
-        if f.name == "problem":
-            continue
-        nested = dataclasses.is_dataclass(hints[f.name])
-        schema[f.name] = (hints[f.name], _dataclass_schema(hints[f.name]) if nested else f.default)
-    return schema
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls) if f.name != "problem"}
 
 
 #: a run config: the problem keys, the RunConfig fields and the run's extra keys
@@ -98,7 +92,7 @@ _RUN_KEY = (*_CELL_KEY, "instance", "run_index")
 _ENTRY_KEYS = (*_RUN_KEY, "seed", "trajectory_csv", "summary_json")
 
 #: run keys a sweep sets once for all its cells
-_SHARED = ("budget_multiplier", "count_infeasible_evals", "classic", "plugin_modules")
+_SHARED = ("budget_multiplier", "count_infeasible_evals", "classic_population_size", "plugin_modules")
 
 _SWEEP_SCHEMA = {
     **{key: (list[_RUN_SCHEMA[cell_key][0]], _REQUIRED) for key, cell_key in _GRID.items()},
@@ -120,25 +114,21 @@ def _is_a(value, hint) -> bool:
     return isinstance(value, kinds) or (isinstance(value, int) and float in kinds)
 
 
-def _fill(data, schema: dict, prefix: str = "") -> tuple[dict, list[str]]:
+def _fill(data, schema: dict) -> tuple[dict, list[str]]:
     """``data`` checked key by key against ``schema``, with its defaults filled in."""
     if not isinstance(data, dict):
-        return {}, [f"{prefix.rstrip('.') or 'config'} (expected a JSON object)"]
-    errors = [f"{prefix}{key} (unknown key)" for key in sorted(set(data) - set(schema))]
+        return {}, ["config (expected a JSON object)"]
+    errors = [f"{key} (unknown key)" for key in sorted(set(data) - set(schema))]
     resolved = {}
     for key, (hint, default) in schema.items():
-        name = prefix + key
-        if isinstance(default, dict):
-            resolved[key], nested = _fill(data.get(key, {}), default, name + ".")
-            errors += nested
-        elif key not in data and default is _REQUIRED:
-            errors.append(f"{name} (missing required field)")
+        if key not in data and default is _REQUIRED:
+            errors.append(f"{key} (missing required field)")
         elif key not in data:
             resolved[key] = default
         elif _is_a(data[key], hint):
             resolved[key] = data[key]
         else:
-            errors.append(f"{name} (expected {hint.__name__ if isinstance(hint, type) else hint})")
+            errors.append(f"{key} (expected {hint.__name__ if isinstance(hint, type) else hint})")
     return resolved, errors
 
 
@@ -156,13 +146,13 @@ def _import_plugins(modules: list[str]) -> None:
         importlib.import_module(module)
 
 
-_RUN_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.name not in ("problem", "classic")]
+_RUN_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.name != "problem"]
 
 
 def _run_config(resolved: dict, problem) -> RunConfig:
     """The RunConfig a resolved run config describes, around ``problem``."""
     fields = {key: resolved[key] for key in _RUN_FIELDS}
-    return RunConfig(problem=problem, **fields, classic=ClassicDEParams(**resolved["classic"]))
+    return RunConfig(problem=problem, **fields)
 
 
 def _resolve_run(data) -> dict:

@@ -167,8 +167,8 @@ class RngStream:
     def normal(self, loc=0.0, scale=1.0, size=None):
         if _anywhere(operator.le, scale, 0.0):
             raise ValueError("invalid distribution parameters: normal scale must be > 0")
-        if size is None:
-            return self._gen.normal(loc, scale)
+        if size is None:  # one draw per entry of the broadcast parameters, as Generator.normal does
+            size = np.broadcast_shapes(np.shape(loc), np.shape(scale)) or None
         # bit-identical to Generator.normal, without its slow array-parameter path
         return loc + scale * self._gen.standard_normal(size)
 

@@ -46,7 +46,7 @@ the archive afterwards, with the memory update and the size reduction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,20 +57,10 @@ from .benchmarks import BenchmarkProblem
 from .core import Population, RngStream, population_stats
 
 __all__ = [
-    "ClassicDEParams", "PHASES", "RunConfig", "RunResult", "ShadeState",
+    "PHASES", "RunConfig", "RunResult", "ShadeState",
     "binomial_crossover", "classic_generation", "lehmer_mean", "lpsr_target_size", "lshade_generation",
     "rand1_mutant", "run", "sample_crossover_rate", "sample_scale_factor",
 ]
-
-
-@dataclass
-class ClassicDEParams:
-    """Parameters of the original DE/rand/1/bin framework."""
-
-    population_size: int = 50
-
-    def validation_errors(self) -> list[str]:
-        return ["classic.population_size (must be >= 4)"] if self.population_size < 4 else []
 
 
 #: classic DE's constants: the scale factor F and the crossover rate CR
@@ -383,14 +373,14 @@ class RunConfig:
     budget: int | None = None  # default: BUDGET_PER_DIMENSION * dimension
     seed: int = 0
     max_generations: int | None = None
-    classic: ClassicDEParams = field(default_factory=ClassicDEParams)
+    classic_population_size: int = 50  # the initial size N of classic DE (DE/rand/1/bin)
 
     def resolved_budget(self, dimension: int) -> int:
         return self.budget if self.budget is not None else BUDGET_PER_DIMENSION * dimension
 
     def initial_size(self, dimension: int) -> int:
         """The size of the initial population, which spends the first evaluations."""
-        return self.classic.population_size if self.engine == "classic" else INIT_SIZE_PER_DIMENSION * dimension
+        return self.classic_population_size if self.engine == "classic" else INIT_SIZE_PER_DIMENSION * dimension
 
     def validation_errors(self, dimension: int | None = None) -> list[str]:
         """One message per invalid field; the problem is not consulted.  Given
@@ -411,7 +401,9 @@ class RunConfig:
             errors.append("seed (must be >= 0)")
         if self.max_generations is not None and self.max_generations <= 0:
             errors.append("max_generations (must be positive)")
-        return errors + self.classic.validation_errors()
+        if self.classic_population_size < 4:
+            errors.append("classic_population_size (must be >= 4)")
+        return errors
 
     def validate(self) -> None:
         errors = self.validation_errors(None if self.problem is None else self.problem.dimension)

@@ -25,7 +25,7 @@ from debox.bchm import (
 from debox.benchmarks import BenchmarkProblem, make_instance
 from debox.cli import main as cli_main
 from debox.core import Bounds, Population, PopulationStats, RngStream, population_stats
-from debox.engine import ClassicDEParams, RunConfig, run
+from debox.engine import RunConfig, run
 from debox.telemetry import BehaviourClass, classify
 from conftest import ScriptedStream
 
@@ -86,7 +86,7 @@ def test_c02_beta_parameter_oracle():
     params = fit_beta_params(PopulationStats(np.array([0.0]), np.array([1.0])), box)
     assert abs(params.alpha[0] - 12.0) < 1e-12
     assert abs(params.beta[0] - 12.0) < 1e-12
-    eps = fit_beta_params(PopulationStats(np.array([-5.0]), np.array([1.0])), box, epsilon=0.1)
+    eps = fit_beta_params(PopulationStats(np.array([-5.0]), np.array([1.0])), box)
     assert eps.m[0] == 0.1
     fallback = fit_beta_params(PopulationStats(np.array([0.0]), np.array([25.0])), box)
     assert fallback.fallback_mask[0]
@@ -172,7 +172,7 @@ def test_c05_engine_convergence(lshade_ellipsoid_runs):
             bchm="sat",
             budget=100_000,
             seed=seed,
-            classic=ClassicDEParams(population_size=50),
+            classic_population_size=50,
         )
         classic_errors.append(run(config).best_error)
     classic_median = float(np.median(classic_errors))
@@ -290,7 +290,7 @@ def test_c11_sweep_determinism(tmp_path):
         "runs_per_cell": 2,
         "budget_multiplier": 200,
         "base_seed": 11,
-        "classic": {"population_size": 8},
+        "classic_population_size": 8,
     }
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps(config))

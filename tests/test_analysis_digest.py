@@ -24,7 +24,7 @@ SWEEP = {
     "runs_per_cell": 2,
     "budget_multiplier": 300,
     "base_seed": 11,
-    "classic": {"population_size": 8},
+    "classic_population_size": 8,
 }
 
 DIGESTS = {

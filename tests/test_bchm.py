@@ -101,7 +101,7 @@ class TestFitBetaParams:
 
     def test_epsilon_substitution_at_boundary_mean(self):
         stats = PopulationStats(mean=np.array([-5.0]), variance=np.array([1.0]))
-        params = fit_beta_params(stats, BOX1, epsilon=0.1)
+        params = fit_beta_params(stats, BOX1)
         assert_allclose(params.m, [0.1])
 
     def test_non_positive_shape_routes_to_fallback(self):

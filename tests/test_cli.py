@@ -34,7 +34,7 @@ def run_config(**overrides):
         "bchm": "sat",
         "seed": 1,
         "budget": 400,
-        "classic": {"population_size": 10},
+        "classic_population_size": 10,
     }
     config.update(overrides)
     return config
@@ -50,7 +50,7 @@ def sweep_config(**overrides):
         "runs_per_cell": 3,
         "budget_multiplier": 150,
         "base_seed": 7,
-        "classic": {"population_size": 8},
+        "classic_population_size": 8,
     }
     config.update(overrides)
     return config
@@ -93,7 +93,15 @@ class TestRunCommand:
         for command, payload in (("run", run_config()), ("sweep", sweep_config())):
             config = write_json(tmp_path / f"{command}.json", dict(payload, classic={"population_size": 8, key: 0.5}))
             assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2, command
-            assert capsys.readouterr().err.splitlines() == [f"config error: classic.{key} (unknown key)"]
+            assert capsys.readouterr().err.splitlines() == ["config error: classic (unknown key)"]
+        assert not (tmp_path / "o").exists()
+
+    def test_the_former_classic_object_is_an_unknown_key(self, tmp_path, capsys):
+        # classic DE's population size is the flat key classic_population_size; the object it sat in is gone
+        for command, payload in (("run", run_config()), ("sweep", sweep_config())):
+            config = write_json(tmp_path / f"{command}.json", dict(payload, classic={"population_size": 8}))
+            assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 2, command
+            assert capsys.readouterr().err.splitlines() == ["config error: classic (unknown key)"]
         assert not (tmp_path / "o").exists()
 
     def test_unknown_method_id_exits_2(self, tmp_path, capsys):
@@ -103,20 +111,14 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("field, value", [
         ("budget", -5),
-        ("classic.population_size", 2),
-        ("classic.population_size", "ten"),
+        ("classic_population_size", 2),
+        ("classic_population_size", "ten"),
         ("mode", "BOX"),
         ("engine", "jade"),
         ("dimension", 1),
     ])
     def test_range_and_type_errors_exit_2_naming_the_field(self, tmp_path, capsys, field, value):
-        payload = run_config()
-        *parents, key = field.split(".")
-        target = payload
-        for parent in parents:
-            target = target.setdefault(parent, {})
-        target[key] = value
-        config = write_json(tmp_path / "run.json", payload)
+        config = write_json(tmp_path / "run.json", run_config(**{field: value}))
         assert main(["run", "--config", config, "--out", str(tmp_path / "o")]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert [line for line in lines if line.startswith(f"config error: {field} ")] and len(lines) == 1
@@ -131,7 +133,12 @@ class TestRunCommand:
         assert not (tmp_path / "o").exists()
 
     def test_every_dataclass_field_is_a_key_echoed_with_its_default(self, tmp_path):
-        # drift guard: the run schema is read from RunConfig and ClassicDEParams
+        # drift guard: the run schema is RunConfig's fields less problem, plus the problem keys and the
+        # run's own keys, and it is flat
+        fields = {f.name for f in dataclasses.fields(RunConfig)} - {"problem"}
+        assert set(cli._RUN_SCHEMA) == fields | {"function", "instance", "dimension", "mode",
+                                                 "budget_multiplier", "plugin_modules"}
+        assert not [key for key, (_, default) in cli._RUN_SCHEMA.items() if isinstance(default, dict)]
         defaults = dataclasses.asdict(RunConfig(problem=None))
         del defaults["problem"]
         payload = {"function": "sphere", "dimension": 2, "budget_multiplier": 50, **defaults}
@@ -157,7 +164,7 @@ class TestRunCommand:
         summary = json.loads(next(p for p in out.iterdir() if p.suffix == ".json").read_text())
         assert summary["config"]["budget"] == 400
         assert summary["config"]["mode"] == "SBOX"
-        assert summary["config"]["classic"]["population_size"] == 10
+        assert summary["config"]["classic_population_size"] == 10
         assert summary["behaviour_class"] in ("GB", "SF", "PC", "BB")
 
     def test_summary_reports_stop_reason_and_phase_seconds(self, tmp_path):
@@ -378,10 +385,10 @@ class TestSweepCommand:
         assert main(["classify", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path)]) == 0
 
     def test_bad_cell_value_starts_no_run(self, tmp_path, capsys):
-        config = write_json(tmp_path / "sweep.json", sweep_config(classic={"population_size": 2}))
+        config = write_json(tmp_path / "sweep.json", sweep_config(classic_population_size=2))
         out = tmp_path / "out"
         assert main(["sweep", "--config", config, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == ["config error: classic.population_size (must be >= 4)"]
+        assert capsys.readouterr().err.splitlines() == ["config error: classic_population_size (must be >= 4)"]
         assert not out.exists()
 
     def test_budget_the_initial_population_uses_up_starts_no_run(self, tmp_path, capsys):

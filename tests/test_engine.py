@@ -12,7 +12,6 @@ from debox.core import Bounds, Population, RngStream
 from debox.telemetry import Trajectory
 from debox.engine import (
     PHASES,
-    ClassicDEParams,
     RunConfig,
     ShadeState,
     binomial_crossover,
@@ -464,7 +463,7 @@ class TestRun:
         monkeypatch.setattr(engine, "CROSSOVER_RATE", 0.9)
         problem = centered_problem(dimension=50)
         result = run(RunConfig(problem=problem, engine="classic", bchm="dismiss", budget=100, seed=1,
-                               classic=ClassicDEParams(population_size=4)))
+                               classic_population_size=4))
         assert result.stop_reason == "stalled"
         assert result.evaluations_used == 4  # the initial population only
         assert result.generations == 500
@@ -529,7 +528,7 @@ class TestRun:
         problem = make_problem()  # one object, run twice: each run sets the charging from its own config
         for charged in (True, False):
             config = RunConfig(problem=problem, count_infeasible_evals=charged, engine="classic",
-                               bchm="dismiss", budget=600, seed=2, classic=ClassicDEParams(population_size=10))
+                               bchm="dismiss", budget=600, seed=2, classic_population_size=10)
             result = run(config)
             assert problem.infeasible_evaluations > 0
             spent = problem.feasible_evaluations + (problem.infeasible_evaluations if charged else 0)
@@ -571,7 +570,7 @@ class TestRun:
         def trajectory(bchm):
             problem = centered_problem(dimension=3)
             config = RunConfig(problem=problem, engine="classic", bchm=bchm, budget=600, seed=13,
-                               classic=ClassicDEParams(population_size=10))
+                               classic_population_size=10)
             result = run(config)
             assert not result.records.columns["corrections_applied"].any()
             return result.records.columns["best_error"]

@@ -40,7 +40,7 @@ def test_library_quick_start_runs(tmp_path):
 def test_plugin_module_runs_from_a_config(tmp_path):
     (tmp_path / "my_problems.py").write_text(_code_block("### Plugin problems", "python"))
     config = {"function": "shifted_abs", "plugin_modules": ["my_problems"], "dimension": 2, "engine": "classic",
-              "bchm": "sat", "seed": 1, "budget": 200, "classic": {"population_size": 10}}
+              "bchm": "sat", "seed": 1, "budget": 200, "classic_population_size": 10}
     (tmp_path / "run.json").write_text(json.dumps(config))
     done = _python(["-m", "debox.cli", "run", "--config", "run.json", "--out", "out"], tmp_path)
     assert done.returncode == 0, done.stderr
