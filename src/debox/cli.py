@@ -88,8 +88,9 @@ _CELL_KEY = ("function", "mode", "dimension", "engine", "bchm")
 #: the keys of one run of a sweep: the manifest lists each run once, in their order
 _RUN_KEY = (*_CELL_KEY, "instance", "run_index")
 
-#: the keys of a manifest entry that the analysis commands read
-_ENTRY_KEYS = (*_RUN_KEY, "seed", "trajectory_csv", "summary_json")
+#: the keys of a manifest entry that the analysis commands read, and their types
+_ENTRY_TYPES = {"function": str, "mode": str, "dimension": int, "engine": str, "bchm": str, "instance": int,
+                "run_index": int, "seed": int, "trajectory_csv": str, "summary_json": str}
 
 #: run keys a sweep sets once for all its cells
 _SHARED = ("budget_multiplier", "count_infeasible_evals", "classic_population_size", "plugin_modules")
@@ -373,7 +374,8 @@ def _read_runs(args, read, artifact: str) -> tuple[typing.Iterator[tuple[dict, t
     """``read`` of the ``artifact`` (``"trajectory_csv"`` or ``"summary_json"``)
     of each run in the manifest named by an analysis command, as (manifest
     entry, value) pairs, and the output directory.  The manifest must hold a
-    ``cells`` list whose entries have every key of ``_ENTRY_KEYS``, every
+    ``cells`` list whose entries have every key of ``_ENTRY_TYPES`` with a
+    value of its type, every
     cell it lists must have succeeded, no run may be listed twice, and every
     run artifact it lists must exist; a file that does not parse is an error
     that names it.  The files are read as the pairs are taken, so a command
@@ -383,13 +385,18 @@ def _read_runs(args, read, artifact: str) -> tuple[typing.Iterator[tuple[dict, t
     entries = manifest.get("cells") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise ValueError(f"{args.manifest}: the manifest has no 'cells' list")
-    malformed = []
+    malformed, mistyped = [], []
     for index, entry in enumerate(entries):
-        missing = [key for key in _ENTRY_KEYS if not isinstance(entry, dict) or key not in entry]
+        missing = [key for key in _ENTRY_TYPES if not isinstance(entry, dict) or key not in entry]
         if missing:
             malformed.append(f"  cells[{index}]: no {', '.join(map(repr, missing))}")
+            continue
+        mistyped += [f"  cells[{index}]: {key!r} (expected {hint.__name__}, got {json.dumps(entry[key])})"
+                     for key, hint in _ENTRY_TYPES.items() if not _is_a(entry[key], hint)]
     if malformed:
         raise ValueError("\n".join([f"{args.manifest}: manifest entries lack keys:", *malformed]))
+    if mistyped:
+        raise ValueError("\n".join([f"{args.manifest}: manifest entries have values of the wrong type:", *mistyped]))
     failed = _failed_cells(entries)
     if failed:
         raise RuntimeError("\n".join(["the sweep has failed cells:", *failed]))

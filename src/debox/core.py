@@ -4,6 +4,7 @@ Everything downstream (benchmarks, corrections, engines, telemetry) is built
 on the small value types defined here.  Conventions fixed once and for all:
 
 * the box is closed -- a component sitting exactly on a bound is feasible;
+* the box is finite and no component is wider than ``MAX_BOX_WIDTH``;
 * population variance uses the biased 1/N formula;
 * a random stream is fully determined by ``(seed, stream_path)``, so
   parallel sweeps are schedule-free.
@@ -27,6 +28,12 @@ __all__ = [
 ]
 
 
+#: the widest a box component may be: the squared deviations of a population
+#: of N points in the box then sum to at most N * 1e300, which stays finite for
+#: N below about 10^8
+MAX_BOX_WIDTH = 1e150
+
+
 @dataclass(frozen=True, eq=False)
 class Bounds:
     """A box D = [lower_1, upper_1] x ... x [lower_n, upper_n]."""
@@ -43,6 +50,11 @@ class Bounds:
             raise ValueError("bounds must be finite")
         if not np.all(lo < up):
             raise ValueError("every lower bound must be strictly below its upper bound")
+        too_wide = (up > lo + MAX_BOX_WIDTH).nonzero()[0]  # up - lo itself may overflow
+        if too_wide.size:
+            i = too_wide[0]
+            raise ValueError(f"bounds component {i} spans [{lo[i]:g}, {up[i]:g}], wider than MAX_BOX_WIDTH = "
+                             f"{MAX_BOX_WIDTH:g}, the widest box in which a population's variance stays finite")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 

@@ -290,29 +290,20 @@ class TestRunCommand:
         assert os.listdir(tmp_path / "sweep_out" / "runs") == []
 
     def test_a_non_finite_variance_fails_and_writes_no_file(self, tmp_path, monkeypatch, capsys):
-        # the squared deviations of points in a box of half-width 1e200 overflow, while the objective
-        # stays finite; numpy's overflow warning is silenced so that the run reaches its own check
-        module = tmp_path / "huge_box_problems.py"
-        module.write_text(
-            "import numpy as np\n"
-            "from debox.benchmarks import ExternalProblem, register_problem\n"
-            "from debox.core import Bounds\n"
-            "register_problem('huge_box', lambda instance, dimension: ExternalProblem(\n"
-            "    name='huge_box', dimension=dimension, bounds=Bounds.symmetric(1e200, dimension),\n"
-            "    objective=lambda x: float(np.sum(np.abs(x))), optimum_value=0.0))\n"
-        )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        message = "problem 'huge_box': the final population's variance is not finite " \
+        # Bounds rejects a box wide enough for the variance to overflow, so the run result is patched
+        def run_with_inf_variance(config):
+            return dataclasses.replace(real_run(config), final_max_component_variance=float("inf"))
+
+        real_run = cli.run
+        monkeypatch.setattr(cli, "run", run_with_inf_variance)
+        message = "problem 'sphere': the final population's variance is not finite " \
                   "(final_max_component_variance inf)"
-        config = write_json(tmp_path / "run.json", run_config(
-            function="huge_box", dimension=3, budget=200, plugin_modules=["huge_box_problems"]))
+        config = write_json(tmp_path / "run.json", run_config(dimension=3, budget=200))
         sweep = write_json(tmp_path / "sweep.json", sweep_config(
-            functions=["huge_box"], dimensions=[3], bchms=["sat"], runs_per_cell=1, budget_multiplier=70,
-            plugin_modules=["huge_box_problems"]))
-        with np.errstate(over="ignore"):
-            assert main(["run", "--config", config, "--out", str(tmp_path / "run_out")]) == 1
-            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-            assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep_out")]) == 1
+            functions=["sphere"], dimensions=[3], bchms=["sat"], runs_per_cell=1, budget_multiplier=70))
+        assert main(["run", "--config", config, "--out", str(tmp_path / "run_out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep_out")]) == 1
         assert not (tmp_path / "run_out").exists()
         (cell,) = json.loads((tmp_path / "sweep_out" / "manifest.json").read_text())["cells"]
         assert (cell["status"], cell["error"]) == ("failed", f"ValueError: {message}")
@@ -776,7 +767,14 @@ class TestAnalysisCommands:
         (lambda m: m["cells"][0].pop("trajectory_csv"),
          ["manifest entries lack keys:", "  cells[0]: no 'trajectory_csv'"]),
         (lambda m: m.pop("cells"), ["the manifest has no 'cells' list"]),
-    ], ids=["run_index", "trajectory_csv", "cells"])
+        (lambda m: m["cells"][1].update(trajectory_csv=5),
+         ["manifest entries have values of the wrong type:", "  cells[1]: 'trajectory_csv' (expected str, got 5)"]),
+        (lambda m: m["cells"][2].update(dimension=[3]),
+         ["manifest entries have values of the wrong type:", "  cells[2]: 'dimension' (expected int, got [3])"]),
+        (lambda m: m["cells"][0].update(run_index="0", seed=True),
+         ["manifest entries have values of the wrong type:", "  cells[0]: 'run_index' (expected int, got \"0\")",
+          "  cells[0]: 'seed' (expected int, got true)"]),
+    ], ids=["run_index", "trajectory_csv", "cells", "trajectory_csv-type", "dimension-type", "int-type"])
     def test_a_malformed_manifest_exits_1_naming_it_and_the_entry(self, sweep_output, tmp_path, capsys,
                                                                   break_manifest, lines):
         manifest = json.loads((sweep_output / "manifest.json").read_text())

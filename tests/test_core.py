@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import kstest
 
-from debox.core import Bounds, Population, RngStream, population_stats, stable_key
+from debox.core import MAX_BOX_WIDTH, Bounds, Population, RngStream, population_stats, stable_key
 
 
 def pop_1d(*values):
@@ -25,6 +25,13 @@ class TestBounds:
         for lower, upper in (([-np.inf, -1.0], [np.inf, 1.0]), ([0.0, 0.0], [1.0, np.inf]),
                              ([np.nan, 0.0], [1.0, 1.0])):
             with pytest.raises(ValueError, match="bounds must be finite"):
+                Bounds(np.array(lower), np.array(upper))
+
+    def test_rejects_a_box_too_wide_for_a_finite_variance(self):
+        # the squared deviations of points in a box of half-width 1e200 overflow
+        Bounds.symmetric(MAX_BOX_WIDTH / 2, 3)
+        for lower, upper in (([-1e200] * 3, [1e200] * 3), ([0.0, -1.7e308], [1.0, 1.7e308])):
+            with pytest.raises(ValueError, match=r"bounds component \d spans .* wider than MAX_BOX_WIDTH = 1e\+150"):
                 Bounds(np.array(lower), np.array(upper))
 
     def test_closed_box_membership(self):
