@@ -64,13 +64,16 @@ def _dataclass_schema(cls) -> dict:
     return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls) if f.name != "problem"}
 
 
+#: the RunConfig fields a run config sets by name
+_RUN_FIELDS = _dataclass_schema(RunConfig)
+
 #: a run config: the problem keys, the RunConfig fields and the run's extra keys
 _RUN_SCHEMA = {
     "function": (str, _REQUIRED),
     "instance": (int, 1),
     "dimension": (int, _REQUIRED),
     "mode": (str, "SBOX"),
-    **_dataclass_schema(RunConfig),
+    **_RUN_FIELDS,
     "budget_multiplier": (int, BUDGET_PER_DIMENSION),
     "plugin_modules": (list[str], []),
 }
@@ -145,9 +148,6 @@ def _load_config(args):
 def _import_plugins(modules: list[str]) -> None:
     for module in modules:
         importlib.import_module(module)
-
-
-_RUN_FIELDS = [f.name for f in dataclasses.fields(RunConfig) if f.name != "problem"]
 
 
 def _run_config(resolved: dict, problem) -> RunConfig:
