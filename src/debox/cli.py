@@ -391,8 +391,9 @@ def _read_runs(args, read, artifact: str) -> tuple[typing.Iterator[tuple[dict, t
         if missing:
             malformed.append(f"  cells[{index}]: no {', '.join(map(repr, missing))}")
             continue
-        mistyped += [f"  cells[{index}]: {key!r} (expected {hint.__name__}, got {json.dumps(entry[key])})"
-                     for key, hint in _ENTRY_TYPES.items() if not _is_a(entry[key], hint)]
+        # json.load gives exact str and int values, and a bool is not of type int
+        mistyped += [f"  cells[{index}]: {key!r} (expected {kind.__name__}, got {json.dumps(entry[key])})"
+                     for key, kind in _ENTRY_TYPES.items() if type(entry[key]) is not kind]
     if malformed:
         raise ValueError("\n".join([f"{args.manifest}: manifest entries lack keys:", *malformed]))
     if mistyped:
