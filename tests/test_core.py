@@ -124,6 +124,15 @@ class TestDraw:
         assert samples.shape == (3,) and len(set(samples.tolist())) == 3
         assert samples[0] == RngStream(1).cauchy(0.0, 1.0)  # the scalar stream is unchanged
 
+    @pytest.mark.parametrize("loc, scale, size", [
+        (0.3, 0.1, None), (np.array([0.3, 0.5]), 0.1, None), (0.0, np.array([[1.0], [2.0]]), None),
+        (np.array([0.3, 0.5]), 0.1, (3, 2)),
+    ])
+    def test_normal_matches_generator_normal_bit_for_bit(self, loc, scale, size):
+        # one formula, loc + scale * standard_normal, with one draw per entry of the broadcast parameters
+        reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5, spawn_key=(1,))))
+        assert np.array_equal(RngStream(5, (1,)).normal(loc, scale, size), reference.normal(loc, scale, size))
+
     @pytest.mark.parametrize(
         "spec",
         [
