@@ -25,7 +25,7 @@ Method ids used in configs and CSV output:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -334,19 +334,9 @@ class AdaptiveState:
     from the per-method success ratios and never drop below ``ADAPTIVE_FLOOR``.
     """
 
-    probabilities: np.ndarray = None
-    uses: np.ndarray = None
-    successes: np.ndarray = None
-
-    def __post_init__(self) -> None:
-        k = len(ADAPTIVE_POOL)
-        if self.probabilities is None:
-            self.probabilities = np.full(k, 1.0 / k)
-        self.probabilities = np.asarray(self.probabilities, dtype=float)
-        if self.uses is None:
-            self.uses = np.zeros(k, dtype=int)
-        if self.successes is None:
-            self.successes = np.zeros(k, dtype=int)
+    probabilities: np.ndarray = field(default_factory=lambda: np.full(len(ADAPTIVE_POOL), 1.0 / len(ADAPTIVE_POOL)))
+    uses: np.ndarray = field(default_factory=lambda: np.zeros(len(ADAPTIVE_POOL), dtype=int))
+    successes: np.ndarray = field(default_factory=lambda: np.zeros(len(ADAPTIVE_POOL), dtype=int))
 
 
 def adaptive_select(state: AdaptiveState, rng: RngStream, size: int | None = None):

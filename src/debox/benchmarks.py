@@ -28,7 +28,6 @@ from .core import Bounds, RngStream, stable_key
 
 __all__ = [
     "BenchmarkProblem",
-    "CatalogEntry",
     "ExternalProblem",
     "catalog_ids",
     "create_problem",
@@ -54,7 +53,7 @@ def _raw_sphere(z: np.ndarray) -> np.ndarray:
 
 def _raw_separable_ellipsoid(z: np.ndarray) -> np.ndarray:
     n = z.shape[-1]
-    exponents = 6.0 * np.arange(n) / (n - 1) if n > 1 else np.zeros(1)
+    exponents = 6.0 * np.arange(n) / (n - 1)
     return np.add.reduce(10.0**exponents * z * z, axis=-1)
 
 
@@ -73,7 +72,7 @@ def _raw_rosenbrock(z: np.ndarray) -> np.ndarray:
 
 def _raw_different_powers(z: np.ndarray) -> np.ndarray:
     n = z.shape[-1]
-    exponents = 2.0 + (4.0 * np.arange(n) / (n - 1) if n > 1 else np.zeros(1))
+    exponents = 2.0 + 4.0 * np.arange(n) / (n - 1)
     return np.add.reduce(np.abs(z) ** exponents, axis=-1)
 
 
@@ -88,22 +87,17 @@ def _signed_slope_weights(x_star: np.ndarray, bounds: Bounds) -> np.ndarray:
     if not np.logical_and.reduce((x_star == bounds.lower) | (x_star == bounds.upper)):
         raise ValueError("linear slope requires corner optimum")
     n = x_star.size
-    return (10.0 ** (np.arange(n) / (n - 1)) if n > 1 else np.ones(1)) * np.sign(x_star)
+    return 10.0 ** (np.arange(n) / (n - 1)) * np.sign(x_star)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    raw: Callable[..., np.ndarray]  # a batch (m, n) to m values; a corner optimum's also takes x* and its weights
-    corner_optimum: bool = False
-
-
-_CATALOG: dict[str, CatalogEntry] = {
-    "sphere": CatalogEntry(_raw_sphere),
-    "separable_ellipsoid": CatalogEntry(_raw_separable_ellipsoid),
-    "rastrigin": CatalogEntry(_raw_rastrigin),
-    "linear_slope": CatalogEntry(_slope, corner_optimum=True),
-    "rosenbrock": CatalogEntry(_raw_rosenbrock),
-    "different_powers": CatalogEntry(_raw_different_powers),
+#: id -> landscape of a batch (m, n); linear_slope's also takes x* and its signed weights
+_CATALOG: dict[str, Callable[..., np.ndarray]] = {
+    "sphere": _raw_sphere,
+    "separable_ellipsoid": _raw_separable_ellipsoid,
+    "rastrigin": _raw_rastrigin,
+    "linear_slope": _slope,
+    "rosenbrock": _raw_rosenbrock,
+    "different_powers": _raw_different_powers,
 }
 
 
@@ -137,7 +131,7 @@ class BenchmarkProblem:
     feasible_evaluations: int = field(default=0, compare=False)
     infeasible_evaluations: int = field(default=0, compare=False)
     count_infeasible_evals: bool = field(default=False, init=False)
-    _slope_weights: np.ndarray | None = field(default=None, init=False, repr=False)  # corner optimum only
+    _slope_weights: np.ndarray | None = field(default=None, init=False, repr=False)  # linear_slope only
 
     def __post_init__(self) -> None:
         if self.optimum_value is not None and not math.isfinite(self.optimum_value):
@@ -148,12 +142,14 @@ class BenchmarkProblem:
                              f"for a problem of dimension {self.dimension}")
         if self.objective is not None:
             return
+        if self.function_id not in _CATALOG:
+            raise ValueError(f"unknown function {self.function_id!r}")
+        if self.dimension < 2:
+            raise ValueError(f"problem {self.function_id!r}: dimension must be >= 2, got {self.dimension}")
         self.optimum_location = np.asarray(self.optimum_location, dtype=float)
         if self.optimum_location.size != self.dimension:
             raise ValueError("optimum_location length must equal dimension")
-        if self.function_id not in _CATALOG:
-            raise ValueError(f"unknown function {self.function_id!r}")
-        if _CATALOG[self.function_id].corner_optimum:  # checked once, here, not per evaluation
+        if self.function_id == "linear_slope":  # its corner is checked once, here, not per evaluation
             self._slope_weights = _signed_slope_weights(self.optimum_location, self.bounds)
 
     @property
@@ -206,10 +202,9 @@ class BenchmarkProblem:
         """Objective values of in-box rows."""
         if self.objective is not None:
             return np.array([self.objective(x) for x in xs], dtype=float)
-        entry = _CATALOG[self.function_id]
-        if entry.corner_optimum:
-            return entry.raw(xs, self.optimum_location, self._slope_weights) + self.optimum_value
-        return entry.raw(xs - self.optimum_location) + self.optimum_value
+        if self._slope_weights is not None:
+            return _slope(xs, self.optimum_location, self._slope_weights) + self.optimum_value
+        return _CATALOG[self.function_id](xs - self.optimum_location) + self.optimum_value
 
 
 def ExternalProblem(name: str, dimension: int, bounds: Bounds, objective: Callable[[np.ndarray], float],
@@ -230,18 +225,14 @@ def make_instance(
     dimension: int,
     mode: str = "SBOX",
 ) -> BenchmarkProblem:
-    """Instantiate a catalogue function; a pure function of its arguments."""
-    if function_id not in _CATALOG:
-        raise ValueError(f"unknown function {function_id!r}")
+    """Instantiate a catalogue function; a pure function of its arguments.
+    :class:`BenchmarkProblem` checks the function id and the dimension."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if dimension < 2:
-        raise ValueError("dimension must be >= 2")
-    entry = _CATALOG[function_id]
     bounds = Bounds.symmetric(BOX_HALF_WIDTH, dimension)
     stream = RngStream(stable_key("instance", function_id, instance_id, dimension, mode))
     offset = stream.uniform(-OFFSET_RANGE, OFFSET_RANGE)
-    if entry.corner_optimum:
+    if function_id == "linear_slope":
         corner_sign = np.where(stream.random(dimension) < 0.5, -1.0, 1.0)
         x_star = corner_sign * BOX_HALF_WIDTH
     else:

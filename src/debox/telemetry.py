@@ -92,9 +92,9 @@ class GenerationRecord:
 
 #: the CSV header: one column per GenerationRecord field, in field order
 _COLUMNS = [f.name for f in fields(GenerationRecord)]
-_INT_COLUMNS = {"generation", "feasible_evaluations", "population_size", "corrections_applied"}
-#: the dtype of each column but the last, adaptive_probabilities, which is float64 of shape (G, k)
-_DTYPES = {name: np.int64 if name in _INT_COLUMNS else np.float64 for name in _COLUMNS[:-1]}
+#: the dtype of each column but the last, adaptive_probabilities, which is float64 of shape (G, k);
+#: the annotations are strings (``from __future__ import annotations``)
+_DTYPES = {f.name: {"int": np.int64, "float": np.float64}[f.type] for f in fields(GenerationRecord)[:-1]}
 
 
 class Trajectory:
@@ -211,7 +211,7 @@ def trajectory_csv_text(trajectory: Trajectory) -> str:
         column = columns.get(name)
         if column is None:  # a run that is not adaptive
             cells.append([""] * len(trajectory))
-        elif name in _INT_COLUMNS:
+        elif column.dtype == np.int64:
             cells.append(list(map(str, column.tolist())))
         elif column.ndim == 2:
             cells.append([";".join([format(p, _FLOAT_FORMAT) for p in row]) for row in column.tolist()])
@@ -228,24 +228,24 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:
     """Read a trajectory back, column by column, as the columns of the run
-    that wrote it: column name -> array."""
+    that wrote it: column name -> array.  The header must be the one
+    :func:`trajectory_csv_text` writes."""
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError("no header row")
-    header = lines[0].split(",")
+    if lines[0] != ",".join(_COLUMNS):
+        raise ValueError(f"line 1: expected the header {','.join(_COLUMNS)}")
     rows = [line.split(",") for line in lines[1:]]
     if not rows:
         raise ValueError("no generation rows")
-    if set(map(len, rows)) != {len(header)}:  # a cut or overlong line
-        number = next(number for number, row in enumerate(rows, 2) if len(row) != len(header))
-        raise ValueError(f"line {number}: expected {len(header)} fields")
-    columns = {}
-    for name, cells in zip(header, zip(*rows)):
-        if name != "adaptive_probabilities":
-            columns[name] = np.array(cells, dtype=_DTYPES.get(name, np.float64))
-        elif any(cells):  # absent when every cell is empty, as in a run that is not adaptive
-            columns[name] = _probabilities(cells)
+    if set(map(len, rows)) != {len(_COLUMNS)}:  # a cut or overlong line
+        number = next(number for number, row in enumerate(rows, 2) if len(row) != len(_COLUMNS))
+        raise ValueError(f"line {number}: expected {len(_COLUMNS)} fields")
+    *cells, probabilities = zip(*rows)
+    columns = {name: np.array(column, dtype=dtype) for (name, dtype), column in zip(_DTYPES.items(), cells)}
+    if any(probabilities):  # absent when every cell is empty, as in a run that is not adaptive
+        columns["adaptive_probabilities"] = _probabilities(probabilities)
     return columns
 
 

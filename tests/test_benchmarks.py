@@ -62,6 +62,11 @@ class TestMakeInstance:
         with pytest.raises(ValueError, match="dimension"):
             make_instance("sphere", 1, 1, "SBOX")
 
+    def test_a_directly_built_catalogue_problem_of_dimension_1_is_refused(self):
+        with pytest.raises(ValueError, match=r"^problem 'separable_ellipsoid': dimension must be >= 2, got 1$"):
+            BenchmarkProblem("separable_ellipsoid", 0, 1, Bounds.symmetric(5.0, 1), optimum_location=np.zeros(1),
+                             optimum_value=0.0)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             make_instance("sphere", 1, 5, "SBOX_COST")

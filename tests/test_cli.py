@@ -704,6 +704,18 @@ class TestAnalysisCommands:
         assert main(["cluster", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "c")]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: runs/{trajectory.name}: no generation rows"]
 
+    def test_a_trajectory_with_another_header_exits_1_naming_it_and_line_1(self, tmp_path, capsys):
+        config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=1))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        first = json.loads((out / "manifest.json").read_text())["cells"][0]["trajectory_csv"]
+        trajectory = out / first
+        trajectory.write_text(trajectory.read_text().replace("infeasible_component_ratio", "component_ratio", 1))
+        assert main(["cluster", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {first}: line 1: expected the header generation,"), err
+        assert not (tmp_path / "c").exists()
+
     def test_missing_artifact_exits_1_naming_it(self, tmp_path, capsys):
         config = write_json(tmp_path / "sweep.json", sweep_config(runs_per_cell=1))
         out = tmp_path / "out"

@@ -145,9 +145,9 @@ class TestRecordGeneration:
         assert len(trajectory) == 0
 
     def test_variances_from_population(self):
-        problem = make_problem(1)
-        pop = Population(np.array([[-5.0], [5.0]]), np.zeros(2))
-        rec = record(np.zeros((2, 1)), pop, problem)
+        problem = make_problem(2)
+        pop = Population(np.array([[-5.0, -5.0], [5.0, 5.0]]), np.zeros(2))
+        rec = record(np.zeros((2, 2)), pop, problem)
         assert rec["max_component_variance"] == 25.0
         assert rec["mean_component_variance"] == 25.0
 
