@@ -297,12 +297,18 @@ def rank_methods(errors: Mapping[tuple[str, str], Sequence[float]]) -> RankingTa
     """Rank methods per function by median final error, then average.
 
     ``errors`` maps (function, method) to the list of run errors for that
-    cell.  Ties receive the average of the tied ranks.
+    cell, for every pair of a function and a method it names: a grid with a
+    hole raises ``ValueError`` naming each missing pair, since mean ranks
+    over different sets of functions are not comparable.  Ties receive the
+    average of the tied ranks.
     """
     functions = tuple(sorted({f for f, _ in errors}))
     methods = tuple(sorted({m for _, m in errors}))
     if len(methods) < 2:
         raise ValueError("ranking needs at least two methods")
+    missing = [pair for pair in itertools.product(functions, methods) if pair not in errors]
+    if missing:
+        raise ValueError(f"cannot rank a grid with a hole: no errors for {', '.join(map(repr, missing))}")
     ranks = np.zeros((len(functions), len(methods)))
     for i, function in enumerate(functions):
         ranks[i] = _average_ranks(np.array([_median(errors[(function, method)]) for method in methods]))

@@ -289,7 +289,7 @@ def _reusable(out_dir: str, cell: dict) -> bool:
         summary = telemetry.read_run_summary(os.path.join(out_dir, entry["summary_json"]))
     except (OSError, ValueError):
         return False
-    return (os.path.exists(os.path.join(out_dir, entry["trajectory_csv"])) and isinstance(summary, dict)
+    return (os.path.exists(os.path.join(out_dir, entry["trajectory_csv"]))
             and summary.get("config") == json.loads(json.dumps(cell)))
 
 

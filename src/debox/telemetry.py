@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -274,6 +275,29 @@ def write_run_summary(path, summary: dict) -> None:
         fh.write(run_summary_text(summary))
 
 
+def _finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)  # a bool is not a number
+
+
+#: the summary fields the analysis commands read: (what each must hold, its test)
+_SUMMARY_FIELDS = {
+    "behaviour_class": ("GB, SF, PC, BB or null", lambda v: v is None or v in [c.value for c in BehaviourClass]),
+    "final_error": ("a finite number or null", lambda v: v is None or _finite_number(v)),
+    "final_max_component_variance": ("a finite number", _finite_number),
+}
+
+
 def read_run_summary(path) -> dict:
+    """A run summary: a JSON object whose fields that the analysis commands
+    read hold what the writer writes; otherwise ``ValueError`` naming the
+    field and what it must hold."""
     with open(path) as fh:
-        return json.load(fh)
+        summary = json.load(fh)
+    if not isinstance(summary, dict):
+        raise ValueError("expected a JSON object")
+    for key, (expected, valid) in _SUMMARY_FIELDS.items():
+        if key not in summary:
+            raise ValueError(f"no {key!r} (expected {expected})")
+        if not valid(summary[key]):
+            raise ValueError(f"{key!r} (expected {expected}, got {json.dumps(summary[key])})")
+    return summary

@@ -333,6 +333,12 @@ class TestRankMethods:
             expected = np.vstack([rankdata(row, method="average") for row in medians])
             assert table.ranks.tobytes() == expected.tobytes(), errors
 
+    def test_a_grid_with_a_hole_is_refused(self):
+        errors = {("f1", "a"): [1.0], ("f1", "b"): [2.0], ("f2", "a"): [1.0], ("f3", "b"): [1.0]}
+        with pytest.raises(ValueError, match=r"^cannot rank a grid with a hole: no errors for "
+                                             r"\('f2', 'b'\), \('f3', 'a'\)$"):
+            rank_methods(errors)
+
     def test_needs_two_methods(self):
         with pytest.raises(ValueError, match="two methods"):
             rank_methods({("f1", "a"): [1.0]})

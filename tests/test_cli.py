@@ -7,6 +7,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -799,6 +800,47 @@ class TestAnalysisCommands:
             first, *rest = lines
             assert capsys.readouterr().err.splitlines() == [f"error: {manifest_path}: {first}", *rest], command
             assert not (tmp_path / command).exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("behaviour_class", None, "no 'behaviour_class' (expected GB, SF, PC, BB or null)"),
+        ("behaviour_class", "XX", "'behaviour_class' (expected GB, SF, PC, BB or null, got \"XX\")"),
+        ("final_error", "0.5", "'final_error' (expected a finite number or null, got \"0.5\")"),
+        ("final_error", True, "'final_error' (expected a finite number or null, got true)"),
+        ("final_max_component_variance", None, "no 'final_max_component_variance' (expected a finite number)"),
+        ("final_max_component_variance", [1.0],
+         "'final_max_component_variance' (expected a finite number, got [1.0])"),
+        (None, None, "expected a JSON object"),
+    ], ids=["class-missing", "class-unknown", "error-string", "error-bool", "variance-missing", "variance-list",
+            "not-an-object"])
+    def test_a_summary_with_a_bad_field_exits_1_naming_it(self, sweep_output, tmp_path, capsys, field, value,
+                                                          message):
+        shutil.copytree(sweep_output, tmp_path / "sweep")
+        entry = json.loads((tmp_path / "sweep" / "manifest.json").read_text())["cells"][4]
+        path = tmp_path / "sweep" / entry["summary_json"]
+        summary = json.loads(path.read_text())
+        if field is None:
+            summary = [summary]
+        elif value is None:
+            del summary[field]
+        else:
+            summary[field] = value
+        path.write_text(json.dumps(summary))
+        for command in ("classify", "rank"):
+            out = tmp_path / command
+            assert main([command, "--manifest", str(tmp_path / "sweep" / "manifest.json"), "--out", str(out)]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {entry['summary_json']}: {message}"], command
+            assert not out.exists()
+
+    def test_rank_refuses_a_grid_with_a_hole(self, sweep_output, tmp_path, capsys):
+        manifest = json.loads((sweep_output / "manifest.json").read_text())
+        manifest["cells"] = [e for e in manifest["cells"] if (e["function"], e["bchm"]) != ("rastrigin", "mirror")]
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        os.symlink(sweep_output / "runs", tmp_path / "runs")
+        assert main(["rank", "--manifest", str(manifest_path), "--out", str(tmp_path / "rank")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot rank a grid with a hole: no errors for ('rastrigin', 'mirror')"]
+        assert not (tmp_path / "rank").exists()
 
     def test_missing_trajectory_exits_1_listing_gap(self, sweep_output, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"

@@ -304,7 +304,8 @@ class TestPersistence:
 
     def test_summary_round_trip(self, tmp_path):
         path = tmp_path / "summary.json"
-        summary = {"config": {"seed": 3}, "final_error": 1.5e-9, "behaviour_class": "GB"}
+        summary = {"config": {"seed": 3}, "final_error": 1.5e-9, "behaviour_class": "GB",
+                   "final_max_component_variance": 2.5e-11}
         write_run_summary(path, summary)
         assert read_run_summary(path) == summary
 
