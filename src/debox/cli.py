@@ -21,6 +21,7 @@ import collections
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import importlib
 import io
 import itertools
@@ -93,7 +94,7 @@ _RUN_KEY = (*_CELL_KEY, "instance", "run_index")
 
 #: the keys of a manifest entry that the analysis commands read, and their types
 _ENTRY_TYPES = {"function": str, "mode": str, "dimension": int, "engine": str, "bchm": str, "instance": int,
-                "run_index": int, "seed": int, "trajectory_csv": str, "summary_json": str}
+                "run_index": int, "seed": int, "trajectory_csv": str, "summary_json": str, "versions": dict}
 
 #: run keys a sweep sets once for all its cells
 _SHARED = ("budget_multiplier", "count_infeasible_evals", "classic_population_size", "plugin_modules")
@@ -219,8 +220,19 @@ def _execute_run(resolved: dict) -> tuple[telemetry.Trajectory, dict]:
     return result.records, summary
 
 
-#: the versions a run's random stream and results depend on, recorded in every summary
-_VERSIONS = {"debox": __version__, "numpy": np.__version__, "python": platform.python_version()}
+def _source_digest() -> str:
+    """The SHA-256 of the package's own ``*.py`` files, each name and content, in name order."""
+    package, digest = os.path.dirname(os.path.abspath(__file__)), hashlib.sha256()
+    for name in sorted(name for name in os.listdir(package) if name.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest()
+
+
+#: the versions a run's random stream and results depend on, recorded in every summary and manifest
+#: entry; ``source`` changes with any edit to the package, even to a comment
+_VERSIONS = {"debox": __version__, "numpy": np.__version__, "python": platform.python_version(),
+             "source": _source_digest()}
 
 
 def _run_stem(resolved: dict) -> str:
@@ -278,19 +290,20 @@ def _cell_stem(cell: dict) -> str:
 
 def _entry(cell: dict) -> dict:
     stem = _cell_stem(cell)
-    return dict({key: cell[key] for key in (*_RUN_KEY, "seed")},
+    return dict({key: cell[key] for key in (*_RUN_KEY, "seed")}, versions=_VERSIONS,
                 trajectory_csv=os.path.join("runs", stem + ".csv"), summary_json=os.path.join("runs", stem + ".json"))
 
 
 def _reusable(out_dir: str, cell: dict) -> bool:
-    """Whether the artifacts of ``cell`` in ``out_dir`` are complete and record this very cell."""
+    """Whether the artifacts of ``cell`` in ``out_dir`` are complete and record
+    this very cell, run under the current ``_VERSIONS``."""
     entry = _entry(cell)
     try:
         summary = telemetry.read_run_summary(os.path.join(out_dir, entry["summary_json"]))
     except (OSError, ValueError):
         return False
     return (os.path.exists(os.path.join(out_dir, entry["trajectory_csv"]))
-            and summary.get("config") == json.loads(json.dumps(cell)))
+            and summary.get("config") == json.loads(json.dumps(cell)) and summary.get("versions") == _VERSIONS)
 
 
 def _failure(entry: dict, exc: Exception) -> dict:
@@ -375,7 +388,7 @@ def _read_runs(args, read, artifact: str) -> tuple[typing.Iterator[tuple[dict, t
     of each run in the manifest named by an analysis command, as (manifest
     entry, value) pairs, and the output directory.  The manifest must hold a
     ``cells`` list whose entries have every key of ``_ENTRY_TYPES`` with a
-    value of its type, every
+    value of its type and all the same ``versions``, every
     cell it lists must have succeeded, no run may be listed twice, and every
     run artifact it lists must exist; a file that does not parse is an error
     that names it.  The files are read as the pairs are taken, so a command
@@ -398,6 +411,11 @@ def _read_runs(args, read, artifact: str) -> tuple[typing.Iterator[tuple[dict, t
         raise ValueError("\n".join([f"{args.manifest}: manifest entries lack keys:", *malformed]))
     if mistyped:
         raise ValueError("\n".join([f"{args.manifest}: manifest entries have values of the wrong type:", *mistyped]))
+    mixed = [f"  cells[{index}]: {json.dumps(entry['versions'], sort_keys=True)}"
+             for index, entry in enumerate(entries) if entry["versions"] != entries[0]["versions"]]
+    if mixed:  # runs of two code versions would be analysed as one experiment
+        raise ValueError("\n".join([f"{args.manifest}: manifest entries disagree on versions with cells[0] "
+                                    f"({json.dumps(entries[0]['versions'], sort_keys=True)}):", *mixed]))
     failed = _failed_cells(entries)
     if failed:
         raise RuntimeError("\n".join(["the sweep has failed cells:", *failed]))

@@ -3,8 +3,10 @@ import concurrent.futures.process
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import json
 import os
+import pathlib
 import platform
 import re
 import shutil
@@ -183,8 +185,12 @@ class TestRunCommand:
         out = tmp_path / "out"
         main(["run", "--config", config, "--out", str(out)])
         summary = json.loads(next(p for p in out.iterdir() if p.suffix == ".json").read_text())
+        package, source = os.path.dirname(debox.__file__), hashlib.sha256()
+        for name in sorted(name for name in os.listdir(package) if name.endswith(".py")):
+            source.update(name.encode() + b"\0" + (pathlib.Path(package) / name).read_bytes() + b"\0")
         assert summary["versions"] == {
-            "debox": debox.__version__, "numpy": np.__version__, "python": platform.python_version()}
+            "debox": debox.__version__, "numpy": np.__version__, "python": platform.python_version(),
+            "source": source.hexdigest()}
 
     def test_plugin_problem(self, tmp_path, monkeypatch):
         module = tmp_path / "my_problems.py"
@@ -364,6 +370,19 @@ class TestSweepCommand:
               "--out", str(out)])
         for summary in (out / "runs").glob("*.json"):
             assert json.loads(summary.read_text())["config"]["budget"] == 300
+
+    def test_resume_recomputes_a_cell_run_under_other_versions(self, tmp_path):
+        config = write_json(tmp_path / "sweep.json", sweep_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        victim, kept = sorted((out / "runs").glob("*.json"))[:2]
+        summary = json.loads(victim.read_text())
+        summary["versions"]["source"] = "0" * 64  # as if run before an edit to the package
+        victim.write_text(json.dumps(summary))
+        kept_mtime = kept.stat().st_mtime_ns
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+        assert json.loads(victim.read_text())["versions"] == cli._VERSIONS
+        assert kept.stat().st_mtime_ns == kept_mtime
 
     def test_resume_recomputes_a_truncated_summary(self, tmp_path):
         config = write_json(tmp_path / "sweep.json", sweep_config())
@@ -799,6 +818,20 @@ class TestAnalysisCommands:
             assert main([command, "--manifest", str(manifest_path), "--out", str(tmp_path / command)]) == 1
             first, *rest = lines
             assert capsys.readouterr().err.splitlines() == [f"error: {manifest_path}: {first}", *rest], command
+            assert not (tmp_path / command).exists()
+
+    def test_a_manifest_of_mixed_versions_exits_1_naming_both_entries(self, sweep_output, tmp_path, capsys):
+        manifest = json.loads((sweep_output / "manifest.json").read_text())
+        manifest["cells"][5]["versions"]["numpy"] = "1.26.4"
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps(manifest))
+        os.symlink(sweep_output / "runs", tmp_path / "runs")
+        first, fifth = (json.dumps(manifest["cells"][i]["versions"], sort_keys=True) for i in (0, 5))
+        for command in ("classify", "cluster", "rank"):
+            assert main([command, "--manifest", str(manifest_path), "--out", str(tmp_path / command)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {manifest_path}: manifest entries disagree on versions with cells[0] ({first}):",
+                f"  cells[5]: {fifth}"], command
             assert not (tmp_path / command).exists()
 
     @pytest.mark.parametrize("field, value, message", [
