@@ -279,9 +279,11 @@ def _finite_number(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)  # a bool is not a number
 
 
+_CLASS_VALUES = tuple(c.value for c in BehaviourClass)  # a tuple: `in` takes any JSON value, even a list
+
 #: the summary fields the analysis commands read: (what each must hold, its test)
 _SUMMARY_FIELDS = {
-    "behaviour_class": ("GB, SF, PC, BB or null", lambda v: v is None or v in [c.value for c in BehaviourClass]),
+    "behaviour_class": ("GB, SF, PC, BB or null", lambda v: v is None or v in _CLASS_VALUES),
     "final_error": ("a finite number or null", lambda v: v is None or _finite_number(v)),
     "final_max_component_variance": ("a finite number", _finite_number),
 }
