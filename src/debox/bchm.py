@@ -3,19 +3,22 @@
 Each method maps an infeasible trial vector back into the closed box (or
 discards it).  Component-wise methods touch only the violated components;
 vector-wise methods rescale the whole vector toward a feasible reference
-point.  ``correct(method_id, y, ctx, rng)`` is the one entry that applies a
-method; ``adaptive_correct`` picks a pool method per vector and repairs each
-group through the same private path.  Both accept either a single vector of
-shape (n,) or a batch of shape (m, n); the engines hand a generation's whole
-trial block to one call, and a vector is repaired as a one-row batch would
-be.  A row with no violated component comes back bit-unchanged and consumes
-no draw, so a block repairs exactly as its infeasible rows alone would.
+point.  ``correct(method_id, y, ctx, rng)`` applies a method and
+``adaptive_correct`` picks a pool method per vector; each validates its
+input, builds its violation mask and reports what it did in a
+``CorrectionOutcome``.  Both accept either a single vector of shape (n,) or a
+batch of shape (m, n), and a vector is repaired as a one-row batch would be.
+Both repair through one private block entry, ``_repair_block``, which the
+engines call directly with the violation and infeasible-row masks they built
+for a generation's trial block.  A row with no violated component comes back
+bit-unchanged and consumes no draw, so a block repairs exactly as its
+infeasible rows alone would.
 
-Each call validates its input once and gathers the violated entries once,
-in row-major order (row by row, and by component within a row); a method
-that draws consumes its draws in that order.  ``sat`` and ``dismiss`` need
-no gather: a clip of the whole block and a row mask.  Input with a NaN or
-infinite component raises ``ValueError``: such a trial has no defined repair.
+Each repair gathers the violated entries once, in row-major order (row by
+row, and by component within a row); a method that draws consumes its draws
+in that order.  ``sat`` and ``dismiss`` need no gather: a clip of the whole
+block and the row mask.  Input to a public entry with a NaN or infinite
+component raises ``ValueError``: such a trial has no defined repair.
 
 Method ids used in configs and CSV output:
 
@@ -100,13 +103,17 @@ class CorrectionOutcome:
     vector_alpha: float | np.ndarray | None = None
 
 
-def _as_float_array(y) -> np.ndarray:
+def _validated_block(y, bounds: Bounds):
+    """The trial vector (n,) or block (m, n) ``y`` as a validated block (m, n),
+    with its violation mask and its infeasible-row mask."""
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2):
         raise ValueError("expected a vector (n,) or a batch (m, n)")
     if not np.logical_and.reduce(np.isfinite(y), axis=None):
         raise ValueError("trial vectors must be finite: NaN and inf have no repair")
-    return y
+    block = np.atleast_2d(y)
+    outside = bounds.outside(block)
+    return block, outside, np.logical_or.reduce(outside, axis=1)
 
 
 class _Violations(NamedTuple):
@@ -121,9 +128,9 @@ class _Violations(NamedTuple):
     below: np.ndarray  # whether it lies below ``lo`` (else above ``hi``)
 
 
-def _violations(y: np.ndarray, bounds: Bounds) -> _Violations:
-    """The violated entries of the validated trial array ``y``."""
-    at = bounds.outside(y).ravel().nonzero()[0]
+def _violations(y: np.ndarray, bounds: Bounds, outside: np.ndarray) -> _Violations:
+    """The violated entries of the trial block ``y``, given its violation mask ``outside``."""
+    at = outside.ravel().nonzero()[0]
     cols = at % y.shape[-1]
     values, lo = y.ravel()[at], bounds.lower[cols]
     return _Violations(y, at, cols, values, lo, bounds.upper[cols], values < lo)
@@ -276,7 +283,7 @@ def _repair(method_id: str, v: _Violations, ctx: CorrectionContext, rng: RngStre
     copy of ``v.y``; return each row's alpha for a vector-wise method, else None."""
     if method_id.startswith("vector"):
         return _shrink(v, _reference(method_id, ctx), ctx.bounds, out)
-    if method_id == "sat":  # an adaptive group; correct clips the whole block instead
+    if method_id == "sat":  # an adaptive group; _repair_block clips a whole block instead
         values = np.where(v.below, v.lo, v.hi)
     elif method_id == "mirror":
         values = _mirrored(v)
@@ -292,26 +299,62 @@ def _repair(method_id: str, v: _Violations, ctx: CorrectionContext, rng: RngStre
     return None
 
 
+def _repair_block(method_id: str, y: np.ndarray, outside: np.ndarray, infeasible: np.ndarray,
+                  ctx: CorrectionContext, rng: RngStream, state: AdaptiveState | None = None):
+    """Repair the finite block ``y`` (m, n) with the method ``method_id``, given
+    its violation mask ``outside`` and infeasible-row mask ``infeasible``.
+
+    Returns the repaired block (``y`` itself under ``dismiss``), the dismissed
+    rows (None but under ``dismiss``), each row's pool index under
+    ``adaptive`` (-1 on a feasible row; else None) and each row's alpha under
+    a vector-wise method (else None).  ``adaptive`` draws one selection unit
+    per infeasible row, in row order, then each pool method's draws on the
+    violated entries of its rows, row-major, in pool order.
+    """
+    if method_id == "sat":  # the clip moves exactly the violated entries, each onto its bound
+        return _clip(y, ctx.bounds.lower, ctx.bounds.upper), None, None, None
+    if method_id == "dismiss":
+        return y, infeasible, None, None
+    v = _violations(y, ctx.bounds, outside)
+    repaired = y.copy()
+    if method_id != "adaptive":
+        return repaired, None, None, _repair(method_id, v, ctx, rng, repaired)
+    if state is None:
+        raise ValueError("the adaptive method needs an AdaptiveState")
+    picks = np.full(len(y), -1)
+    if v.at.size:
+        picks[infeasible] = adaptive_select(state, rng, size=np.count_nonzero(infeasible))
+        entry_picks = picks[v.at // y.shape[1]]
+        # the entries grouped by method; each group's entries stay in row-major order
+        order = entry_picks.argsort(kind="stable")
+        grouped = [field[order] for field in v[1:]]
+        stops = np.bincount(entry_picks, minlength=len(ADAPTIVE_POOL)).cumsum().tolist()
+        for method, start, stop in zip(ADAPTIVE_POOL, [0] + stops, stops):
+            if stop > start:
+                _repair(method, _Violations(y, *(field[start:stop] for field in grouped)), ctx, rng, repaired)
+    return repaired, None, picks, None
+
+
 def correct(method_id: str, y, ctx: CorrectionContext, rng: RngStream) -> CorrectionOutcome:
     """Apply the method named by ``method_id`` to a trial vector (n,) or block (m, n)."""
     if method_id not in METHOD_IDS:
         raise ValueError(f"unknown method id {method_id!r}")
     if method_id == "adaptive":
         raise ValueError("the adaptive method needs state; use adaptive_correct")
-    y = _as_float_array(y)
-    if method_id == "sat":  # the clip moves exactly the violated entries, each onto its bound
-        corrected = _clip(y, ctx.bounds.lower, ctx.bounds.upper)
-        return CorrectionOutcome(corrected, components_corrected=np.count_nonzero(corrected != y))
-    if method_id == "dismiss":
-        inside = ctx.bounds.contains(y)
-        if y.ndim == 2:
-            return CorrectionOutcome(y.copy(), dismissed=~inside)
-        return CorrectionOutcome(y.copy()) if inside else CorrectionOutcome(None, dismissed=True)
-    v = _violations(y, ctx.bounds)
-    corrected = y.copy()
-    alpha = _repair(method_id, v, ctx, rng, corrected)
-    changed = v.at.size if alpha is None else np.count_nonzero(corrected != y)
-    return CorrectionOutcome(corrected, components_corrected=changed, vector_alpha=alpha)
+    block, outside, infeasible = _validated_block(y, ctx.bounds)
+    repaired, dismissed, _, alpha = _repair_block(method_id, block, outside, infeasible, ctx, rng)
+    if dismissed is not None:
+        if np.ndim(y) == 2:
+            return CorrectionOutcome(block.copy(), dismissed=dismissed)
+        return CorrectionOutcome(None, dismissed=True) if dismissed[0] else CorrectionOutcome(block[0].copy())
+    if alpha is None and method_id != "sat":  # a gathered repair moves exactly the violated entries
+        changed = int(np.count_nonzero(outside))
+    else:  # the clip and the shrink count what moved, as a numpy integer
+        changed = np.count_nonzero(repaired != block)
+    if np.ndim(y) == 1:
+        alpha = None if alpha is None else float(alpha[0])
+        return CorrectionOutcome(repaired[0], components_corrected=changed, vector_alpha=alpha)
+    return CorrectionOutcome(repaired, components_corrected=changed, vector_alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -390,23 +433,9 @@ def adaptive_correct(
     violated entries of its vectors, row-major, in pool order.  Reference
     vectors of shape (m, n) in ``ctx`` are read at each vector's own row.
     """
-    batch = np.atleast_2d(_as_float_array(y))
-    v = _violations(batch, ctx.bounds)
-    picks, corrected = np.full(len(batch), -1), batch.copy()
-    if v.at.size:
-        rows = v.at // batch.shape[1]
-        infeasible = np.zeros(len(batch), dtype=bool)
-        infeasible[rows] = True
-        picks[infeasible] = adaptive_select(state, rng, size=np.count_nonzero(infeasible))
-        entry_picks = picks[rows]
-        # the entries grouped by method; each group's entries stay in row-major order
-        order = entry_picks.argsort(kind="stable")
-        grouped = [field[order] for field in v[1:]]
-        stops = np.bincount(entry_picks, minlength=len(ADAPTIVE_POOL)).cumsum().tolist()
-        for method, start, stop in zip(ADAPTIVE_POOL, [0] + stops, stops):
-            if stop > start:
-                _repair(method, _Violations(batch, *(field[start:stop] for field in grouped)), ctx, rng, corrected)
-    changed = np.count_nonzero(corrected != batch)
+    block, outside, infeasible = _validated_block(y, ctx.bounds)
+    repaired, _, picks, _ = _repair_block("adaptive", block, outside, infeasible, ctx, rng, state)
+    changed = np.count_nonzero(repaired != block)
     if np.ndim(y) == 1:
-        return CorrectionOutcome(corrected[0], components_corrected=changed), int(picks[0])
-    return CorrectionOutcome(corrected, components_corrected=changed), picks
+        return CorrectionOutcome(repaired[0], components_corrected=changed), int(picks[0])
+    return CorrectionOutcome(repaired, components_corrected=changed), picks

@@ -193,9 +193,10 @@ class BenchmarkProblem:
             values = np.full(len(xs), np.inf)
             if feasible:
                 values[inside] = self._landscape(xs[inside])
-        values[np.isnan(values)] = np.inf
-        if np.logical_or.reduce(values == -np.inf):
-            raise ValueError(f"problem {self.function_id!r}: the objective returned -inf")
+        if not np.minimum.reduce(values, initial=np.inf) > -np.inf:  # false on a NaN or -inf
+            values[np.isnan(values)] = np.inf
+            if np.logical_or.reduce(values == -np.inf):
+                raise ValueError(f"problem {self.function_id!r}: the objective returned -inf")
         return values
 
     def _landscape(self, xs: np.ndarray) -> np.ndarray:

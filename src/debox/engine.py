@@ -2,8 +2,10 @@
 
 Each engine draws the mutants of a whole generation (L-SHADE also draws
 per-trial F and CR); one shared kernel then crosses over, measures bound
-violations before any repair, hands the whole trial block to one BCHM call
-(which leaves feasible trials as they are), evaluates the batch under
+violations before any repair, hands the whole trial block with its violation
+and infeasible-row masks to the BCHM's private block entry (which leaves
+feasible trials as they are; the public ``correct`` and ``adaptive_correct``
+validate and count on top of that same entry), evaluates the batch under
 strict-box semantics and selects greedily (a trial replaces its target on
 ties).  A trial component violates unless it lies in the closed box, so a
 NaN component counts as violated.  Dismissed trials never reach the raw
@@ -52,7 +54,9 @@ import numpy as np
 
 from . import telemetry
 from .bchm import (ADAPTIVE_POOL, ADAPTIVE_UPDATE_PERIOD, METHOD_IDS, AdaptiveState, CorrectionContext,
-                   adaptive_correct, adaptive_update, correct)
+                   _repair_block, adaptive_update)
+# patch points only: bench/spans.py patches them here, and tests/test_bench_patch_table.py checks for them
+from .bchm import adaptive_correct, correct  # noqa: F401
 from .benchmarks import BenchmarkProblem
 from .core import Population, RngStream, population_stats
 
@@ -224,17 +228,11 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
 
     repaired, dismissed, picks = trials, None, None
     corrections = np.count_nonzero(infeasible)
-    if corrections:  # the whole block goes to the BCHM, which leaves feasible rows as they are
+    if corrections:  # the whole block and its masks go to the BCHM, which leaves feasible rows as they are
         stats = pop.stats if pop.stats is not None else population_stats(pop)
         ctx = CorrectionContext(bounds=bounds, target=x[:kept], population_mean=stats.mean, stats=stats,
                                 pbest=pbest[:kept] if pbest.ndim == 2 else pbest)
-        if adaptive_state is None:
-            outcome = correct(bchm, trials, ctx, rng)
-        else:
-            outcome, picks = adaptive_correct(trials, ctx, rng, adaptive_state)
-        repaired = outcome.vector
-        if outcome.dismissed is not False:  # a batch dismissal's row mask
-            dismissed = outcome.dismissed
+        repaired, dismissed, picks, _ = _repair_block(bchm, trials, outside, infeasible, ctx, rng, adaptive_state)
     clock.lap(REPAIR)
 
     trial_fitness = problem.evaluate_batch(repaired)
@@ -242,9 +240,12 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     wins = trial_fitness <= fitness[:kept]
     if dismissed is not None:
         wins[dismissed] = False
-    positions, new_fitness = x.copy(), fitness.copy()
-    np.copyto(positions[:kept], repaired, where=wins[:, None])
-    np.copyto(new_fitness[:kept], trial_fitness, where=wins)
+    if kept == len(x):
+        positions, new_fitness = np.where(wins[:, None], repaired, x), np.where(wins, trial_fitness, fitness)
+    else:  # the targets past the budget prefix carry over
+        positions, new_fitness = x.copy(), fitness.copy()
+        np.copyto(positions[:kept], repaired, where=wins[:, None])
+        np.copyto(new_fitness[:kept], trial_fitness, where=wins)
     if picks is not None:  # a feasible trial has no pick (-1)
         adaptive_state.successes += np.bincount(picks[wins & (picks >= 0)], minlength=len(ADAPTIVE_POOL))
     if adapt is not None:

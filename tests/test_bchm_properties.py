@@ -3,7 +3,8 @@
 Boxes are asymmetric, with widths from 1e-9 to 1e6 and offsets up to 1e6;
 violations reach 1e300 beyond a bound; reference points may sit on a bound.
 A block that mixes feasible and infeasible rows repairs exactly as its
-infeasible rows alone would.
+infeasible rows alone would, and the engines' block entry, handed the
+block's violation mask, repairs exactly as the public entries do.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from debox.bchm import (
     METHOD_IDS,
     AdaptiveState,
     CorrectionContext,
+    _repair_block,
     adaptive_correct,
     correct,
 )
@@ -193,3 +195,27 @@ def test_adaptive_equals_the_per_group_formulation(block, seed):
     assert picks[rows].tolist() == group_picks.tolist()
     assert state.uses.tolist() == by_groups_state.uses.tolist()
     assert rng.random() == by_groups_rng.random()
+
+
+@PROPERTY
+@given(blocks(), st.integers(0, 2**32 - 1))
+def test_the_block_entry_on_the_blocks_mask_matches_the_public_entries(block, seed):
+    y, ctx, infeasible = block
+    outside = ctx.bounds.outside(y)
+    assert np.logical_or.reduce(outside, axis=1).tolist() == infeasible.tolist()
+    for method in METHOD_IDS:
+        outcome, picks, uses, after = _repair(method, y, ctx, seed)
+        rng, state = RngStream(seed), AdaptiveState()
+        repaired, dismissed, block_picks, alpha = _repair_block(method, y, outside, infeasible, ctx, rng,
+                                                                state if method == "adaptive" else None)
+        assert repaired.tobytes() == outcome.vector.tobytes(), method
+        assert (dismissed is None) == (outcome.dismissed is False), method
+        if dismissed is not None:
+            assert dismissed.tolist() == outcome.dismissed.tolist()
+        assert (block_picks is None) == (picks is None), method
+        if picks is not None:
+            assert block_picks.tolist() == picks.tolist()
+        assert (alpha is None) == (outcome.vector_alpha is None), method
+        if alpha is not None:
+            assert alpha.tobytes() == outcome.vector_alpha.tobytes(), method
+        assert (state.uses.tolist(), rng.random()) == (uses, after), method

@@ -141,6 +141,12 @@ class TestEvaluationCounting:
         problem.evaluate(np.full(3, 9.0))
         assert problem.budget_consumed == 1
 
+    def test_an_empty_batch_scores_nothing_and_counts_nothing(self):
+        problem = centered_sphere(3)
+        values = problem.evaluate_batch(np.empty((0, 3)))
+        assert values.dtype == np.float64 and values.shape == (0,)
+        assert (problem.feasible_evaluations, problem.infeasible_evaluations, problem.budget_consumed) == (0, 0, 0)
+
     def test_reset(self):
         problem = centered_sphere(2)
         problem.evaluate(np.zeros(2))

@@ -613,3 +613,17 @@ class TestStructuralBias:
     @pytest.mark.parametrize("bchm", ["mirror", "uniform", "expBest"])
     def test_other_methods_never_land_on_bounds(self, engine, bchm):
         assert not np.any(np.abs(self.final_positions(engine, bchm)) == 5.0)
+
+
+@pytest.mark.parametrize("generation", ["classic", "lshade"])
+def test_a_generation_under_adaptive_without_its_state_is_refused(generation):
+    problem = make_instance("linear_slope", 1, 3, "SBOX")
+    rng = RngStream(3)
+    positions = rng.uniform(problem.bounds.lower, problem.bounds.upper, (20, 3))
+    pop = Population(positions, problem.evaluate_batch(positions))
+    with pytest.raises(ValueError, match="^the adaptive method needs"):
+        if generation == "classic":
+            engine.classic_generation(pop, "adaptive", problem, rng, Trajectory())
+        else:
+            engine.lshade_generation(pop, engine.ShadeState.create(3, 10**6, 20), "adaptive", problem, rng,
+                                     Trajectory())
