@@ -387,22 +387,29 @@ def _read_runs(args, read, artifact: str) -> tuple[typing.Iterator[tuple[dict, t
     """``read`` of the ``artifact`` (``"trajectory_csv"`` or ``"summary_json"``)
     of each run in the manifest named by an analysis command, as (manifest
     entry, value) pairs, and the output directory.  The manifest must hold a
-    ``cells`` list whose entries have every key of ``_ENTRY_TYPES`` with a
-    value of its type and all the same ``versions``, every
-    cell it lists must have succeeded, no run may be listed twice, and every
-    run artifact it lists must exist; a file that does not parse is an error
-    that names it.  The files are read as the pairs are taken, so a command
-    holds only what it keeps of each."""
+    ``cells`` list whose entries have every key of ``_ENTRY_TYPES`` (a key
+    that no entry has is reported once) with a value of its type and all the
+    same ``versions``, every cell it lists must have succeeded, no run may be
+    listed twice, and every run artifact it lists must exist; a file that
+    does not parse is an error that names it.  The files are read as the
+    pairs are taken, so a command holds only what it keeps of each."""
     with open(args.manifest) as fh:
         manifest = json.load(fh)
     entries = manifest.get("cells") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise ValueError(f"{args.manifest}: the manifest has no 'cells' list")
+    lacking = [[key for key in _ENTRY_TYPES if not isinstance(entry, dict) or key not in entry] for entry in entries]
+    everywhere = [key for key in _ENTRY_TYPES if entries and all(key in missing for missing in lacking)]
     malformed, mistyped = [], []
-    for index, entry in enumerate(entries):
-        missing = [key for key in _ENTRY_TYPES if not isinstance(entry, dict) or key not in entry]
+    if everywhere:  # a manifest written before entries recorded a key: one line, not one per entry
+        malformed.append(f"  every entry: no {', '.join(map(repr, everywhere))} (running `debox sweep` again with "
+                         "its config on this directory reruns the cells of other code versions and rewrites the "
+                         "manifest)")
+    for index, (entry, missing) in enumerate(zip(entries, lacking)):
         if missing:
-            malformed.append(f"  cells[{index}]: no {', '.join(map(repr, missing))}")
+            own = [key for key in missing if key not in everywhere]
+            if own:
+                malformed.append(f"  cells[{index}]: no {', '.join(map(repr, own))}")
             continue
         # json.load gives exact str and int values, and a bool is not of type int
         mistyped += [f"  cells[{index}]: {key!r} (expected {kind.__name__}, got {json.dumps(entry[key])})"
