@@ -306,10 +306,9 @@ def _repair_block(method_id: str, y: np.ndarray, outside: np.ndarray, infeasible
 
     Returns the repaired block (``y`` itself under ``dismiss``), the dismissed
     rows (None but under ``dismiss``), each row's pool index under
-    ``adaptive`` (-1 on a feasible row; else None) and each row's alpha under
-    a vector-wise method (else None).  ``adaptive`` draws one selection unit
-    per infeasible row, in row order, then each pool method's draws on the
-    violated entries of its rows, row-major, in pool order.
+    ``adaptive`` (-1 on a feasible row, drawn as :func:`adaptive_correct`
+    says; else None) and each row's alpha under a vector-wise method (else
+    None).
     """
     if method_id == "sat":  # the clip moves exactly the violated entries, each onto its bound
         return _clip(y, ctx.bounds.lower, ctx.bounds.upper), None, None, None
