@@ -265,13 +265,13 @@ def _shrink(v: _Violations, R: np.ndarray, bounds: Bounds, out: np.ndarray):
     alpha_i = np.full(v.y.shape, np.inf)  # a violated entry's alpha_i is at most 1
     alpha_i.ravel()[v.at] = np.where(v.below, (ref - v.lo) / (ref - v.values),
                                      (v.hi - ref) / (v.values - ref))
-    row_min = np.asarray(np.minimum.reduce(alpha_i, axis=-1))
+    row_min = np.minimum.reduce(alpha_i, axis=1)
     alpha = _clip(row_min, 0.0, 1.0)
-    a = alpha[..., np.newaxis]
+    a = alpha[:, np.newaxis]
     # a*y + (1-a)*R can overshoot the binding bound by one ulp
     shrunk = _clip(a * v.y + (1.0 - a) * R, bounds.lower, bounds.upper)
-    np.copyto(out, shrunk, where=(row_min < np.inf)[..., np.newaxis])
-    return float(alpha) if alpha.ndim == 0 else alpha
+    np.copyto(out, shrunk, where=(row_min < np.inf)[:, np.newaxis])
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +310,11 @@ def _repair_block(method_id: str, y: np.ndarray, outside: np.ndarray, infeasible
     says; else None) and each row's alpha under a vector-wise method (else
     None).
     """
+    if method_id not in METHOD_IDS or (method_id == "adaptive") != (state is not None):
+        if method_id not in METHOD_IDS:
+            raise ValueError(f"unknown method id {method_id!r}")
+        raise ValueError("the adaptive method needs an AdaptiveState" if state is None
+                         else f"an AdaptiveState serves the adaptive method only, not {method_id!r}")
     if method_id == "sat":  # the clip moves exactly the violated entries, each onto its bound
         return _clip(y, ctx.bounds.lower, ctx.bounds.upper), None, None, None
     if method_id == "dismiss":
@@ -318,8 +323,6 @@ def _repair_block(method_id: str, y: np.ndarray, outside: np.ndarray, infeasible
     repaired = y.copy()
     if method_id != "adaptive":
         return repaired, None, None, _repair(method_id, v, ctx, rng, repaired)
-    if state is None:
-        raise ValueError("the adaptive method needs an AdaptiveState")
     picks = np.full(len(y), -1)
     if v.at.size:
         picks[infeasible] = adaptive_select(state, rng, size=np.count_nonzero(infeasible))

@@ -193,10 +193,9 @@ class BenchmarkProblem:
             values = np.full(len(xs), np.inf)
             if feasible:
                 values[inside] = self._landscape(xs[inside])
-        if not np.minimum.reduce(values, initial=np.inf) > -np.inf:  # false on a NaN or -inf
-            values[np.isnan(values)] = np.inf
-            if np.logical_or.reduce(values == -np.inf):
-                raise ValueError(f"problem {self.function_id!r}: the objective returned -inf")
+        values[np.isnan(values)] = np.inf
+        if np.logical_or.reduce(values == -np.inf):
+            raise ValueError(f"problem {self.function_id!r}: the objective returned -inf")
         return values
 
     def _landscape(self, xs: np.ndarray) -> np.ndarray:

@@ -79,8 +79,7 @@ class Bounds:
 
     def contains(self, x: np.ndarray) -> np.ndarray | bool:
         """Closed-box membership; reduces over the last (component) axis."""
-        x = np.asarray(x, dtype=float)
-        inside = np.logical_and.reduce((x >= self.lower) & (x <= self.upper), axis=-1)
+        inside = ~np.logical_or.reduce(self.outside(np.asarray(x, dtype=float)), axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
 

@@ -240,12 +240,9 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     wins = trial_fitness <= fitness[:kept]
     if dismissed is not None:
         wins[dismissed] = False
-    if kept == len(x):
-        positions, new_fitness = np.where(wins[:, None], repaired, x), np.where(wins, trial_fitness, fitness)
-    else:  # the targets past the budget prefix carry over
-        positions, new_fitness = x.copy(), fitness.copy()
-        np.copyto(positions[:kept], repaired, where=wins[:, None])
-        np.copyto(new_fitness[:kept], trial_fitness, where=wins)
+    positions, new_fitness = x.copy(), fitness.copy()
+    np.copyto(positions[:kept], repaired, where=wins[:, None])
+    np.copyto(new_fitness[:kept], trial_fitness, where=wins)
     if picks is not None:  # a feasible trial has no pick (-1)
         adaptive_state.successes += np.bincount(picks[wins & (picks >= 0)], minlength=len(ADAPTIVE_POOL))
     if adapt is not None:

@@ -7,6 +7,7 @@ import hashlib
 from collections import Counter
 
 from debox import engine, telemetry
+from debox.bchm import AdaptiveState
 from debox.benchmarks import BenchmarkProblem, ExternalProblem, make_instance
 from debox.core import Bounds, Population, RngStream
 from debox.telemetry import Trajectory
@@ -615,15 +616,31 @@ class TestStructuralBias:
         assert not np.any(np.abs(self.final_positions(engine, bchm)) == 5.0)
 
 
-@pytest.mark.parametrize("generation", ["classic", "lshade"])
-def test_a_generation_under_adaptive_without_its_state_is_refused(generation):
+def run_one_generation(generation, bchm, adaptive_state=None):
+    """One classic or L-SHADE generation on the corner-optimum slope, where trials leave the box."""
     problem = make_instance("linear_slope", 1, 3, "SBOX")
     rng = RngStream(3)
     positions = rng.uniform(problem.bounds.lower, problem.bounds.upper, (20, 3))
     pop = Population(positions, problem.evaluate_batch(positions))
+    if generation == "classic":
+        return engine.classic_generation(pop, bchm, problem, rng, Trajectory(), adaptive_state)
+    return engine.lshade_generation(pop, engine.ShadeState.create(3, 10**6, 20), bchm, problem, rng, Trajectory(),
+                                    adaptive_state)
+
+
+@pytest.mark.parametrize("generation", ["classic", "lshade"])
+def test_a_generation_under_adaptive_without_its_state_is_refused(generation):
     with pytest.raises(ValueError, match="^the adaptive method needs"):
-        if generation == "classic":
-            engine.classic_generation(pop, "adaptive", problem, rng, Trajectory())
-        else:
-            engine.lshade_generation(pop, engine.ShadeState.create(3, 10**6, 20), "adaptive", problem, rng,
-                                     Trajectory())
+        run_one_generation(generation, "adaptive")
+
+
+@pytest.mark.parametrize("generation", ["classic", "lshade"])
+def test_a_generation_under_an_unknown_method_id_is_refused(generation):
+    with pytest.raises(ValueError, match="^unknown method id 'foo'$"):
+        run_one_generation(generation, "foo")
+
+
+@pytest.mark.parametrize("generation", ["classic", "lshade"])
+def test_an_adaptive_state_with_another_method_id_is_refused(generation):
+    with pytest.raises(ValueError, match="^an AdaptiveState serves the adaptive method only, not 'sat'$"):
+        run_one_generation(generation, "sat", AdaptiveState())
