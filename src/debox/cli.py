@@ -388,7 +388,7 @@ def _read_runs(args, read, artifact: str) -> tuple[typing.Iterator[tuple[dict, t
     of each run in the manifest named by an analysis command, as (manifest
     entry, value) pairs, and the output directory.  The manifest must hold a
     ``cells`` list whose entries have every key of ``_ENTRY_TYPES`` (a key
-    that no entry has is reported once) with a value of its type and all the
+    that no entry of several has is reported once) with a value of its type and all the
     same ``versions``, every cell it lists must have succeeded, no run may be
     listed twice, and every run artifact it lists must exist; a file that
     does not parse is an error that names it.  The files are read as the
@@ -399,12 +399,12 @@ def _read_runs(args, read, artifact: str) -> tuple[typing.Iterator[tuple[dict, t
     if not isinstance(entries, list):
         raise ValueError(f"{args.manifest}: the manifest has no 'cells' list")
     lacking = [[key for key in _ENTRY_TYPES if not isinstance(entry, dict) or key not in entry] for entry in entries]
-    everywhere = [key for key in _ENTRY_TYPES if entries and all(key in missing for missing in lacking)]
+    everywhere = [key for key in _ENTRY_TYPES if len(entries) > 1 and all(key in missing for missing in lacking)]
     malformed, mistyped = [], []
-    if everywhere:  # a manifest written before entries recorded a key: one line, not one per entry
-        malformed.append(f"  every entry: no {', '.join(map(repr, everywhere))} (running `debox sweep` again with "
-                         "its config on this directory reruns the cells of other code versions and rewrites the "
-                         "manifest)")
+    if everywhere:  # one line, not one per entry
+        malformed.append(f"  every entry: no {', '.join(map(repr, everywhere))}" + (
+            " (a manifest written before entries recorded 'versions': running `debox sweep` again with its config "
+            "on this directory reruns the cells and rewrites the manifest)" if "versions" in everywhere else ""))
     for index, (entry, missing) in enumerate(zip(entries, lacking)):
         if missing:
             own = [key for key in missing if key not in everywhere]

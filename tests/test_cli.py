@@ -50,8 +50,8 @@ def drop_versions(manifest):
 
 
 #: the one line that reports a key no manifest entry has
-NO_VERSIONS = ("  every entry: no 'versions' (running `debox sweep` again with its config on this directory "
-               "reruns the cells of other code versions and rewrites the manifest)")
+NO_VERSIONS = ("  every entry: no 'versions' (a manifest written before entries recorded 'versions': running "
+               "`debox sweep` again with its config on this directory reruns the cells and rewrites the manifest)")
 
 
 def sweep_config(**overrides):
@@ -812,6 +812,12 @@ class TestAnalysisCommands:
         (drop_versions, ["manifest entries lack keys:", NO_VERSIONS]),
         (lambda m: (drop_versions(m), m["cells"][3].pop("seed")),
          ["manifest entries lack keys:", NO_VERSIONS, "  cells[3]: no 'seed'"]),
+        (lambda m: [entry.pop("run_index") for entry in m["cells"]],
+         ["manifest entries lack keys:", "  every entry: no 'run_index'"]),
+        (lambda m: (m.update(cells=m["cells"][:1]), m["cells"][0].pop("run_index")),
+         ["manifest entries lack keys:", "  cells[0]: no 'run_index'"]),
+        (lambda m: (m.update(cells=m["cells"][:1]), drop_versions(m)),
+         ["manifest entries lack keys:", "  cells[0]: no 'versions'"]),
         (lambda m: m.pop("cells"), ["the manifest has no 'cells' list"]),
         (lambda m: m["cells"][1].update(trajectory_csv=5),
          ["manifest entries have values of the wrong type:", "  cells[1]: 'trajectory_csv' (expected str, got 5)"]),
@@ -820,8 +826,9 @@ class TestAnalysisCommands:
         (lambda m: m["cells"][0].update(run_index="0", seed=True),
          ["manifest entries have values of the wrong type:", "  cells[0]: 'run_index' (expected int, got \"0\")",
           "  cells[0]: 'seed' (expected int, got true)"]),
-    ], ids=["run_index", "trajectory_csv", "versions-everywhere", "versions-everywhere-and-seed", "cells",
-            "trajectory_csv-type", "dimension-type", "int-type"])
+    ], ids=["run_index", "trajectory_csv", "versions-everywhere", "versions-everywhere-and-seed",
+            "run_index-everywhere", "one-entry-run_index", "one-entry-versions", "cells", "trajectory_csv-type",
+            "dimension-type", "int-type"])
     def test_a_malformed_manifest_exits_1_naming_it_and_the_entry(self, sweep_output, tmp_path, capsys,
                                                                   break_manifest, lines):
         manifest = json.loads((sweep_output / "manifest.json").read_text())
