@@ -308,7 +308,7 @@ def _repair_block(method_id: str, y: np.ndarray, outside: np.ndarray, infeasible
     rows (None but under ``dismiss``), each row's pool index under
     ``adaptive`` (-1 on a feasible row, drawn as :func:`adaptive_correct`
     says; else None) and each row's alpha under a vector-wise method (else
-    None).
+    None).  ``state`` is given under ``adaptive`` and only there.
     """
     if method_id not in METHOD_IDS or (method_id == "adaptive") != (state is not None):
         if method_id not in METHOD_IDS:
@@ -339,8 +339,6 @@ def _repair_block(method_id: str, y: np.ndarray, outside: np.ndarray, infeasible
 
 def correct(method_id: str, y, ctx: CorrectionContext, rng: RngStream) -> CorrectionOutcome:
     """Apply the method named by ``method_id`` to a trial vector (n,) or block (m, n)."""
-    if method_id not in METHOD_IDS:
-        raise ValueError(f"unknown method id {method_id!r}")
     if method_id == "adaptive":
         raise ValueError("the adaptive method needs state; use adaptive_correct")
     block, outside, infeasible = _validated_block(y, ctx.bounds)
