@@ -192,16 +192,20 @@ class BenchmarkProblem:
         else:
             values = np.full(len(xs), np.inf)
             if feasible:
-                values[inside] = self._landscape(xs[inside])
+                values[inside] = self._landscape(xs.compress(inside, axis=0))  # xs[inside], without fancy indexing
         values[np.isnan(values)] = np.inf
         if np.logical_or.reduce(values == -np.inf):
             raise ValueError(f"problem {self.function_id!r}: the objective returned -inf")
         return values
 
     def _landscape(self, xs: np.ndarray) -> np.ndarray:
-        """Objective values of in-box rows."""
+        """Objective values of in-box rows; a plugin objective must return one number per point."""
         if self.objective is not None:
-            return np.array([self.objective(x) for x in xs], dtype=float)
+            values = np.array([self.objective(x) for x in xs], dtype=float)
+            if values.ndim != 1:
+                raise ValueError(f"problem {self.function_id!r}: the objective must return one number per point, "
+                                 f"got shape {values.shape[1:]}")
+            return values
         if self._slope_weights is not None:
             return _slope(xs, self.optimum_location, self._slope_weights) + self.optimum_value
         return _CATALOG[self.function_id](xs - self.optimum_location) + self.optimum_value

@@ -115,7 +115,7 @@ class Population:
 
     @property
     def best_index(self) -> int:
-        return int(np.argmin(self.fitness))
+        return int(self.fitness.argmin())
 
 
 @dataclass(frozen=True, eq=False)

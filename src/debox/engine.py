@@ -10,7 +10,10 @@ strict-box semantics and selects greedily (a trial replaces its target on
 ties).  A trial component violates unless it lies in the closed box, so a
 NaN component counts as violated.  Dismissed trials never reach the raw
 landscape: they score +inf, count as infeasible evaluations and leave their
-target in place.
+target in place.  Rows of the population and the archive are gathered with
+``take(..., axis=0)``: the same arrays as fancy indexing, without numpy's
+generic indexing machinery, whose fixed cost per call a generation pays
+several times.
 
 Every unit variate of a generation of m trials in dimension n comes from one
 ``random`` call, sliced in this order:
@@ -280,7 +283,7 @@ def classic_generation(pop: Population, bchm: str, problem, rng: RngStream, traj
     units = rng.random(m * (4 + n))
     index_units, crossover_units = units[:3 * m].reshape(3, m), units[3 * m:].reshape(m, 1 + n)
     r1, r2, r3 = _distinct_indices(index_units, np.arange(m), m, m, m)
-    mutants = rand1_mutant(x[r1], x[r2], x[r3], SCALE_FACTOR)
+    mutants = rand1_mutant(x.take(r1, axis=0), x.take(r2, axis=0), x.take(r3, axis=0), SCALE_FACTOR)
     return _generation(pop, mutants, CROSSOVER_RATE, x[pop.best_index], crossover_units, bchm, problem,
                        rng, trajectory, adaptive_state, budget, clock)
 
@@ -303,19 +306,19 @@ def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rn
     rank = (rank_u * np.ceil(p * m)).astype(np.intp)  # p >= 2/m, so ceil(p m) >= 2
     donors = np.concatenate([x, state.archive]) if len(state.archive) else x
     r1, r2 = _distinct_indices(units[4 * m:6 * m].reshape(2, m), np.arange(m), m, len(donors))
-    pbest = x[fitness.argsort(kind="stable")[rank]]
-    mutants = x + f[:, None] * (pbest - x + x[r1] - donors[r2])
+    pbest = x.take(fitness.argsort(kind="stable")[rank], axis=0)
+    mutants = x + f[:, None] * (pbest - x + x.take(r1, axis=0) - donors.take(r2, axis=0))
 
     def adapt(trial_fitness, positions, new_fitness):
         better = (trial_fitness < fitness[:len(trial_fitness)]).nonzero()[0]
         if better.size:
-            state.archive = np.concatenate([state.archive, x[better]])
+            state.archive = np.concatenate([state.archive, x.take(better, axis=0)])
             _update_memories(state, f[better], cr[better], fitness[better] - trial_fitness[better])
         target_size = lpsr_target_size(state, problem.budget_consumed)
         if target_size < m:
             keep = new_fitness.argsort(kind="stable")[:target_size]
             keep.sort()
-            positions, new_fitness = positions[keep], new_fitness[keep]
+            positions, new_fitness = positions.take(keep, axis=0), new_fitness[keep]
         _trim_archive(state, len(positions), rng)
         return positions, new_fitness
 
@@ -327,7 +330,7 @@ def _trim_archive(state: ShadeState, population_size: int, rng: RngStream) -> No
     """Drop uniformly chosen archive entries down to the population size; the survivors keep no order."""
     excess = len(state.archive) - population_size
     if excess > 0:
-        state.archive = state.archive[rng.random(len(state.archive)).argsort()[excess:]]
+        state.archive = state.archive.take(rng.random(len(state.archive)).argsort()[excess:], axis=0)
 
 
 def _update_memories(state: ShadeState, successful_f, successful_cr, improvements) -> None:

@@ -117,6 +117,14 @@ class TestEvaluateStrict:
             assert_allclose(problem.evaluate_batch(batch), single, rtol=1e-12)
             assert problem.feasible_evaluations + problem.infeasible_evaluations == 100
 
+    def test_a_mixed_batch_scores_its_feasible_rows_in_row_order(self):
+        problem = ExternalProblem("first_coordinate", 2, Bounds.symmetric(5.0, 2), lambda x: float(x[0]))
+        batch = np.array([[6.0, 0.0], [3.0, 1.0], [-2.0, 9.0], [-1.0, 0.0], [5.0, -5.0], [4.0, np.nan]])
+        assert problem.evaluate_batch(batch).tolist() == [np.inf, 3.0, np.inf, -1.0, 5.0, np.inf]
+        assert (problem.feasible_evaluations, problem.infeasible_evaluations) == (3, 3)
+        catalogue = centered_sphere(2)
+        assert catalogue.evaluate_batch(batch).tolist() == [np.inf, 10.0, np.inf, 1.0, 50.0, np.inf]
+
     def test_global_minimum_sanity(self):
         rng = RngStream(17)
         for function in ALL_FUNCTIONS:

@@ -279,6 +279,26 @@ class TestRunCommand:
         assert (cell["status"], cell["error"]) == ("failed", f"ValueError: {message}")
         assert os.listdir(tmp_path / "sweep_out" / "runs") == []
 
+    def test_an_objective_of_several_numbers_per_point_fails_naming_its_problem(self, tmp_path, monkeypatch,
+                                                                                  capsys):
+        module = tmp_path / "vector_problems.py"
+        module.write_text(
+            "import numpy as np\n"
+            "from debox.benchmarks import ExternalProblem, register_problem\n"
+            "from debox.core import Bounds\n"
+            "register_problem('vector_objective', lambda instance, dimension: ExternalProblem(\n"
+            "    name='vector_objective', dimension=dimension, bounds=Bounds.symmetric(5.0, dimension),\n"
+            "    objective=lambda x: np.array([float(x @ x)])))\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        message = "problem 'vector_objective': the objective must return one number per point, got shape (1,)"
+        for engine, bchm in (("classic", "sat"), ("lshade", "dismiss")):
+            config = write_json(tmp_path / "run.json", run_config(
+                function="vector_objective", engine=engine, bchm=bchm, plugin_modules=["vector_problems"]))
+            assert main(["run", "--config", config, "--out", str(tmp_path / "run_out")]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+            assert not (tmp_path / "run_out").exists()
+
     def test_a_non_finite_optimum_value_fails_and_writes_no_file(self, tmp_path, monkeypatch, capsys):
         module = tmp_path / "bad_optimum_problems.py"
         module.write_text(

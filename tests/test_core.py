@@ -55,6 +55,14 @@ class TestBounds:
         assert b.contains(trials).tolist() == [False, True]
 
 
+class TestPopulation:
+    def test_best_index_is_the_first_of_a_tied_minimum(self):
+        # classic DE's pbest is the first best row, the argmin contract
+        pop = Population(np.arange(10.0).reshape(5, 2), [3.0, 1.0, 2.0, 1.0, 1.0])
+        assert pop.best_index == 1 and type(pop.best_index) is int
+        assert Population(np.zeros((3, 2)), [np.inf, 0.5, 0.5]).best_index == 1
+
+
 class TestPopulationStats:
     def test_two_member_1d(self):
         stats = population_stats(pop_1d(0.0, 2.0))

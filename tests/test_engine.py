@@ -357,6 +357,48 @@ class TestClassicGeneration:
             classic_generation(pop, "sat", problem, RngStream(0), Trajectory())
 
 
+class TestLshadeGeneration:
+    def test_archive_donor_survivors_and_archive_trim_of_one_generation(self, scripted, monkeypatch):
+        problem = centered_problem(dimension=2)
+        positions = np.array([[1.0, 1.0], [0.5, 0.0], [2.0, -1.0], [-0.25, 0.25], [1.5, 1.5], [-2.0, 0.5]])
+        fitness = np.array([problem.evaluate(x) for x in positions])  # ranks: 3, 1, 0, 5, 4, 2
+        archive = np.array([[0.75, -0.5], [-1.0, 2.0], [0.0, -3.0]])
+        state = ShadeState.create(2, 12, 6)  # after this generation's 6 trials LPSR keeps 4 of 6
+        state.archive = archive.copy()
+        pop = Population(positions, fitness)
+        rank = [0, 1, 0, 1, 0, 0]  # into the 2 best, rows 3 and 1
+        r1 = [1, 2, 4, 0, 5, 3]
+        r2 = [6, 7, 5, 6, 2, 0]  # over population and archive: 6 and 7 are archive rows 0 and 1
+
+        def unit(rank, slots):  # the unit whose floor(u * slots) is rank
+            return (rank + 0.5) / slots
+
+        block = [0.0] * 6 + [0.5] * 6 + [0.5] * 6 + [unit(k, 2) for k in rank]  # slots, F = 0.5, p, ranks
+        block += [unit(r - (j < r), 5) for j, r in enumerate(r1)]  # r1 ranks over the 5 slots but j
+        block += [unit(r - (j < r) - (r1[j] < r), 7) for j, r in enumerate(r2)]  # r2 over the 7 left of 9
+        block += [0.5] * (6 * 3)  # i_rand and crossover units; CR = 1 takes the whole mutant
+        trim = [0.6, 0.1, 0.9, 0.3, 0.5]  # the archive's 5 entries; the lowest draw is dropped
+        script = scripted(units=block + trim, normal_values=[1.0] * 6)
+        evaluated = []
+        evaluate_batch = problem.evaluate_batch
+        monkeypatch.setattr(problem, "evaluate_batch", lambda xs: evaluated.append(xs.copy()) or evaluate_batch(xs))
+        new_pop = lshade_generation(pop, state, "sat", problem, script, Trajectory())
+        assert script.units == [] and script.calls == [len(block), len(trim)]
+
+        (trials,) = evaluated
+        # trial 0: current-to-pbest/1 from pbest row 3, r1 row 1 and archive row 0
+        expected = positions[0] + 0.5 * (positions[3] - positions[0] + positions[1] - archive[0])
+        assert_array_equal(trials[0], expected)
+        assert_array_equal(trials[0], [0.25, 0.875])
+        assert_array_equal(trials[1], positions[1] + 0.5 * (positions[2] - archive[1]))
+        assert_array_equal(trials[5], [-1.75, 0.0])
+        # trials 0 and 5 win; LPSR keeps the 4 best, rows 3, 1, 0 and 5, in index order
+        assert_array_equal(new_pop.positions, [trials[0], positions[1], positions[3], trials[5]])
+        assert_array_equal(new_pop.fitness, [0.828125, 0.25, 0.125, 3.0625])
+        # the archive gains the defeated parents 0 and 5; the trim keeps the entries of the 4 highest draws
+        assert_array_equal(state.archive, [positions[0], positions[5], archive[0], archive[2]])
+
+
 class TestRun:
     def test_budget_must_be_positive(self):
         config = RunConfig(problem=centered_problem(), budget=0, seed=1)
@@ -544,6 +586,20 @@ class TestRun:
         problem = ExternalProblem("unsolved", 5, Bounds.symmetric(5.0, 5), objective, optimum_value=0.0)
         with pytest.raises(ValueError, match=message):
             run(RunConfig(problem=problem, engine=engine, bchm="sat", budget=5000, seed=1))
+
+    @pytest.mark.parametrize("objective,shape", [
+        (lambda x: np.array([float(x @ x)]), r"\(1,\)"),
+        (lambda x: (float(x[0]), float(x[1])), r"\(2,\)"),
+    ], ids=["one-element-array", "pair"])
+    def test_an_objective_must_return_one_number_per_point(self, objective, shape):
+        message = rf"^problem 'vector_objective': the objective must return one number per point, got shape {shape}$"
+        problem = ExternalProblem("vector_objective", 2, Bounds.symmetric(5.0, 2), objective)
+        for engine, bchm in (("classic", "sat"), ("lshade", "dismiss")):
+            with pytest.raises(ValueError, match=message):
+                run(RunConfig(problem=problem, engine=engine, bchm=bchm, budget=1000, seed=1,
+                              classic_population_size=10))
+        with pytest.raises(ValueError, match=message):  # the dismiss path: the infeasible rows are left out
+            problem.evaluate_batch(np.array([[1.0, 2.0], [9.0, 0.0], [-3.0, 0.5]]))
 
     @pytest.mark.parametrize("make_problem", [centered_problem, half_nan_problem,
                                               lambda: ExternalProblem("bowl", 3, Bounds.symmetric(5.0, 3),
