@@ -193,18 +193,25 @@ class BenchmarkProblem:
             values = np.full(len(xs), np.inf)
             if feasible:
                 values[inside] = self._landscape(xs.compress(inside, axis=0))  # xs[inside], without fancy indexing
-        values[np.isnan(values)] = np.inf
-        if np.logical_or.reduce(values == -np.inf):
-            raise ValueError(f"problem {self.function_id!r}: the objective returned -inf")
+        if not np.minimum.reduce(values, initial=np.inf) > -np.inf:  # some value is NaN or -inf
+            values[np.isnan(values)] = np.inf
+            if np.logical_or.reduce(values == -np.inf):
+                raise ValueError(f"problem {self.function_id!r}: the objective returned -inf")
         return values
 
     def _landscape(self, xs: np.ndarray) -> np.ndarray:
         """Objective values of in-box rows; a plugin objective must return one number per point."""
         if self.objective is not None:
-            values = np.array([self.objective(x) for x in xs], dtype=float)
+            refusal = f"problem {self.function_id!r}: the objective must return one number per point"
+            results = [self.objective(x) for x in xs]
+            if any(r is None for r in results):  # an objective that misses its return
+                raise ValueError(f"{refusal}, got None")
+            try:
+                values = np.array(results, dtype=float)
+            except (TypeError, ValueError) as error:  # results of unequal shapes, or not numbers
+                raise ValueError(f"{refusal} ({error})") from error
             if values.ndim != 1:
-                raise ValueError(f"problem {self.function_id!r}: the objective must return one number per point, "
-                                 f"got shape {values.shape[1:]}")
+                raise ValueError(f"{refusal}, got shape {values.shape[1:]}")
             return values
         if self._slope_weights is not None:
             return _slope(xs, self.optimum_location, self._slope_weights) + self.optimum_value

@@ -30,10 +30,11 @@ one unit per archive entry when L-SHADE trims its archive.
 
 A unit u maps to an index in [0, k) as floor(u k), uniform to within k 2^-53;
 F is the inverse Cauchy CDF loc + 0.1 tan(pi (u - 1/2)), p is
-p_lo + (p_hi - p_lo) u.  An index that must differ from the target and from
-the k - 1 indices drawn before it in its row is drawn as q over the
-limit - k free slots and shifted past the row's sorted forbidden indices
-f_0 < f_1 < ... in closed form, q + #{i : q >= f_i - i}.  When the budget
+p_lo + (p_hi - p_lo) u.  The i-th index of a row, which must differ from the
+target j and from the i - 1 indices drawn before it, is drawn as the rank
+q_i over its limit - i free slots and mapped to its slot by composed shifts,
+s_j(s_{q_1}(...s_{q_{i-1}}(q_i))) with s_a(t) = t + (t >= a); each engine
+gathers all its index rows in one ``take``.  When the budget
 runs out mid-generation only the prefix of trials whose cumulative cost
 fits the remaining budget is repaired, evaluated and recorded; a trial
 costs one evaluation unless it is dismissed while infeasible evaluations
@@ -50,6 +51,7 @@ the archive afterwards, with the memory update and the size reduction.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -160,25 +162,20 @@ def lpsr_target_size(state: ShadeState, evaluations_used: int) -> int:
     return int(min(max(target, MIN_POPULATION_SIZE), state.n_init))
 
 
-def _distinct_indices(units: np.ndarray, j: np.ndarray, *limits: int) -> list[np.ndarray]:
-    """Index arrays r_1, r_2, ... from the rows of ``units``: r_i lies in
-    [0, limits[i-1]) and differs, row by row, from ``j`` and from the arrays
-    before it.  r_i is floor(u (limit - i)) over its free slots, shifted past
-    the row's forbidden indices f_0 < f_1 < ... as q + #{k : q >= f_k - k}."""
-    picked, ascending = [], [j]  # each row's forbidden indices, in increasing order
-    for u, limit in zip(units, limits):
-        q = (u * (limit - len(ascending))).astype(np.intp)
-        r = q + (q >= ascending[0])
-        for k in range(1, len(ascending)):
-            r += q >= ascending[k] - k
-        picked.append(r)
-        if len(picked) < len(limits):
-            merged = []
-            for forbidden in ascending:  # insert r, one compare-exchange per entry
-                merged.append(np.minimum(forbidden, r))
-                r = np.maximum(forbidden, r)
-            ascending = merged + [r]
-    return picked
+def _distinct_indices(units: np.ndarray, j: np.ndarray, *limits: int) -> np.ndarray:
+    """Index rows r_1, r_2, ... of a (k, m) array from the k rows of ``units``:
+    r_i lies in [0, limits[i-1]) and differs, column by column, from ``j`` and
+    from the rows before it.  r_i is the q_i-th of its free slots, q_i =
+    floor(u (limit - i)): removing j relabels the free slots through s_j(t) =
+    t + (t >= j), removing r_1 then removes label q_1 of that set, and so on,
+    so r_i = s_j(s_{q_1}(...s_{q_{i-1}}(q_i))), the latest shift first."""
+    r = (units * np.array([[limit - i] for i, limit in enumerate(limits, 1)])).astype(np.intp)  # q, row by row
+    for i in range(len(limits) - 1, -1, -1):  # row i reads the q of the rows above it, so the last goes first
+        t = r[i]
+        for a in range(i - 1, -1, -1):
+            np.add(t, t >= r[a], out=t)
+        np.add(t, t >= j, out=t)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +279,8 @@ def classic_generation(pop: Population, bchm: str, problem, rng: RngStream, traj
     x = pop.positions
     units = rng.random(m * (4 + n))
     index_units, crossover_units = units[:3 * m].reshape(3, m), units[3 * m:].reshape(m, 1 + n)
-    r1, r2, r3 = _distinct_indices(index_units, np.arange(m), m, m, m)
-    mutants = rand1_mutant(x.take(r1, axis=0), x.take(r2, axis=0), x.take(r3, axis=0), SCALE_FACTOR)
+    idx = _distinct_indices(index_units, np.arange(m), m, m, m)
+    mutants = rand1_mutant(*x.take(idx, axis=0), SCALE_FACTOR)
     return _generation(pop, mutants, CROSSOVER_RATE, x[pop.best_index], crossover_units, bchm, problem,
                        rng, trajectory, adaptive_state, budget, clock)
 
@@ -305,9 +302,10 @@ def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rn
     p = p_lo + (max(p_lo, P_MAX) - p_lo) * p_u  # Generator.uniform, bit for bit
     rank = (rank_u * np.ceil(p * m)).astype(np.intp)  # p >= 2/m, so ceil(p m) >= 2
     donors = np.concatenate([x, state.archive]) if len(state.archive) else x
-    r1, r2 = _distinct_indices(units[4 * m:6 * m].reshape(2, m), np.arange(m), m, len(donors))
+    idx = _distinct_indices(units[4 * m:6 * m].reshape(2, m), np.arange(m), m, len(donors))
+    x_r1, donor_r2 = donors.take(idx, axis=0)  # r1 < m, so donors[r1] is x[r1]
     pbest = x.take(fitness.argsort(kind="stable")[rank], axis=0)
-    mutants = x + f[:, None] * (pbest - x + x.take(r1, axis=0) - donors.take(r2, axis=0))
+    mutants = x + f[:, None] * (pbest - x + x_r1 - donor_r2)
 
     def adapt(trial_fitness, positions, new_fitness):
         better = (trial_fitness < fitness[:len(trial_fitness)]).nonzero()[0]
@@ -345,7 +343,7 @@ def _update_memories(state: ShadeState, successful_f, successful_cr, improvement
     weights = weights / total
     k = state.memory_index
     state.memory_f[k] = lehmer_mean(successful_f, weights)
-    if np.isnan(state.memory_cr[k]) or np.maximum.reduce(successful_cr) == 0.0:
+    if math.isnan(state.memory_cr[k]) or np.maximum.reduce(successful_cr) == 0.0:
         state.memory_cr[k] = np.nan  # terminal: CR stays pinned at 0 for this slot
     else:
         state.memory_cr[k] = float(np.add.reduce(weights * successful_cr))

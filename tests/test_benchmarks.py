@@ -125,6 +125,16 @@ class TestEvaluateStrict:
         catalogue = centered_sphere(2)
         assert catalogue.evaluate_batch(batch).tolist() == [np.inf, 10.0, np.inf, 1.0, 50.0, np.inf]
 
+    @pytest.mark.parametrize("outside_row", [False, True], ids=["all-feasible", "mixed"])
+    def test_nan_scores_inf_and_minus_inf_raises_on_both_paths(self, outside_row):
+        problem = ExternalProblem("signal", 2, Bounds.symmetric(5.0, 2),
+                                  lambda x: {1.0: np.nan, 2.0: -np.inf}.get(float(x[0]), float(x[1])))
+        tail = [[9.0, 0.0]] if outside_row else []
+        values = problem.evaluate_batch(np.array([[1.0, 0.0], [0.0, 3.0], [1.0, 4.0]] + tail))
+        assert values.tolist() == [np.inf, 3.0, np.inf] + [np.inf] * outside_row
+        with pytest.raises(ValueError, match=r"^problem 'signal': the objective returned -inf$"):
+            problem.evaluate_batch(np.array([[0.0, 3.0], [2.0, 0.0], [1.0, 0.0]] + tail))
+
     def test_global_minimum_sanity(self):
         rng = RngStream(17)
         for function in ALL_FUNCTIONS:
@@ -154,6 +164,9 @@ class TestEvaluationCounting:
         values = problem.evaluate_batch(np.empty((0, 3)))
         assert values.dtype == np.float64 and values.shape == (0,)
         assert (problem.feasible_evaluations, problem.infeasible_evaluations, problem.budget_consumed) == (0, 0, 0)
+        plugin = ExternalProblem("first_coordinate", 3, Bounds.symmetric(5.0, 3), lambda x: float(x[0]))
+        values = plugin.evaluate_batch(np.empty((0, 3)))
+        assert values.dtype == np.float64 and values.shape == (0,)
 
     def test_reset(self):
         problem = centered_sphere(2)

@@ -54,6 +54,20 @@ class TestBounds:
         assert b.outside(trials).tolist() == [[True, False, False], [False, False, False]]
         assert b.contains(trials).tolist() == [False, True]
 
+    def test_contains_is_the_reduced_complement_of_outside(self):
+        b = Bounds.symmetric(1.0, 3)
+        # interior, on-bound, just-outside and non-finite components, in every combination
+        values = [0.5, -1.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), np.nan, np.inf, -np.inf]
+        grid = np.array(np.meshgrid(values, values, values)).reshape(3, -1).T
+        expected = ~b.outside(grid).any(-1)
+        assert 0 < np.count_nonzero(expected) < len(grid)
+        inside = b.contains(grid)
+        assert inside.dtype == bool and inside.tolist() == expected.tolist()
+        assert [b.contains(x) for x in grid] == expected.tolist()  # one point: a Python bool
+        assert all(type(b.contains(x)) is bool for x in grid[:3])
+        empty = b.contains(np.empty((0, 3)))
+        assert empty.dtype == bool and empty.shape == (0,)
+
 
 class TestPopulation:
     def test_best_index_is_the_first_of_a_tied_minimum(self):

@@ -257,6 +257,30 @@ class TestIndexDraws:
             p = chi2.sf(statistic, len(groups) * (free - 1))
             assert p >= self.P_THRESHOLD, f"{name}: chi-square p = {p:.2e}"
 
+    @staticmethod
+    def reference(units, j, limits):
+        """Brute force: column c's r_i is the q_i-th slot left in [0, limit_i) once j_c and the
+        column's earlier picks are removed, in order, with q_i = floor(u (limit_i - i))."""
+        picks = np.empty(units.shape, dtype=np.intp)
+        for c in range(units.shape[1]):
+            taken = [int(j[c])]
+            for i, limit in enumerate(limits):
+                free = [slot for slot in range(limit) if slot not in taken]
+                picks[i, c] = free[int(units[i, c] * (limit - i - 1))]
+                taken.append(int(picks[i, c]))
+        return picks
+
+    @pytest.mark.parametrize("limits", [(5,), (5, 5), (5, 5, 5), (5, 9), (5, 9, 9), (12, 12, 12), (12, 20)])
+    def test_each_index_is_its_free_slot_of_that_rank(self, limits):
+        m = limits[0]
+        rng = RngStream(23)
+        j = np.tile(np.arange(m), 50)
+        units = rng.random((len(limits), j.size))
+        units[:, :2 * m] = np.repeat([[0.0], [np.nextafter(1.0, 0.0)]], m, axis=1).ravel()  # the extreme units
+        picks = np.asarray(_distinct_indices(units, j, *limits))
+        assert picks.shape == units.shape and picks.dtype == np.intp
+        assert_array_equal(picks, self.reference(units, j, limits))
+
 
 class TestDrawBlock:
     """Every unit variate of a generation comes from one random call; L-SHADE
@@ -600,6 +624,15 @@ class TestRun:
                               classic_population_size=10))
         with pytest.raises(ValueError, match=message):  # the dismiss path: the infeasible rows are left out
             problem.evaluate_batch(np.array([[1.0, 2.0], [9.0, 0.0], [-3.0, 0.5]]))
+
+    @pytest.mark.parametrize("objective", [lambda x: x[x > 0], lambda x: "abc", lambda x: None],
+                             ids=["unequal-shapes", "string", "none"])
+    def test_an_objective_that_returns_no_number_fails_the_run_naming_its_problem(self, objective):
+        problem = ExternalProblem("odd_objective", 3, Bounds.symmetric(5.0, 3), objective)
+        message = r"^problem 'odd_objective': the objective must return one number per point"
+        with pytest.raises(ValueError, match=message):
+            run(RunConfig(problem=problem, engine="classic", bchm="sat", budget=200, seed=1,
+                          classic_population_size=10))
 
     @pytest.mark.parametrize("make_problem", [centered_problem, half_nan_problem,
                                               lambda: ExternalProblem("bowl", 3, Bounds.symmetric(5.0, 3),
