@@ -2,8 +2,9 @@
 
 Demonstrates the two placement modes (SBOX can put the optimum arbitrarily
 close to the boundary, BBOB_LIKE keeps a margin), the death-penalty
-semantics outside the box, and the evaluation accounting that makes
-infeasible calls free by default.
+semantics outside the box, and the problem's own tallies of feasible and
+infeasible calls (the budget belongs to a run, which charges infeasible
+calls only when its config says so).
 """
 
 import numpy as np
@@ -41,11 +42,7 @@ outside[0] = 5.0000001
 print(f"f(x*)            = {problem.evaluate(problem.optimum_location):.6f}  (= f*)")
 print(f"f(near x*)       = {problem.evaluate(inside):.6f}")
 print(f"f(outside box)   = {problem.evaluate(outside)}")
-print(
-    f"counters: feasible={problem.feasible_evaluations}, "
-    f"infeasible={problem.infeasible_evaluations}, "
-    f"budget consumed={problem.budget_consumed}"
-)
+print(f"tallies: feasible={problem.feasible_evaluations}, infeasible={problem.infeasible_evaluations}")
 
 # the linear slope is the one landscape whose optimum sits on a box corner
 slope = make_instance("linear_slope", 3, 5, "SBOX")

@@ -1,10 +1,10 @@
 """Strict-box benchmark problems.
 
 The suite mirrors the strict-box benchmarking style: every problem lives on
-the box [-5, 5]^n, evaluating a point outside the closed box yields +inf
-(death-penalty semantics) and, by default, does not consume evaluation
-budget.  Instances are seeded purely by their coordinates, so the same
-(function, instance, dimension, mode) always yields the same problem.
+the box [-5, 5]^n, and evaluating a point outside the closed box yields
++inf (death-penalty semantics); whether that spends budget is a run setting.
+Instances are seeded purely by their coordinates, so the same (function,
+instance, dimension, mode) always yields the same problem.
 
 Two placement modes exist:
 
@@ -114,10 +114,10 @@ class BenchmarkProblem:
     """A problem under strict-box semantics: a seeded catalogue instance, or a
     user-supplied ``objective`` (see :func:`ExternalProblem`).
 
-    The evaluation counters and ``count_infeasible_evals`` (set by each run
-    from its config) are the only mutable state; a problem instance is owned
-    by a single run.  Without ``optimum_value`` a run cannot report an
-    error, and behaviour classification degrades to the variance-only form.
+    The two evaluation tallies are the only mutable state: the object's own
+    lifetime count, which no run reads or resets, so runs may share one
+    problem.  Without ``optimum_value`` a run cannot report an error, and
+    behaviour classification degrades to the variance-only form.
     """
 
     function_id: str
@@ -130,7 +130,6 @@ class BenchmarkProblem:
     objective: Callable[[np.ndarray], float] | None = None  # one point to a float; None: the catalogue
     feasible_evaluations: int = field(default=0, compare=False)
     infeasible_evaluations: int = field(default=0, compare=False)
-    count_infeasible_evals: bool = field(default=False, init=False)
     _slope_weights: np.ndarray | None = field(default=None, init=False, repr=False)  # linear_slope only
 
     def __post_init__(self) -> None:
@@ -152,22 +151,11 @@ class BenchmarkProblem:
         if self.function_id == "linear_slope":  # its corner is checked once, here, not per evaluation
             self._slope_weights = _signed_slope_weights(self.optimum_location, self.bounds)
 
-    @property
-    def budget_consumed(self) -> int:
-        """Evaluations charged against the run budget."""
-        if self.count_infeasible_evals:
-            return self.feasible_evaluations + self.infeasible_evaluations
-        return self.feasible_evaluations
-
-    def reset_counters(self) -> None:
-        self.feasible_evaluations = 0
-        self.infeasible_evaluations = 0
-
     def evaluate(self, x: np.ndarray) -> float:
         """Strict-box evaluation of one point: +inf outside the closed box.
 
-        Infeasible calls never touch the raw landscape; they count against
-        the budget only when ``count_infeasible_evals`` is set.
+        Infeasible calls never touch the raw landscape; they add to the
+        ``infeasible_evaluations`` tally, and a run charges them as its config says.
         """
         return float(self.evaluate_batch(np.asarray(x, dtype=float)[None])[0])
 

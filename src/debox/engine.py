@@ -34,11 +34,11 @@ p_lo + (p_hi - p_lo) u.  The i-th index of a row, which must differ from the
 target j and from the i - 1 indices drawn before it, is drawn as the rank
 q_i over its limit - i free slots and mapped to its slot by composed shifts,
 s_j(s_{q_1}(...s_{q_{i-1}}(q_i))) with s_a(t) = t + (t >= a); each engine
-gathers all its index rows in one ``take``.  When the budget
-runs out mid-generation only the prefix of trials whose cumulative cost
-fits the remaining budget is repaired, evaluated and recorded; a trial
-costs one evaluation unless it is dismissed while infeasible evaluations
-are free.
+gathers all its index rows in one ``take``.  A run charges its budget to
+its own ledger, not to the problem.  When the budget runs out
+mid-generation only the prefix of trials whose cumulative cost fits the
+remaining budget is repaired, evaluated and recorded; a trial costs one
+evaluation unless it is dismissed while infeasible evaluations are free.
 
 L-SHADE adds success-history parameter adaptation (memory of size H storing
 weighted Lehmer means of successful F and weighted arithmetic means of
@@ -104,6 +104,16 @@ class ShadeState:
     def create(cls, dimension: int, budget: int, n_init: int) -> "ShadeState":
         return cls(memory_f=np.full(MEMORY_SIZE, 0.5), memory_cr=np.full(MEMORY_SIZE, 0.5), memory_index=0,
                    archive=np.empty((0, dimension)), n_init=n_init, n_fe_max=budget)
+
+
+@dataclass(eq=False)
+class _Ledger:
+    """A run's budget account, built from its config; the problem keeps none."""
+
+    budget: int
+    charge_infeasible: bool  # whether infeasible evaluations are charged against the budget
+    feasible: int  # feasible evaluations so far
+    spent: int  # evaluations charged against the budget so far
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +213,7 @@ class _PhaseClock:
 
 def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, units: np.ndarray, bchm: str,
                 problem, rng: RngStream, trajectory: telemetry.Trajectory, adaptive_state: AdaptiveState | None,
-                budget: int | None, clock: _PhaseClock, adapt=None) -> Population:
+                ledger: _Ledger, clock: _PhaseClock, adapt=None) -> Population:
     """Crossover, budget prefix, batch repair, batch evaluation, greedy
     selection and the telemetry of one generation, appended to ``trajectory``.
 
@@ -219,11 +229,11 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     bounds = problem.bounds
     outside = bounds.outside(trials)  # the one violation mask of the generation
     infeasible = np.logical_or.reduce(outside, axis=1)
-    kept = len(trials)
-    if budget is not None and budget - problem.budget_consumed < kept:
+    kept, remaining = len(trials), ledger.budget - ledger.spent
+    if remaining < kept:
         # a trial costs one evaluation unless it is dismissed while infeasible ones are free
-        cost = ~infeasible | (bchm != "dismiss") | bool(problem.count_infeasible_evals)
-        kept = int(np.count_nonzero(cost.cumsum() - cost < budget - problem.budget_consumed))
+        cost = ~infeasible | (bchm != "dismiss") | ledger.charge_infeasible
+        kept = int(np.count_nonzero(cost.cumsum() - cost < remaining))
         trials, outside, infeasible = trials[:kept], outside[:kept], infeasible[:kept]
 
     repaired, dismissed, picks = trials, None, None
@@ -236,6 +246,9 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     clock.lap(REPAIR)
 
     trial_fitness = problem.evaluate_batch(repaired)
+    n_dismissed = int(corrections) if dismissed is not None else 0  # after repair only these lie outside the box
+    ledger.feasible += kept - n_dismissed
+    ledger.spent += kept if ledger.charge_infeasible else kept - n_dismissed
     clock.lap(EVALUATION)
     wins = trial_fitness <= fitness[:kept]
     if dismissed is not None:
@@ -252,7 +265,7 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
     next_pop.stats = population_stats(next_pop)
     clock.lap(SELECTION)
     telemetry.record_generation(
-        trajectory, outside, corrections, next_pop, problem,
+        trajectory, outside, corrections, next_pop, ledger.feasible, problem,
         adaptive_probabilities=None if adaptive_state is None else adaptive_state.probabilities,
     )
     clock.lap(TELEMETRY)
@@ -264,13 +277,13 @@ def _generation(pop: Population, mutants: np.ndarray, cr, pbest: np.ndarray, uni
 # ---------------------------------------------------------------------------
 
 def classic_generation(pop: Population, bchm: str, problem, rng: RngStream, trajectory: telemetry.Trajectory,
-                       adaptive_state: AdaptiveState | None = None, budget: int | None = None,
+                       ledger: _Ledger, adaptive_state: AdaptiveState | None = None,
                        clock: _PhaseClock | None = None) -> Population:
     """One synchronous DE/rand/1/bin generation, with F = SCALE_FACTOR and CR = CROSSOVER_RATE.
 
-    If the budget runs out mid-generation the remaining targets carry over
-    unchanged.  Appends the generation's telemetry to ``trajectory``;
-    ``clock`` accumulates the seconds of each phase.
+    Charges ``ledger``; if its budget runs out mid-generation the remaining
+    targets carry over unchanged.  Appends the generation's telemetry to
+    ``trajectory``; ``clock`` accumulates the seconds of each phase.
     """
     clock = clock if clock is not None else _PhaseClock()
     m, n = pop.positions.shape
@@ -282,12 +295,12 @@ def classic_generation(pop: Population, bchm: str, problem, rng: RngStream, traj
     idx = _distinct_indices(index_units, np.arange(m), m, m, m)
     mutants = rand1_mutant(*x.take(idx, axis=0), SCALE_FACTOR)
     return _generation(pop, mutants, CROSSOVER_RATE, x[pop.best_index], crossover_units, bchm, problem,
-                       rng, trajectory, adaptive_state, budget, clock)
+                       rng, trajectory, adaptive_state, ledger, clock)
 
 
 def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rng: RngStream,
-                      trajectory: telemetry.Trajectory, adaptive_state: AdaptiveState | None = None,
-                      budget: int | None = None, clock: _PhaseClock | None = None) -> Population:
+                      trajectory: telemetry.Trajectory, ledger: _Ledger, adaptive_state: AdaptiveState | None = None,
+                      clock: _PhaseClock | None = None) -> Population:
     """One L-SHADE generation: current-to-pbest/1/bin with memories, archive
     and linear population size reduction; ``state`` is updated in place."""
     clock = clock if clock is not None else _PhaseClock()
@@ -312,7 +325,7 @@ def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rn
         if better.size:
             state.archive = np.concatenate([state.archive, x.take(better, axis=0)])
             _update_memories(state, f[better], cr[better], fitness[better] - trial_fitness[better])
-        target_size = lpsr_target_size(state, problem.budget_consumed)
+        target_size = lpsr_target_size(state, ledger.spent)
         if target_size < m:
             keep = new_fitness.argsort(kind="stable")[:target_size]
             keep.sort()
@@ -321,7 +334,7 @@ def lshade_generation(pop: Population, state: ShadeState, bchm: str, problem, rn
         return positions, new_fitness
 
     return _generation(pop, mutants, cr[:, None], pbest, units[6 * m:].reshape(m, 1 + n), bchm, problem,
-                       rng, trajectory, adaptive_state, budget, clock, adapt)
+                       rng, trajectory, adaptive_state, ledger, clock, adapt)
 
 
 def _trim_archive(state: ShadeState, population_size: int, rng: RngStream) -> None:
@@ -436,10 +449,9 @@ def run(config: RunConfig) -> RunResult:
     """
     config.validate()
     problem = config.problem
-    problem.reset_counters()
-    problem.count_infeasible_evals = config.count_infeasible_evals
     n = problem.dimension
     budget, n_init = config.resolved_budget(n), config.initial_size(n)
+    ledger = _Ledger(budget, config.count_infeasible_evals, n_init, n_init)  # every initial point lies in the box
     init_rng, loop_rng = RngStream(config.seed, (0,)), RngStream(config.seed, (1,))
 
     shade_state = ShadeState.create(n, budget, n_init) if config.engine == "lshade" else None
@@ -454,23 +466,23 @@ def run(config: RunConfig) -> RunResult:
     clock = _PhaseClock()
     stalled = 0
     stop_reason = "budget"
-    while problem.budget_consumed < budget:
+    while ledger.spent < budget:
         if config.max_generations is not None and pop.generation >= config.max_generations:
             stop_reason = "max_generations"
             break
-        consumed_before = problem.budget_consumed
+        spent_before = ledger.spent
         if config.engine == "classic":
-            pop = classic_generation(pop, config.bchm, problem, loop_rng, trajectory, adaptive_state, budget,
+            pop = classic_generation(pop, config.bchm, problem, loop_rng, trajectory, ledger, adaptive_state,
                                      clock)
         else:
-            pop = lshade_generation(pop, shade_state, config.bchm, problem, loop_rng, trajectory,
-                                    adaptive_state, budget, clock)
+            pop = lshade_generation(pop, shade_state, config.bchm, problem, loop_rng, trajectory, ledger,
+                                    adaptive_state, clock)
         if adaptive_state is not None and pop.generation % ADAPTIVE_UPDATE_PERIOD == 0:
             adaptive_state = adaptive_update(adaptive_state)
             clock.lap(SELECTION)
         # with dismiss and free infeasible evaluations a generation may consume
         # no budget; bail out if that persists instead of spinning forever
-        stalled = stalled + 1 if problem.budget_consumed == consumed_before else 0
+        stalled = stalled + 1 if ledger.spent == spent_before else 0
         if stalled >= STALL_GENERATIONS:
             stop_reason = "stalled"
             break
@@ -484,7 +496,7 @@ def run(config: RunConfig) -> RunResult:
         best_position=pop.positions[best_idx].copy(),
         behaviour=telemetry.classify(best_error, variance),
         classification_mode="variance_only" if problem.optimum_value is None else "error_and_variance",
-        records=trajectory, evaluations_used=problem.budget_consumed, generations=pop.generation,
+        records=trajectory, evaluations_used=ledger.spent, generations=pop.generation,
         final_max_component_variance=variance, wall_time_seconds=wall_time,
         stop_reason=stop_reason, phase_seconds=dict(zip(PHASES, clock.seconds)),
     )

@@ -143,16 +143,16 @@ class Trajectory:
 
 
 def record_generation(trajectory: Trajectory, outside: np.ndarray, infeasible: int, population: Population,
-                      problem, adaptive_probabilities=None) -> None:
+                      feasible_evaluations: int, problem, adaptive_probabilities=None) -> None:
     """Append the telemetry of one completed generation to ``trajectory``.
 
     ``outside`` is the ``Bounds.outside`` mask of the generation's raw
-    (pre-correction) trials, shape (M, n), and ``infeasible`` the number of
-    its rows with any violation.  ``population`` is the post-selection
-    state: the record takes its generation, its size, its ``stats``
-    (computed if it has none) and its best error, best fitness minus the
-    stated optimum (NaN without one); a best fitness below that optimum
-    raises ``ValueError`` rather than claim a solve.
+    (pre-correction) trials, shape (M, n), ``infeasible`` the number of its
+    rows with any violation, and ``feasible_evaluations`` the run's count.
+    ``population`` is the post-selection state: the record takes its
+    generation, its size, its ``stats`` (computed if it has none) and its
+    best error, best fitness minus the stated optimum (NaN without one); a
+    best fitness below it raises ``ValueError`` rather than claim a solve.
     """
     stats = population.stats if population.stats is not None else population_stats(population)
     f_star, best_fitness = problem.optimum_value, float(np.minimum.reduce(population.fitness))
@@ -162,7 +162,7 @@ def record_generation(trajectory: Trajectory, outside: np.ndarray, infeasible: i
     row = trajectory._new_row(adaptive_probabilities)
     columns = trajectory._columns
     columns["generation"][row] = population.generation
-    columns["feasible_evaluations"][row] = problem.feasible_evaluations
+    columns["feasible_evaluations"][row] = feasible_evaluations
     columns["population_size"][row] = population.size
     columns["best_error"][row] = best_fitness - f_star if f_star is not None else np.nan
     # a generation without trials has ratios 0

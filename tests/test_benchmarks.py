@@ -145,34 +145,21 @@ class TestEvaluateStrict:
 
 
 class TestEvaluationCounting:
-    def test_infeasible_calls_are_free_by_default(self):
+    def test_each_call_adds_to_the_tally_of_its_side_of_the_box(self):
         problem = centered_sphere(3)
         problem.evaluate(np.zeros(3))
         problem.evaluate(np.full(3, 9.0))
         assert problem.feasible_evaluations == 1
         assert problem.infeasible_evaluations == 1
-        assert problem.budget_consumed == 1
-
-    def test_flag_charges_infeasible_calls(self):
-        problem = centered_sphere(3)
-        problem.count_infeasible_evals = True
-        problem.evaluate(np.full(3, 9.0))
-        assert problem.budget_consumed == 1
 
     def test_an_empty_batch_scores_nothing_and_counts_nothing(self):
         problem = centered_sphere(3)
         values = problem.evaluate_batch(np.empty((0, 3)))
         assert values.dtype == np.float64 and values.shape == (0,)
-        assert (problem.feasible_evaluations, problem.infeasible_evaluations, problem.budget_consumed) == (0, 0, 0)
+        assert (problem.feasible_evaluations, problem.infeasible_evaluations) == (0, 0)
         plugin = ExternalProblem("first_coordinate", 3, Bounds.symmetric(5.0, 3), lambda x: float(x[0]))
         values = plugin.evaluate_batch(np.empty((0, 3)))
         assert values.dtype == np.float64 and values.shape == (0,)
-
-    def test_reset(self):
-        problem = centered_sphere(2)
-        problem.evaluate(np.zeros(2))
-        problem.reset_counters()
-        assert problem.budget_consumed == 0
 
 
 def slope(x_star, bounds=None):

@@ -4,13 +4,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.stats import binomtest, cauchy, chi2, kstest, norm
 
 import hashlib
+import pickle
 from collections import Counter
 
 from debox import engine, telemetry
-from debox.bchm import AdaptiveState
+from debox.bchm import METHOD_IDS, AdaptiveState
 from debox.benchmarks import BenchmarkProblem, ExternalProblem, make_instance
 from debox.core import Bounds, Population, RngStream
-from debox.telemetry import Trajectory
+from debox.telemetry import Trajectory, trajectory_csv_text
 from debox.engine import (
     PHASES,
     RunConfig,
@@ -25,7 +26,14 @@ from debox.engine import (
     sample_crossover_rate,
     sample_scale_factor,
     _distinct_indices,
+    _Ledger,
 )
+
+
+def ledger(spent, budget=10**9):
+    """A run's budget account after ``spent`` feasible evaluations, as ``run`` opens it after its initial
+    population; infeasible evaluations are free."""
+    return _Ledger(budget, False, spent, spent)
 
 
 def centered_problem(function="sphere", dimension=4):
@@ -158,7 +166,7 @@ class TestShadeMemory:
         positions = rng.uniform(-5, 5, (10, 3))
         fitness = np.array([problem.evaluate(x) for x in positions])
         pop = Population(positions, fitness)
-        lshade_generation(pop, state, "sat", problem, rng, Trajectory(), budget=1000)
+        lshade_generation(pop, state, "sat", problem, rng, Trajectory(), ledger(10, 1000))
         return state
 
     def test_no_success_leaves_memory_unchanged(self):
@@ -170,7 +178,7 @@ class TestShadeMemory:
         positions = np.zeros((10, 3))
         fitness = np.array([problem.evaluate(x) for x in positions])
         lshade_generation(
-            Population(positions, fitness), state, "sat", problem, RngStream(1), Trajectory(), budget=1000
+            Population(positions, fitness), state, "sat", problem, RngStream(1), Trajectory(), ledger(10, 1000)
         )
         assert_allclose(state.memory_f, before_f)
 
@@ -185,9 +193,9 @@ class TestShadeMemory:
         positions = rng.uniform(-5, 5, (12, 3))
         fitness = np.array([problem.evaluate(x) for x in positions])
         pop = Population(positions, fitness)
-        trajectory = Trajectory()
+        trajectory, account = Trajectory(), ledger(12, 10_000)
         for _ in range(20):
-            pop = lshade_generation(pop, state, "sat", problem, rng, trajectory, budget=10_000)
+            pop = lshade_generation(pop, state, "sat", problem, rng, trajectory, account)
             assert len(state.archive) <= pop.size
         assert_array_equal(trajectory.columns["generation"], np.arange(1, 21))
 
@@ -292,7 +300,7 @@ class TestDrawBlock:
         positions = rng.uniform(-5, 5, (12, 3))
         pop = Population(positions, problem.evaluate_batch(positions))
         rng.log.clear()
-        classic_generation(pop, "sat", problem, rng, Trajectory())
+        classic_generation(pop, "sat", problem, rng, Trajectory(), ledger(12))
         assert [(name, out.size) for name, out in rng.log] == [("random", 12 * (4 + 3))]
 
         m, with_rounds = 12, set()
@@ -303,7 +311,7 @@ class TestDrawBlock:
             # only the generation's draws
             state = ShadeState.create(3, 10**9, m)
             rng.log.clear()
-            lshade_generation(pop, state, "sat", problem, rng, Trajectory())
+            lshade_generation(pop, state, "sat", problem, rng, Trajectory(), ledger(12))
             (first, block), *rounds, (last, cr) = rng.log
             assert (first, block.size, last, cr.size) == ("random", m * (7 + 3), "normal", m)
             # memory F is 0.5 everywhere, so the first round redraws the F that start nonpositive
@@ -330,14 +338,15 @@ class TestClassicGeneration:
         # unchanged;
         # block order: r1, r2, r3 for all four rows, then per row i_rand and the units
         script = scripted(units=[0.0] * 12 + [0.0, 0.9, 0.9] * 4)
-        trajectory = Trajectory()
-        new_pop = classic_generation(pop, "dismiss", problem, script, trajectory)
+        trajectory, account = Trajectory(), ledger(4)
+        new_pop = classic_generation(pop, "dismiss", problem, script, trajectory, account)
         assert_allclose(new_pop.positions, positions)
         assert len(trajectory) == 1
         assert trajectory.columns["corrections_applied"][0] == 4
         assert trajectory.columns["infeasible_individual_ratio"][0] == 1.0
         assert problem.feasible_evaluations == 4  # only the initial evaluations
         assert problem.infeasible_evaluations == 4  # dismissed trials count as infeasible calls
+        assert (account.feasible, account.spent) == (4, 4)  # and are free
 
     def test_draw_order_of_one_generation(self, scripted):
         problem = centered_problem(dimension=2)
@@ -361,7 +370,7 @@ class TestClassicGeneration:
         for row in range(4):
             block += [unit(i_rand[row], 2)] + units[2 * row:2 * row + 2]
         script = scripted(units=block)
-        new_pop = classic_generation(pop, "sat", problem, script, Trajectory())
+        new_pop = classic_generation(pop, "sat", problem, script, Trajectory(), ledger(4))
         assert script.units == [] and script.calls == [len(block)]
 
         mutants = positions[r1] + 0.5 * (positions[r2] - positions[r3])
@@ -378,7 +387,7 @@ class TestClassicGeneration:
         problem = centered_problem(dimension=2)
         pop = Population(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError, match="at least 4"):
-            classic_generation(pop, "sat", problem, RngStream(0), Trajectory())
+            classic_generation(pop, "sat", problem, RngStream(0), Trajectory(), ledger(3))
 
 
 class TestLshadeGeneration:
@@ -406,7 +415,7 @@ class TestLshadeGeneration:
         evaluated = []
         evaluate_batch = problem.evaluate_batch
         monkeypatch.setattr(problem, "evaluate_batch", lambda xs: evaluated.append(xs.copy()) or evaluate_batch(xs))
-        new_pop = lshade_generation(pop, state, "sat", problem, script, Trajectory())
+        new_pop = lshade_generation(pop, state, "sat", problem, script, Trajectory(), ledger(6, 12))
         assert script.units == [] and script.calls == [len(block), len(trim)]
 
         (trials,) = evaluated
@@ -592,13 +601,15 @@ class TestRun:
                                 lambda x: float(np.sum((x - 5.0) ** 2)), optimum_value=0.0),
     ], ids=["catalogue", "plugin"])
     def test_each_run_charges_infeasible_evaluations_as_its_config_says(self, make_problem):
-        problem = make_problem()  # one object, run twice: each run sets the charging from its own config
+        problem = make_problem()  # one object, run twice: each run charges as its own config says
         for charged in (True, False):
             config = RunConfig(problem=problem, count_infeasible_evals=charged, engine="classic",
                                bchm="dismiss", budget=600, seed=2, classic_population_size=10)
             result = run(config)
-            assert problem.infeasible_evaluations > 0
-            spent = problem.feasible_evaluations + (problem.infeasible_evaluations if charged else 0)
+            columns = result.records.columns
+            dismissed = int(columns["corrections_applied"].sum())  # every dismissed trial is evaluated, outside the box
+            assert dismissed > 0 and result.stop_reason == "budget"
+            spent = columns["feasible_evaluations"][-1] + (dismissed if charged else 0)
             assert result.evaluations_used == spent == 600
 
     @pytest.mark.parametrize("objective,message", [
@@ -668,6 +679,81 @@ class TestRun:
         assert_array_equal(trajectory("dismiss"), trajectory("sat"))
 
 
+def odd_box_problem():
+    """A bowl whose minimum is the upper corner of [0.1, 0.3]^3, a box whose bounds are not binary fractions."""
+    bounds = Bounds(np.full(3, 0.1), np.full(3, 0.3))
+    return ExternalProblem("odd_box", 3, bounds, lambda x: float(np.sum((x - 0.3) ** 2)), optimum_value=0.0)
+
+
+class TestBudgetLedger:
+    """A run charges its budget to its own ledger, not to its problem, and
+    books every repaired trial as a feasible evaluation."""
+
+    @pytest.mark.parametrize("charged", [False, True], ids=["free", "charged"])
+    @pytest.mark.parametrize("make_problem, bchm", [
+        *[(lambda: make_instance("linear_slope", 1, 3, "SBOX"), bchm) for bchm in METHOD_IDS],
+        *[(odd_box_problem, bchm) for bchm in ("mirror", "uniform", "dismiss")],
+    ], ids=[*METHOD_IDS, "odd-box-mirror", "odd-box-uniform", "odd-box-dismiss"])
+    @pytest.mark.parametrize("engine", ["classic", "lshade"])
+    def test_the_ledger_agrees_with_the_strict_box_gate(self, engine, make_problem, bchm, charged):
+        # the ledger books kept - dismissed feasible evaluations per generation: no repaired
+        # or initial point may lie outside the box, where the gate would tally it infeasible
+        problem = make_problem()
+        result = run(RunConfig(problem=problem, count_infeasible_evals=charged, engine=engine, bchm=bchm,
+                               budget=600, seed=5, classic_population_size=10))
+        feasible, infeasible = problem.feasible_evaluations, problem.infeasible_evaluations
+        assert result.evaluations_used == feasible + (infeasible if charged else 0)
+        assert result.records.columns["feasible_evaluations"][-1] == feasible
+        assert result.records.columns["corrections_applied"].any() and (infeasible > 0) == (bchm == "dismiss")
+
+    @pytest.mark.parametrize("engine", ["classic", "lshade"])
+    def test_a_run_leaves_its_problem_as_it_was_but_for_the_tallies(self, engine):
+        def state(problem):
+            tallies = ("feasible_evaluations", "infeasible_evaluations")
+            return pickle.dumps({name: value for name, value in vars(problem).items() if name not in tallies})
+
+        problem = make_instance("linear_slope", 1, 3, "SBOX")
+        before = state(problem)
+        config = RunConfig(problem=problem, count_infeasible_evals=True, engine=engine, bchm="dismiss",
+                           budget=600, seed=1, classic_population_size=10)
+        run(config)
+        assert state(problem) == before
+        once = problem.feasible_evaluations, problem.infeasible_evaluations
+        run(config)  # the tallies are the problem's lifetime count: no run resets them
+        assert (problem.feasible_evaluations, problem.infeasible_evaluations) == (2 * once[0], 2 * once[1])
+
+    def test_a_run_started_inside_another_on_one_problem_leaves_both_as_they_run_alone(self):
+        def bowl(x):
+            return float(np.sum((x - 5.0) ** 2))
+
+        def configs(problem):
+            outer = RunConfig(problem=problem, engine="classic", bchm="dismiss", budget=600, seed=3,
+                              classic_population_size=10)
+            inner = RunConfig(problem=problem, count_infeasible_evals=True, engine="classic", bchm="dismiss",
+                              budget=400, seed=4, classic_population_size=10)
+            return outer, inner
+
+        def outcome(result):
+            return trajectory_csv_text(result.records), result.evaluations_used
+
+        alone = [outcome(run(config)) for config in configs(ExternalProblem("bowl", 3, Bounds.symmetric(5.0, 3),
+                                                                             bowl, optimum_value=0.0))]
+        calls, nested = 0, []
+
+        def objective(x):  # its 200th call, in the outer run's generations, starts the inner run
+            nonlocal calls
+            calls += 1
+            if calls == 200:
+                nested.append(run(inner))
+            return bowl(x)
+
+        problem = ExternalProblem("bowl", 3, Bounds.symmetric(5.0, 3), objective, optimum_value=0.0)
+        outer, inner = configs(problem)
+        outer_result = run(outer)
+        assert len(nested) == 1 and calls > 200
+        assert [outcome(outer_result), outcome(nested[0])] == alone
+
+
 class TestStructuralBias:
     """Structural bias oracle (Kononova et al., Inf. Sci. 2015).
 
@@ -685,12 +771,12 @@ class TestStructuralBias:
         pop = Population(positions, problem.evaluate_batch(positions))
         # 40 generations of 20 trials spend under 0.1% of the budget: LPSR keeps all 20
         state = ShadeState.create(5, 10**6, 20)
-        trajectory = Trajectory()
+        trajectory, account = Trajectory(), ledger(20, 10**6)
         for _ in range(40):
             if engine == "classic":
-                pop = classic_generation(pop, bchm, problem, rng, trajectory)
+                pop = classic_generation(pop, bchm, problem, rng, trajectory, account)
             else:
-                pop = lshade_generation(pop, state, bchm, problem, rng, trajectory)
+                pop = lshade_generation(pop, state, bchm, problem, rng, trajectory, account)
         return pop.positions
 
     @pytest.mark.parametrize("engine", ["classic", "lshade"])
@@ -712,9 +798,9 @@ def run_one_generation(generation, bchm, adaptive_state=None):
     positions = rng.uniform(problem.bounds.lower, problem.bounds.upper, (20, 3))
     pop = Population(positions, problem.evaluate_batch(positions))
     if generation == "classic":
-        return engine.classic_generation(pop, bchm, problem, rng, Trajectory(), adaptive_state)
+        return engine.classic_generation(pop, bchm, problem, rng, Trajectory(), ledger(20), adaptive_state)
     return engine.lshade_generation(pop, engine.ShadeState.create(3, 10**6, 20), bchm, problem, rng, Trajectory(),
-                                    adaptive_state)
+                                    ledger(20, 10**6), adaptive_state)
 
 
 @pytest.mark.parametrize("generation", ["classic", "lshade"])

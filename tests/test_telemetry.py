@@ -81,7 +81,7 @@ def violations(trials, problem):
 def record(trials, pop, problem, **kwargs):
     """The values record_generation appends for one generation of ``trials``, by column name."""
     trajectory = Trajectory()
-    record_generation(trajectory, *violations(trials, problem), pop, problem, **kwargs)
+    record_generation(trajectory, *violations(trials, problem), pop, 0, problem, **kwargs)
     assert len(trajectory) == 1
     return {name: column[0] for name, column in trajectory.columns.items()}
 
@@ -114,7 +114,7 @@ class TestRecordGeneration:
         pop = Population(np.zeros((2, 3)), np.zeros(2))
         outside = np.array([[True, True, False], [False, False, False]])
         trajectory = Trajectory()
-        record_generation(trajectory, outside, 1, pop, problem)
+        record_generation(trajectory, outside, 1, pop, 0, problem)
         columns = trajectory.columns
         assert_array_equal(columns["infeasible_component_ratio"], [2 / 6])
         assert_array_equal(columns["infeasible_individual_ratio"], [1 / 2])
@@ -126,7 +126,7 @@ class TestRecordGeneration:
         pop = Population(np.zeros((6, 4)), np.zeros(6))
         trajectory = Trajectory()
         for _ in range(100):
-            record_generation(trajectory, *violations(rng.uniform(-8, 8, (6, 4)), problem), pop, problem)
+            record_generation(trajectory, *violations(rng.uniform(-8, 8, (6, 4)), problem), pop, 0, problem)
         columns = trajectory.columns
         assert (columns["infeasible_component_ratio"] <= columns["infeasible_individual_ratio"] + 1e-15).all()
 
@@ -141,7 +141,7 @@ class TestRecordGeneration:
         pop = Population(np.zeros((3, 2)), np.array([0.5, -1e-300, 2.0]))
         trajectory = Trajectory()
         with pytest.raises(ValueError, match="'sphere': best fitness -1e-300 lies below its stated optimum value 0.0"):
-            record_generation(trajectory, *violations(np.zeros((3, 2)), problem), pop, problem)
+            record_generation(trajectory, *violations(np.zeros((3, 2)), problem), pop, 0, problem)
         assert len(trajectory) == 0
 
     def test_variances_from_population(self):
@@ -157,9 +157,9 @@ class TestRecordGeneration:
         for first, second in ((None, [0.5, 0.5]), ([0.5, 0.5], None)):
             trajectory = Trajectory()
             feasible = np.zeros((3, 2), dtype=bool), 0
-            record_generation(trajectory, *feasible, pop, problem, adaptive_probabilities=first)
+            record_generation(trajectory, *feasible, pop, 0, problem, adaptive_probabilities=first)
             with pytest.raises(ValueError, match="adaptive_probabilities"):
-                record_generation(trajectory, *feasible, pop, problem, adaptive_probabilities=second)
+                record_generation(trajectory, *feasible, pop, 0, problem, adaptive_probabilities=second)
             assert len(trajectory) == 1
 
 
@@ -171,7 +171,7 @@ class TestTrajectory:
             pop = Population(np.full((3, 2), float(g)), np.full(3, float(g)), generation=g)
             outside = np.zeros((3, 2), dtype=bool)
             outside[:g % 3] = True  # g % 3 infeasible rows, each corrected
-            record_generation(trajectory, outside, g % 3, pop, problem,
+            record_generation(trajectory, outside, g % 3, pop, 40 * g, problem,
                               adaptive_probabilities=[0.25, 0.75] if adaptive else None)
         return trajectory
 
@@ -180,6 +180,7 @@ class TestTrajectory:
         columns = trajectory.columns
         assert len(trajectory) == 200 and set(columns) == set(_FIELDS) - {"adaptive_probabilities"}
         assert_array_equal(columns["generation"], np.arange(1, 201))
+        assert_array_equal(columns["feasible_evaluations"], 40 * np.arange(1, 201))
         assert_array_equal(columns["best_error"], np.arange(1.0, 201.0))
         assert all(column.shape == (200,) for column in columns.values())
 
@@ -193,7 +194,7 @@ class TestTrajectory:
         trajectory = self.filled(5, adaptive=True)
         rec = list(trajectory)[1]
         assert isinstance(rec, GenerationRecord)
-        assert rec == GenerationRecord(2, 0, 3, 2.0, 2 / 3, 2 / 3, 0.0, 0.0, 2, [0.25, 0.75])
+        assert rec == GenerationRecord(2, 80, 3, 2.0, 2 / 3, 2 / 3, 0.0, 0.0, 2, [0.25, 0.75])
         values = [getattr(rec, f.name) for f in dataclasses.fields(GenerationRecord)]
         assert [type(v) for v in values] == [int] * 3 + [float] * 5 + [int, list]
         assert all(type(p) is float for p in rec.adaptive_probabilities)
