@@ -726,6 +726,9 @@ class TestBudgetLedger:
         def bowl(x):
             return float(np.sum((x - 5.0) ** 2))
 
+        def bowl_problem(objective):
+            return ExternalProblem("bowl", 3, Bounds.symmetric(5.0, 3), objective, optimum_value=0.0)
+
         def configs(problem):
             outer = RunConfig(problem=problem, engine="classic", bchm="dismiss", budget=600, seed=3,
                               classic_population_size=10)
@@ -736,8 +739,7 @@ class TestBudgetLedger:
         def outcome(result):
             return trajectory_csv_text(result.records), result.evaluations_used
 
-        alone = [outcome(run(config)) for config in configs(ExternalProblem("bowl", 3, Bounds.symmetric(5.0, 3),
-                                                                             bowl, optimum_value=0.0))]
+        alone = [outcome(run(config)) for config in configs(bowl_problem(bowl))]
         calls, nested = 0, []
 
         def objective(x):  # its 200th call, in the outer run's generations, starts the inner run
@@ -747,8 +749,7 @@ class TestBudgetLedger:
                 nested.append(run(inner))
             return bowl(x)
 
-        problem = ExternalProblem("bowl", 3, Bounds.symmetric(5.0, 3), objective, optimum_value=0.0)
-        outer, inner = configs(problem)
+        outer, inner = configs(bowl_problem(objective))
         outer_result = run(outer)
         assert len(nested) == 1 and calls > 200
         assert [outcome(outer_result), outcome(nested[0])] == alone
