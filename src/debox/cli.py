@@ -325,6 +325,29 @@ def _run_cell(cell: dict) -> tuple[dict, tuple[str, ...]]:
         return _failure(entry, exc), ()
 
 
+def _worker_cpus(parallelism: int) -> list[int]:
+    """The CPU each of ``parallelism`` workers binds to: worker k takes the
+    k-th of the sweep process's CPUs in id order, wrapping round; none where
+    the platform cannot bind a process."""
+    if not hasattr(os, "sched_setaffinity"):
+        return []
+    cpus = sorted(os.sched_getaffinity(0))
+    return [cpus[k % len(cpus)] for k in range(parallelism)]
+
+
+def _pin_worker(cpus) -> None:
+    """Pool initializer: bind this worker to the next CPU id in the queue
+    ``cpus``.  A worker that finds no id left, or whose binding fails, runs
+    unbound; it never waits.  A forked worker starts on its parent's CPU,
+    and the scheduler can take longer than a short sweep to move it."""
+    if cpus.empty():
+        return
+    try:
+        os.sched_setaffinity(0, {cpus.get()})
+    except OSError:
+        pass
+
+
 def _failed_cells(entries: list[dict]) -> list[str]:
     """One line per failed cell of a manifest, naming it and its error."""
     return [f"  {_cell_stem(e)}: {e['error']}" for e in entries if e.get("status", "ok") != "ok"]
@@ -352,12 +375,19 @@ def cmd_sweep(args) -> int:
     entries = [dict(_entry(cell), status="ok") for cell, reused in zip(cells, done) if reused]
     todo = [cell for cell, reused in zip(cells, done) if not reused]
     parallelism = min(args.parallelism, len(todo))  # at most one worker per cell; one cell runs here
-    if parallelism > 1:  # only a sweep that forks workers loads the pool
-        from concurrent.futures import ProcessPoolExecutor
-    # workers only compute: files created in one directory by several processes block each other
-    with ProcessPoolExecutor(parallelism) if parallelism > 1 else contextlib.nullcontext() as pool:
-        results = (pool.map(_run_cell, todo, chunksize=math.ceil(len(todo) / (4 * parallelism)))
-                   if pool else map(_run_cell, todo))
+    # workers only compute: the sweep process writes every artifact
+    with contextlib.ExitStack() as stack:
+        if parallelism > 1:  # only a sweep that forks workers loads the pool
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            cpus = multiprocessing.SimpleQueue()
+            stack.callback(cpus.close)
+            for cpu in _worker_cpus(parallelism):
+                cpus.put(cpu)
+            pool = stack.enter_context(ProcessPoolExecutor(parallelism, initializer=_pin_worker, initargs=(cpus,)))
+            results = pool.map(_run_cell, todo, chunksize=math.ceil(len(todo) / (4 * parallelism)))
+        else:
+            results = map(_run_cell, todo)
         for entry, texts in results:
             try:
                 for key, text in zip(("trajectory_csv", "summary_json"), texts):

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import pathlib
 import platform
@@ -13,6 +14,8 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -616,6 +619,48 @@ class TestSweepCommand:
         assert len(serial[1]) == 24
         assert serial == parallel
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs sched_setaffinity and at least 2 usable CPUs")
+    def test_each_worker_is_bound_to_its_own_cpu(self, tmp_path, monkeypatch):
+        before = os.sched_getaffinity(0)
+        monkeypatch.setattr(cli, "_run_cell", run_cell_recording_binding)  # forked workers inherit the patch
+        config = write_json(tmp_path / "sweep.json", sweep_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out), "--parallelism", "2"]) == 0
+        bindings = {(e["pid"], tuple(e["cpus"])) for e in json.loads((out / "manifest.json").read_text())["cells"]}
+        cpus = sorted(before)
+        assert len({pid for pid, _ in bindings}) == 2
+        assert sorted(bound for _, bound in bindings) == [(cpus[0],), (cpus[1],)]
+        assert os.sched_getaffinity(0) == before  # the sweep process itself is never bound
+
+    def test_workers_take_the_cpus_in_id_order_wrapping_round(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 2}, raising=False)
+        assert cli._worker_cpus(5) == [2, 5, 2, 5, 2]
+
+    def test_no_worker_is_bound_where_the_platform_cannot_bind(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        assert cli._worker_cpus(4) == []
+
+    def test_a_worker_with_no_cpu_id_left_starts_unbound_at_once(self):
+        cpus = multiprocessing.SimpleQueue()
+        worker = threading.Thread(target=cli._pin_worker, args=(cpus,), daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        cpus.close()
+        assert not worker.is_alive()
+
+    def test_a_binding_that_fails_leaves_the_worker_unbound(self, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        cpus = multiprocessing.SimpleQueue()
+        cpus.put(0)
+        assert cli._pin_worker(cpus) is None
+        assert cpus.empty()
+        cpus.close()
+
     def test_duplicate_list_value_exits_2_naming_each_key(self, tmp_path, capsys):
         # a repeated value would list its cells twice, each pair pointing to the same two files
         config = write_json(tmp_path / "sweep.json", sweep_config(
@@ -630,6 +675,18 @@ class TestSweepCommand:
         config = write_json(tmp_path / "sweep.json", sweep_config(bchms=[]))
         assert main(["sweep", "--config", config, "--out", str(tmp_path / "o")]) == 2
         assert "bchms" in capsys.readouterr().err
+
+
+_real_run_cell = cli._run_cell
+
+
+def run_cell_recording_binding(cell):
+    """``cli._run_cell``, whose entry also records the process id and CPU set
+    of the process that ran the cell.  It takes long enough that both workers
+    of a parallelism-2 sweep get cells."""
+    time.sleep(0.02)
+    entry, texts = _real_run_cell(cell)
+    return dict(entry, pid=os.getpid(), cpus=sorted(os.sched_getaffinity(0))), texts
 
 
 @pytest.fixture
